@@ -8,8 +8,8 @@ independent strategies, applies both proof principles, and checks every
 supporting lemma against seeded brute-force enumeration.
 """
 from .lattice import (CapacityError, FiniteLattice, FinitePoset, LatticeError,
-                      NotALatticeError, NotAPosetError, SubsetHandle, cover_edges,
-                      dual, hasse_text, powerset_lattice, product, validate_lattice)
+                      NotALatticeError, NotAPosetError, cover_edges, dual,
+                      hasse_text, powerset_lattice, product, validate_lattice)
 from .fixtures import chain, corpus, corpus_lattice, diamond, m3, n5
 from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, LatticeFn, MutualPair,
                      capped, compose_fg, compose_gf, is_continuous_pair,
@@ -18,7 +18,7 @@ from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, LatticeFn, MutualPair,
                      monotone_witness, pair_continuity_witness, parse_mode)
 from .simpoints import (ComponentSets, FiberSet, PairPoint, component_sets,
                         enumerate_sim_fixed, is_sim_fixed, is_sim_postfixed,
-                        is_sim_prefixed, postfp_fiber, prefp_fiber)
+                        is_sim_prefixed, point_masks, postfp_fiber, prefp_fiber)
 from .solvers import (ImplicitLattice, ImplicitMutualPair, KleeneRun,
                       NonTerminationError, NotMonotoneError, SolveResult, Verdict,
                       check_mutual_coinduction, check_mutual_induction,

@@ -209,11 +209,12 @@ class RelationPairState:
 
 def _check_preorder(name, rel, carrier):
     for t in carrier:
-        assert (t, t) in rel, f"{name} relation must be reflexive at {t}"
+        if (t, t) not in rel:
+            raise AssertionError(f"{name} relation must be reflexive at {t}")
     for a, b in rel:
         for c, d in rel:
-            if b == c:
-                assert (a, d) in rel, f"{name} relation must be transitive at {a},{b},{d}"
+            if b == c and (a, d) not in rel:
+                raise AssertionError(f"{name} relation must be transitive at {a},{b},{d}")
 
 
 def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least",

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .lattice import FiniteLattice
 
 
@@ -72,8 +74,7 @@ class LatticeFn:
         object.__setattr__(self, "table", tuple(int(x) for x in self.table))
         if len(self.table) != self.dom.size:
             raise ValueError("table must cover every domain element")
-        for x in self.table:
-            self.cod._check_id(x)
+        self.cod._check_ids(self.table)
 
     @classmethod
     def endo(cls, lat: FiniteLattice, table) -> "LatticeFn":
@@ -91,10 +92,6 @@ class LatticeFn:
     def is_endo(self) -> bool:
         return self.dom is self.cod
 
-    def __call__(self, x: int) -> int:
-        self.dom._check_id(x)
-        return self.table[x]
-
 
 @dataclass(frozen=True)
 class MutualPair:
@@ -109,10 +106,8 @@ class MutualPair:
         object.__setattr__(self, "g", tuple(int(x) for x in self.g))
         if len(self.f) != self.dom_o.size or len(self.g) != self.dom_p.size:
             raise ValueError("generator tables must be total")
-        for x in self.f:
-            self.dom_p._check_id(x)
-        for x in self.g:
-            self.dom_o._check_id(x)
+        self.dom_p._check_ids(self.f)
+        self.dom_o._check_ids(self.g)
 
     @property
     def f_fn(self) -> LatticeFn:
@@ -121,16 +116,6 @@ class MutualPair:
     @property
     def g_fn(self) -> LatticeFn:
         return LatticeFn(self.dom_p, self.dom_o, self.g)
-
-
-def apply_f(mp: MutualPair, o: int) -> int:
-    mp.dom_o._check_id(o)
-    return mp.f[o]
-
-
-def apply_g(mp: MutualPair, p: int) -> int:
-    mp.dom_p._check_id(p)
-    return mp.g[p]
 
 
 def compose_gf(mp: MutualPair) -> LatticeFn:
@@ -144,15 +129,13 @@ def compose_fg(mp: MutualPair) -> LatticeFn:
 
 
 def monotone_witness(fn: LatticeFn):
-    'First comparable pair whose images break the order, or None.'
-    dom_leq = fn.dom.poset.leq
-    cod_leq = fn.cod.poset.leq
-    t = fn.table
-    for a in range(fn.dom.size):
-        for b in range(fn.dom.size):
-            if dom_leq[a, b] and not cod_leq[t[a], t[b]]:
-                return (a, b)
-    return None
+    'First comparable pair, in row-major order, whose images break the order, or None.'
+    t = np.asarray(fn.table)
+    # gathering rows then columns is several times faster than one 2-D gather
+    bad = (fn.dom.poset.leq & ~fn.cod.poset.leq[t][:, t]).ravel()
+    # argmax of a boolean array is its first True in row-major order
+    i = int(bad.argmax())
+    return divmod(i, len(t)) if bad[i] else None
 
 
 def is_monotone(fn: LatticeFn) -> bool:

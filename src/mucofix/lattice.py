@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -88,6 +87,13 @@ class FinitePoset:
             raise ValueError(f"unknown element label {label!r}") from None
 
 
+def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Relational composition of boolean matrices: out[i, k] iff a[i, j]
+    and b[j, k] for some j. The path counts are summed in float32, which
+    is exact to 2^24 paths, far above any carrier the caps admit."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
 def poset_violation(p: FinitePoset):
     'First order-axiom violation as (axiom, witness ids), or None.'
     leq = p.leq
@@ -99,31 +105,12 @@ def poset_violation(p: FinitePoset):
     if anti.any():
         i, j = np.argwhere(anti)[0]
         return ("antisymmetry", (int(i), int(j)))
-    reach2 = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-    gaps = reach2 & ~leq
+    gaps = compose(leq, leq) & ~leq
     if gaps.any():
         i, k = (int(x) for x in np.argwhere(gaps)[0])
         j = int(np.argmax(leq[i] & leq[:, k]))
         return ("transitivity", (i, j, k))
     return None
-
-
-@dataclass(frozen=True)
-class SubsetHandle:
-    """A subset of a lattice carrier, pinned to its parent."""
-    parent: "FiniteLattice"
-    members: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(x) for x in self.members))
-        for x in self.members:
-            self.parent._check_id(x)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
 
 
 @dataclass(frozen=True)
@@ -170,6 +157,12 @@ class FiniteLattice:
         if not 0 <= int(a) < self.size:
             raise ValueError(f"element id {a} out of range 0..{self.size - 1}")
 
+    def _check_ids(self, ids):
+        'Range-check a sequence of ints at once; on failure name the first bad id.'
+        if ids and not (0 <= min(ids) and max(ids) < self.size):
+            for x in ids:
+                self._check_id(x)
+
     def leq(self, a: int, b: int) -> bool:
         'Order test by table lookup; ids are bounds-checked.'
         self._check_id(a)
@@ -184,18 +177,10 @@ class FiniteLattice:
         self._check_id(a)
         return self.poset.leq[:, a]
 
-    def subset(self, ids: Iterable[int]) -> SubsetHandle:
-        return SubsetHandle(self, frozenset(ids))
-
     def _ids(self, s) -> tuple[int, ...]:
-        if isinstance(s, SubsetHandle):
-            if s.parent is not self:
-                raise ValueError("subset belongs to a different lattice")
-            return tuple(sorted(s.members))
-        ids = sorted({int(x) for x in s})
-        for x in ids:
-            self._check_id(x)
-        return tuple(ids)
+        ids = tuple(sorted({int(x) for x in s}))
+        self._check_ids(ids)
+        return ids
 
     def meet_set(self, s) -> int:
         'Greatest lower bound of a subset; the empty meet is top.'
@@ -317,8 +302,7 @@ def dual(lat: FiniteLattice) -> FiniteLattice:
 def cover_edges(lat: FiniteLattice) -> list[tuple[int, int]]:
     'Immediate-successor pairs of the order, in lexicographic id order.'
     lt = lat.poset.leq & ~np.eye(lat.size, dtype=bool)
-    via = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-    return [(int(i), int(j)) for i, j in np.argwhere(lt & ~via)]
+    return [(int(i), int(j)) for i, j in np.argwhere(lt & ~compose(lt, lt))]
 
 
 def hasse_text(lat: FiniteLattice) -> str:

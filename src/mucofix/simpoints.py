@@ -1,13 +1,17 @@
 """Simultaneous pre-fixed, post-fixed, and fixed pairs of a mutual
 generator pair, their fibers, and the four component projections.
 
-Everything is computed by exhaustive scan with no caching: at desk scale
-the scan is cheap, and it doubles as the oracle the solvers are checked
-against.
+point_masks classifies every pair of the product carrier in one pass of
+array operations; fibers are rows or columns of its masks and component
+sets are their row and column projections. Nothing is cached. The
+solvers' Tarski folds and the plain-loop oracles in the test suite
+classify pairs independently of this kernel, so they check it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .genfun import MutualPair
 from .lattice import CapacityError
@@ -74,61 +78,57 @@ def _check_side(side: str):
         raise ValueError(f"side must be 'O' or 'P', got {side!r}")
 
 
-def prefp_fiber(mp: MutualPair, anchor: int, side: str = "O") -> FiberSet:
-    'All partners forming a simultaneous pre-fixed pair with the anchor.'
-    _check_side(side)
-    leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
-    if side == "O":
-        mp.dom_o._check_id(anchor)
-        members = frozenset(
-            p for p in range(mp.dom_p.size)
-            if leq_p[mp.f[anchor], p] and leq_o[mp.g[p], anchor])
-    else:
-        mp.dom_p._check_id(anchor)
-        members = frozenset(
-            o for o in range(mp.dom_o.size)
-            if leq_p[mp.f[o], anchor] and leq_o[mp.g[anchor], o])
-    return FiberSet(int(anchor), side, "pre", members)
-
-
-def postfp_fiber(mp: MutualPair, anchor: int, side: str = "O") -> FiberSet:
-    'All partners forming a simultaneous post-fixed pair with the anchor.'
-    _check_side(side)
-    leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
-    if side == "O":
-        mp.dom_o._check_id(anchor)
-        members = frozenset(
-            p for p in range(mp.dom_p.size)
-            if leq_p[p, mp.f[anchor]] and leq_o[anchor, mp.g[p]])
-    else:
-        mp.dom_p._check_id(anchor)
-        members = frozenset(
-            o for o in range(mp.dom_o.size)
-            if leq_p[anchor, mp.f[o]] and leq_o[o, mp.g[anchor]])
-    return FiberSet(int(anchor), side, "post", members)
-
-
 def _scan_guard(mp: MutualPair):
     if mp.dom_o.size * mp.dom_p.size > PAIR_SCAN_CAP:
         raise CapacityError(
             f"{mp.dom_o.size}x{mp.dom_p.size} pairs exceeds the scan cap {PAIR_SCAN_CAP}")
 
 
-def component_sets(mp: MutualPair) -> ComponentSets:
-    'Project the pre-/post-fixed pair classes onto both carriers by full scan.'
+def point_masks(mp: MutualPair) -> tuple[np.ndarray, np.ndarray]:
+    """Classify every pair of the product carrier at once.
+
+    Returns two boolean |O| x |P| arrays: pre[o, p] holds when F(o) is
+    below p and G(p) below o, post[o, p] when p is below F(o) and o below
+    G(p). A pair is simultaneously fixed exactly where both hold. Raises
+    CapacityError above PAIR_SCAN_CAP pairs, and so do the fibers and
+    component sets, which are read off these masks.
+    """
     _scan_guard(mp)
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
-    c, d, e, fs = set(), set(), set(), set()
-    for o in range(mp.dom_o.size):
-        fo = mp.f[o]
-        for p in range(mp.dom_p.size):
-            if leq_p[fo, p] and leq_o[mp.g[p], o]:
-                c.add(o)
-                d.add(p)
-            if leq_p[p, fo] and leq_o[o, mp.g[p]]:
-                e.add(o)
-                fs.add(p)
-    return ComponentSets(frozenset(c), frozenset(d), frozenset(e), frozenset(fs))
+    f, g = np.asarray(mp.f), np.asarray(mp.g)
+    pre = leq_p[f, :] & leq_o[g, :].T
+    post = leq_p[:, f].T & leq_o[:, g]
+    return pre, post
+
+
+def _members(line: np.ndarray) -> frozenset[int]:
+    return frozenset(line.nonzero()[0].tolist())
+
+
+def _fiber(mp: MutualPair, anchor: int, side: str, kind: str) -> FiberSet:
+    _check_side(side)
+    (mp.dom_o if side == "O" else mp.dom_p)._check_id(anchor)
+    pre, post = point_masks(mp)
+    mask = pre if kind == "pre" else post
+    line = mask[anchor] if side == "O" else mask[:, anchor]
+    return FiberSet(int(anchor), side, kind, _members(line))
+
+
+def prefp_fiber(mp: MutualPair, anchor: int, side: str = "O") -> FiberSet:
+    'All partners forming a simultaneous pre-fixed pair with the anchor.'
+    return _fiber(mp, anchor, side, "pre")
+
+
+def postfp_fiber(mp: MutualPair, anchor: int, side: str = "O") -> FiberSet:
+    'All partners forming a simultaneous post-fixed pair with the anchor.'
+    return _fiber(mp, anchor, side, "post")
+
+
+def component_sets(mp: MutualPair) -> ComponentSets:
+    'Project the pre-/post-fixed pair classes onto both carriers.'
+    pre, post = point_masks(mp)
+    return ComponentSets(_members(pre.any(axis=1)), _members(pre.any(axis=0)),
+                         _members(post.any(axis=1)), _members(post.any(axis=0)))
 
 
 def enumerate_sim_fixed(mp: MutualPair) -> list[PairPoint]:
@@ -137,6 +137,8 @@ def enumerate_sim_fixed(mp: MutualPair) -> list[PairPoint]:
     out = [PairPoint(o, mp.f[o]) for o in range(mp.dom_o.size) if mp.g[mp.f[o]] == o]
     # each o pairs only with f[o], and g maps each p back to one o, so
     # components can never repeat across the list
-    assert len({pt.o for pt in out}) == len(out)
-    assert len({pt.p for pt in out}) == len(out)
+    if len({pt.o for pt in out}) != len(out):
+        raise AssertionError
+    if len({pt.p for pt in out}) != len(out):
+        raise AssertionError
     return out

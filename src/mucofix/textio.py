@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .genfun import MutualPair
-from .lattice import FiniteLattice, FinitePoset, cover_edges, validate_lattice
+from .lattice import FiniteLattice, FinitePoset, compose, cover_edges, validate_lattice
 
 
 class DocumentError(Exception):
@@ -72,7 +72,7 @@ def parse_lattice_doc(obj) -> FiniteLattice:
                 raise DocumentError(f"order pair names unknown element {name!r}")
         rel[idx[e[0]], idx[e[1]]] = True
     while True:
-        closed = rel | ((rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0)
+        closed = rel | compose(rel, rel)
         if (closed == rel).all():
             break
         rel = closed

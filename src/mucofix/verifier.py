@@ -19,8 +19,7 @@ from .genfun import (BINARY, ContinuityMode, LatticeFn, MutualPair, compose_fg,
                      join_continuity_witness, meet_continuity_witness,
                      monotone_witness)
 from .lattice import CapacityError, FiniteLattice, FinitePoset, powerset_lattice, product, validate_lattice
-from .simpoints import (PairPoint, component_sets, is_sim_fixed, is_sim_postfixed,
-                        is_sim_prefixed, postfp_fiber, prefp_fiber)
+from .simpoints import component_sets, is_sim_fixed, point_masks
 from .solvers import (gsfp_direct, gsfp_product, gsfp_tarski_oracle, lsfp_direct,
                       lsfp_product, lsfp_tarski_oracle)
 
@@ -145,7 +144,8 @@ def gen_monotone_pair(spec: InstanceGenSpec, lat_o: FiniteLattice,
     mp = MutualPair(lat_o, lat_p,
                     _monotone_table(rng, lat_o, lat_p),
                     _monotone_table(rng, lat_p, lat_o))
-    assert is_monotone(mp.f_fn) and is_monotone(mp.g_fn)
+    if not (is_monotone(mp.f_fn) and is_monotone(mp.g_fn)):
+        raise AssertionError
     return mp
 
 
@@ -251,19 +251,26 @@ def _check_l2(mp, mode):
     return None
 
 
+def _first_hit(*masks):
+    'First (o, p, k) in scan order, o then p then mask index, where mask k holds, or None.'
+    hits = np.argwhere(np.stack(masks, axis=-1))
+    return None if not len(hits) else tuple(int(x) for x in hits[0])
+
+
 def _check_l3(mp, mode):
-    gf, fg = compose_gf(mp).table, compose_fg(mp).table
+    gf, fg = np.asarray(compose_gf(mp).table), np.asarray(compose_fg(mp).table)
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
-    for o in range(mp.dom_o.size):
-        for p in range(mp.dom_p.size):
-            pt = PairPoint(o, p)
-            if is_sim_prefixed(mp, pt) and not (leq_o[gf[o], o] and leq_p[fg[p], p]):
-                return f"pre-fixed ({o},{p}) has a non-pre-fixed component"
-            if is_sim_postfixed(mp, pt) and not (leq_o[o, gf[o]] and leq_p[p, fg[p]]):
-                return f"post-fixed ({o},{p}) has a non-post-fixed component"
-            if is_sim_fixed(mp, pt) and not (gf[o] == o and fg[p] == p):
-                return f"fixed ({o},{p}) has a non-fixed component"
-    return None
+    ids_o, ids_p = np.arange(mp.dom_o.size), np.arange(mp.dom_p.size)
+    pre, post = point_masks(mp)
+    comp_pre = leq_o[gf, ids_o][:, None] & leq_p[fg, ids_p]
+    comp_post = leq_o[ids_o, gf][:, None] & leq_p[ids_p, fg]
+    comp_fixed = (gf == ids_o)[:, None] & (fg == ids_p)
+    hit = _first_hit(pre & ~comp_pre, post & ~comp_post, pre & post & ~comp_fixed)
+    if hit is None:
+        return None
+    o, p, k = hit
+    kind = ("pre-fixed", "post-fixed", "fixed")[k]
+    return f"{kind} ({o},{p}) has a non-{kind} component"
 
 
 def _check_l4(mp, mode):
@@ -282,36 +289,20 @@ def _check_l4(mp, mode):
 
 
 def _check_l5(mp, mode):
-    for o in range(mp.dom_o.size):
-        fib = sorted(prefp_fiber(mp, o, "O").fiber)
-        if fib:
-            v = mp.dom_p.sublattice_violation(fib)
-            if v is not None:
-                return f"pre fiber at O={o} is not a complete sublattice: {v}"
-            if mp.dom_p.meet_set(fib) != mp.f[o]:
-                return f"glb of the pre fiber at O={o} is not F(o)"
-        fib = sorted(postfp_fiber(mp, o, "O").fiber)
-        if fib:
-            v = mp.dom_p.sublattice_violation(fib)
-            if v is not None:
-                return f"post fiber at O={o} is not a complete sublattice: {v}"
-            if mp.dom_p.join_set(fib) != mp.f[o]:
-                return f"lub of the post fiber at O={o} is not F(o)"
-    for p in range(mp.dom_p.size):
-        fib = sorted(prefp_fiber(mp, p, "P").fiber)
-        if fib:
-            v = mp.dom_o.sublattice_violation(fib)
-            if v is not None:
-                return f"pre fiber at P={p} is not a complete sublattice: {v}"
-            if mp.dom_o.meet_set(fib) != mp.g[p]:
-                return f"glb of the pre fiber at P={p} is not G(p)"
-        fib = sorted(postfp_fiber(mp, p, "P").fiber)
-        if fib:
-            v = mp.dom_o.sublattice_violation(fib)
-            if v is not None:
-                return f"post fiber at P={p} is not a complete sublattice: {v}"
-            if mp.dom_o.join_set(fib) != mp.g[p]:
-                return f"lub of the post fiber at P={p} is not G(p)"
+    pre, post = point_masks(mp)
+    for side, pre_rows, post_rows, partner, image, name in (
+            ("O", pre, post, mp.dom_p, mp.f, "F(o)"),
+            ("P", pre.T, post.T, mp.dom_o, mp.g, "G(p)")):
+        for a in range(len(image)):
+            for kind, rows, bound, law in (("pre", pre_rows, partner.meet_set, "glb"),
+                                           ("post", post_rows, partner.join_set, "lub")):
+                fib = rows[a].nonzero()[0].tolist()
+                if fib:
+                    v = partner.sublattice_violation(fib)
+                    if v is not None:
+                        return f"{kind} fiber at {side}={a} is not a complete sublattice: {v}"
+                    if bound(fib) != image[a]:
+                        return f"{law} of the {kind} fiber at {side}={a} is not {name}"
     return None
 
 
@@ -331,20 +322,16 @@ def _check_l6(mp, mode):
 
 
 def _check_l7(mp, mode):
-    pre = [(o, p) for o in range(mp.dom_o.size) for p in range(mp.dom_p.size)
-           if is_sim_prefixed(mp, PairPoint(o, p))]
-    for o1, p1 in pre:
-        for o2, p2 in pre:
-            pt = PairPoint(int(mp.dom_o.meet[o1, o2]), int(mp.dom_p.meet[p1, p2]))
-            if not is_sim_prefixed(mp, pt):
-                return f"meet of pre-fixed ({o1},{p1}),({o2},{p2}) escapes"
-    post = [(o, p) for o in range(mp.dom_o.size) for p in range(mp.dom_p.size)
-            if is_sim_postfixed(mp, PairPoint(o, p))]
-    for o1, p1 in post:
-        for o2, p2 in post:
-            pt = PairPoint(int(mp.dom_o.join[o1, o2]), int(mp.dom_p.join[p1, p2]))
-            if not is_sim_postfixed(mp, pt):
-                return f"join of post-fixed ({o1},{p1}),({o2},{p2}) escapes"
+    pre, post = point_masks(mp)
+    for kind, mask, op_o, op_p, bound in (("pre", pre, mp.dom_o.meet, mp.dom_p.meet, "meet"),
+                                          ("post", post, mp.dom_o.join, mp.dom_p.join, "join")):
+        o2, p2 = mask.nonzero()
+        for o1, p1 in zip(o2.tolist(), p2.tolist()):
+            # one row of the pairwise table at a time keeps memory linear
+            closed = mask[op_o[o1, o2], op_p[p1, p2]]
+            if not closed.all():
+                j = int(closed.argmin())
+                return f"{bound} of {kind}-fixed ({o1},{p1}),({int(o2[j])},{int(p2[j])}) escapes"
     return None
 
 
@@ -366,15 +353,14 @@ def _check_sfp(mp, mode):
     if not is_sim_fixed(mp, greatest.nu):
         return f"greatest pair {greatest.nu} is not simultaneously fixed"
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
-    for o in range(mp.dom_o.size):
-        for p in range(mp.dom_p.size):
-            pt = PairPoint(o, p)
-            if is_sim_prefixed(mp, pt) and not (
-                    leq_o[least.mu_f, o] and leq_p[least.mu_g, p]):
-                return f"least pair is not below pre-fixed ({o},{p})"
-            if is_sim_postfixed(mp, pt) and not (
-                    leq_o[o, greatest.nu_f] and leq_p[p, greatest.nu_g]):
-                return f"greatest pair is not above post-fixed ({o},{p})"
+    pre, post = point_masks(mp)
+    above_least = leq_o[least.mu_f][:, None] & leq_p[least.mu_g]
+    below_greatest = leq_o[:, greatest.nu_f][:, None] & leq_p[:, greatest.nu_g]
+    hit = _first_hit(pre & ~above_least, post & ~below_greatest)
+    if hit is not None:
+        o, p, k = hit
+        return (f"least pair is not below pre-fixed ({o},{p})" if k == 0
+                else f"greatest pair is not above post-fixed ({o},{p})")
     if not (leq_o[least.mu_f, greatest.nu_f] and leq_p[least.mu_g, greatest.nu_g]):
         return "least pair is not below the greatest pair"
     return None
@@ -462,10 +448,10 @@ def _q1(mp, mode):
     'A monotone, non-continuous pair with a nonempty fiber that is not a complete sublattice.'
     if is_continuous_pair(mp, mode):
         return None
-    for side, size, partner in (("O", mp.dom_o.size, mp.dom_p),
-                                ("P", mp.dom_p.size, mp.dom_o)):
-        for a in range(size):
-            fib = sorted(prefp_fiber(mp, a, side).fiber)
+    pre, _ = point_masks(mp)
+    for side, rows, partner in (("O", pre, mp.dom_p), ("P", pre.T, mp.dom_o)):
+        for a, row in enumerate(rows):
+            fib = row.nonzero()[0].tolist()
             if fib:
                 v = partner.sublattice_violation(fib)
                 if v is not None:
@@ -475,14 +461,15 @@ def _q1(mp, mode):
 
 def _q2(mp, mode):
     'A composition pre-fixed element belonging to no simultaneous pre-fixed pair.'
-    cs = component_sets(mp)
-    gf, fg = compose_gf(mp).table, compose_fg(mp).table
-    for o in range(mp.dom_o.size):
-        if mp.dom_o.poset.leq[gf[o], o] and o not in cs.c:
-            return f"O={o} is pre-fixed for G.F but outside the first component set"
-    for p in range(mp.dom_p.size):
-        if mp.dom_p.poset.leq[fg[p], p] and p not in cs.d:
-            return f"P={p} is pre-fixed for F.G but outside the second component set"
+    pre, _ = point_masks(mp)
+    for side, lat, comp, covered, name, which in (
+            ("O", mp.dom_o, compose_gf(mp), pre.any(axis=1), "G.F", "first"),
+            ("P", mp.dom_p, compose_fg(mp), pre.any(axis=0), "F.G", "second")):
+        ids = np.arange(lat.size)
+        outside = lat.poset.leq[np.asarray(comp.table), ids] & ~covered
+        if outside.any():
+            return (f"{side}={int(outside.argmax())} is pre-fixed for {name} "
+                    f"but outside the {which} component set")
     return None
 
 

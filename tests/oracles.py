@@ -192,3 +192,22 @@ def subtyping_saturation(class_edges, generics, types, intervals):
                     cont.add((i1, i2))
                     changed = True
     return frozenset(sub), frozenset(cont)
+
+
+def point_classes_oracle(leq_o, leq_p, f, g):
+    """Simultaneous pre-/post-fixed classification of every pair (o, p),
+    as two nested lists indexed [o][p], straight from the definitions."""
+    no, np_ = len(leq_o), len(leq_p)
+    pre = [[bool(leq_p[f[o]][p] and leq_o[g[p]][o]) for p in range(np_)] for o in range(no)]
+    post = [[bool(leq_p[p][f[o]] and leq_o[o][g[p]]) for p in range(np_)] for o in range(no)]
+    return pre, post
+
+
+def monotone_witness_oracle(table, dom_leq, cod_leq):
+    'First (a, b) in row-major order with a <= b but table[a] not <= table[b], or None.'
+    n = len(dom_leq)
+    for a in range(n):
+        for b in range(n):
+            if dom_leq[a][b] and not cod_leq[table[a]][table[b]]:
+                return (a, b)
+    return None

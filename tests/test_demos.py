@@ -1,6 +1,12 @@
 """The subtyping instantiation and the recursive integer trio."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mucofix
 from mucofix import (CapacityError, ClassDef, ClassTable, DocumentError,
                      GroundType, IntervalType, NonTerminationError,
                      StepBudgetExceeded, build_universe, fixture_tables,
@@ -175,3 +181,15 @@ def test_trio_budget_and_entry_validation():
         paulson_trio(0, 0, 1, budget=50)    # y stays below z forever
     with pytest.raises(ValueError):
         paulson_trio(0, 0, 0, entry="Q")
+
+
+def test_preorder_check_survives_python_O():
+    # an assert statement would be stripped by -O and let this pass silently
+    code = ("from mucofix.demos import _check_preorder\n"
+            "_check_preorder('subtype', frozenset(), ('A',))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mucofix.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith(
+        "AssertionError: subtype relation must be reflexive at A")

@@ -1,4 +1,5 @@
 """Generator tables, composition, monotonicity, continuity modes."""
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -10,11 +11,11 @@ from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, LatticeFn, MutualPair,
                      corpus_lattice, diamond, is_continuous_pair,
                      is_join_continuous, is_meet_continuous, is_monotone,
                      join_continuity_witness, meet_continuity_witness,
-                     monotone_witness, pair_continuity_witness, parse_mode)
-from mucofix.genfun import apply_f, apply_g
+                     monotone_witness, n5, pair_continuity_witness, parse_mode,
+                     product)
 
-from oracles import (nonempty_subsets, preserves_joins_oracle,
-                     preserves_meets_oracle)
+from oracles import (monotone_witness_oracle, nonempty_subsets,
+                     preserves_joins_oracle, preserves_meets_oracle)
 
 
 def test_mode_construction_and_labels():
@@ -40,27 +41,25 @@ def test_parse_mode_round_trips():
 
 def test_fn_construction(c2, d4):
     fn = LatticeFn(d4, c2, (0, 1, 1, 1))
-    assert fn(0) == 0 and fn(3) == 1
     assert not fn.is_endo
     assert LatticeFn.identity(d4).table == (0, 1, 2, 3)
     assert LatticeFn.endo(c2, (1, 1)).is_endo
     assert LatticeFn.constant(c2, d4, 2).table == (2, 2)
     with pytest.raises(ValueError):
         LatticeFn(c2, c2, (0,))
-    with pytest.raises(ValueError):
-        LatticeFn(c2, c2, (0, 2))
-    with pytest.raises(ValueError):
-        fn(11)
+    with pytest.raises(ValueError, match=r"^element id 5 out of range 0\.\.1$"):
+        LatticeFn(d4, c2, (0, 5, -1, 7))
 
 
-def test_pair_construction_and_apply(c2, d4):
+def test_pair_construction(c2, d4):
     mp = MutualPair(c2, d4, (0, 3), (0, 0, 1, 1))
-    assert apply_f(mp, 1) == 3 and apply_g(mp, 2) == 1
     assert mp.f_fn.dom is c2 and mp.g_fn.cod is c2
     with pytest.raises(ValueError):
         MutualPair(c2, d4, (0,), (0, 0, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^element id 9 out of range 0\.\.3$"):
         MutualPair(c2, d4, (0, 9), (0, 0, 1, 1))
+    with pytest.raises(ValueError, match=r"^element id -1 out of range 0\.\.1$"):
+        MutualPair(c2, d4, (0, 3), (0, -1, 2, 1))
 
 
 def test_monotone_census_on_two_chain(c2):
@@ -74,6 +73,33 @@ def test_monotone_census_on_two_chain(c2):
              if is_monotone(MutualPair(c2, c2, f, g).f_fn)
              and is_monotone(MutualPair(c2, c2, f, g).g_fn)]
     assert len(pairs) == 9
+
+
+LATTICES = {"C2": lambda: chain(2), "D4": diamond, "N5": n5, "C40": lambda: chain(40),
+            "C300": lambda: chain(300), "C3xC4": lambda: product(chain(3), chain(4)),
+            "C15xC20": lambda: product(chain(15), chain(20))}
+
+
+@pytest.mark.parametrize("dom_name, cod_name", [("C2", "C2"), ("D4", "N5"), ("C3xC4", "D4"),
+                                                ("C40", "C3xC4"), ("C300", "C300"),
+                                                ("C15xC20", "C300")])
+def test_monotone_witness_matches_the_plain_loop_oracle(dom_name, cod_name):
+    dom, cod = LATTICES[dom_name](), LATTICES[cod_name]()
+    dom_leq, cod_leq = dom.poset.leq.tolist(), cod.poset.leq.tolist()
+    rng = random.Random(dom.size * 1000 + cod.size)
+    # a linear extension of the domain mapped onto the codomain's ids in
+    # rank order, then a middle entry raised to top: a witness deep in the scan
+    rank = sorted(range(dom.size), key=lambda i: (sum(dom_leq[j][i] for j in range(dom.size)), i))
+    ordered = [0] * dom.size
+    for r, i in enumerate(rank):
+        ordered[i] = r * (cod.size - 1) // max(1, dom.size - 1)
+    raised = list(ordered)
+    raised[rank[len(rank) // 2]] = cod.top
+    tables = [tuple(rng.randrange(cod.size) for _ in range(dom.size)),
+              (cod.top,) * dom.size, tuple(ordered), tuple(raised)]
+    for table in tables:
+        fn = LatticeFn(dom, cod, table)
+        assert monotone_witness(fn) == monotone_witness_oracle(table, dom_leq, cod_leq)
 
 
 def test_composition_tables(k1, swap):

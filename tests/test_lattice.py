@@ -116,18 +116,11 @@ def test_leq_and_sets():
     assert list(np.flatnonzero(lat.down_set(a))) == [lat.bottom, a]
     with pytest.raises(ValueError):
         lat.leq(0, 9)
-
-
-def test_subset_handle_is_pinned():
-    lat = diamond()
-    s = lat.subset([1, 2])
-    assert len(s) == 2 and list(s) == [1, 2]
-    assert lat.meet_set(s) == lat.bottom
-    other = chain(4)
-    with pytest.raises(ValueError):
-        other.meet_set(s)
-    with pytest.raises(ValueError):
-        lat.subset([17])
+    # subset ids are checked in sorted order, so the smallest bad id is named
+    with pytest.raises(ValueError, match=r"^element id -2 out of range 0\.\.3$"):
+        lat.meet_set([9, 1, -2])
+    with pytest.raises(ValueError, match=r"^element id 4 out of range 0\.\.3$"):
+        lat.join_set([9, 4, 1])
 
 
 def test_sublattice_violation_cases():
@@ -200,6 +193,25 @@ def test_cover_edges_and_hasse():
     text = hasse_text(lat)
     assert "bot < a" in text and "a < top" in text
     assert "bot < top" not in text    # covers only, no transitive edges
+
+
+@pytest.mark.parametrize("n", [257, 258])
+def test_cover_edges_of_long_chains_are_the_steps(n):
+    # at n = 258 the 256 two-step paths from bottom to top once wrapped a
+    # uint8 path count to zero and reported (0, 257) as a cover edge
+    assert cover_edges(chain(n)) == [(i, i + 1) for i in range(n - 1)]
+
+
+@pytest.mark.parametrize("n", [257, 258])
+def test_transitivity_gap_under_many_two_step_paths_is_caught(n):
+    # bottom below every middle element and every middle element below
+    # top, but bottom not below top: n - 2 two-step paths (256 at n = 258)
+    # run over the missing edge
+    leq = np.eye(n, dtype=bool)
+    leq[0, 1:n - 1] = True
+    leq[1:n - 1, n - 1] = True
+    labels = tuple(str(i) for i in range(n))
+    assert poset_violation(FinitePoset(labels, leq)) == ("transitivity", (0, 1, n - 1))
 
 
 def test_chain_height_matches_dp():

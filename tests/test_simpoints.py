@@ -1,13 +1,17 @@
 """Simultaneous point classes, fibers, and component projections."""
+import random
 from itertools import product as iproduct
 
 import pytest
 
-from mucofix import (MutualPair, PairPoint, chain, component_sets,
-                     enumerate_sim_fixed, is_sim_fixed, is_sim_postfixed,
-                     is_sim_prefixed, postfp_fiber, prefp_fiber)
+from mucofix import (InstanceGenSpec, MutualPair, PairPoint, chain, component_sets,
+                     diamond, enumerate_sim_fixed, gen_monotone_pair,
+                     is_sim_fixed, is_sim_postfixed, is_sim_prefixed, m3, n5,
+                     point_masks, postfp_fiber, prefp_fiber, product)
 from mucofix.lattice import CapacityError
 import mucofix.simpoints as simpoints
+
+from oracles import point_classes_oracle
 
 
 def test_point_classes_on_k1(k1):
@@ -105,3 +109,59 @@ def test_scan_cap_guard(k1, monkeypatch):
         component_sets(k1)
     with pytest.raises(CapacityError):
         enumerate_sim_fixed(k1)
+    with pytest.raises(CapacityError):
+        point_masks(k1)
+    with pytest.raises(CapacityError):
+        postfp_fiber(k1, 0, "P")
+
+
+@pytest.fixture(scope="module")
+def lattices():
+    return {"C2": chain(2), "D4": diamond(), "M3": m3(), "N5": n5(),
+            "C3xC4": product(chain(3), chain(4)), "C40": chain(40),
+            "C15xC20": product(chain(15), chain(20)), "C300": chain(300)}
+
+
+def seeded_pairs(lat_o, lat_p, seed):
+    'An arbitrary pair, a monotone pair, and a monotone F with an arbitrary G.'
+    rng = random.Random(seed)
+    f = tuple(rng.randrange(lat_p.size) for _ in range(lat_o.size))
+    g = tuple(rng.randrange(lat_o.size) for _ in range(lat_p.size))
+    mono = gen_monotone_pair(InstanceGenSpec(seed=seed), lat_o, lat_p)
+    return [MutualPair(lat_o, lat_p, f, g), mono, MutualPair(lat_o, lat_p, mono.f, g)]
+
+
+def _column(rows, p):
+    return [row[p] for row in rows]
+
+
+def _ids(line):
+    return {i for i, x in enumerate(line) if x}
+
+
+@pytest.mark.parametrize("names", [("C2", "C2"), ("D4", "N5"), ("M3", "C3xC4"),
+                                   ("C40", "D4"), ("C15xC20", "C40"),
+                                   ("C300", "C300"), ("C300", "C15xC20")],
+                         ids=lambda names: "x".join(names))
+def test_masks_sets_and_fibers_match_the_plain_loop_oracle(lattices, names):
+    lat_o, lat_p = (lattices[n] for n in names)
+    leq_o, leq_p = lat_o.poset.leq.tolist(), lat_p.poset.leq.tolist()
+    rng = random.Random(str(names))
+    anchors_o = sorted({0, lat_o.size - 1, *rng.sample(range(lat_o.size), min(4, lat_o.size))})
+    anchors_p = sorted({0, lat_p.size - 1, *rng.sample(range(lat_p.size), min(4, lat_p.size))})
+    for mp in seeded_pairs(lat_o, lat_p, lat_o.size * 1000 + lat_p.size):
+        want_pre, want_post = point_classes_oracle(leq_o, leq_p, mp.f, mp.g)
+        pre, post = point_masks(mp)
+        assert pre.shape == post.shape == (lat_o.size, lat_p.size)
+        assert pre.tolist() == want_pre and post.tolist() == want_post
+        cs = component_sets(mp)
+        assert cs.c == {o for o in range(lat_o.size) if any(want_pre[o])}
+        assert cs.d == {p for p in range(lat_p.size) if any(_column(want_pre, p))}
+        assert cs.e == {o for o in range(lat_o.size) if any(want_post[o])}
+        assert cs.fset == {p for p in range(lat_p.size) if any(_column(want_post, p))}
+        for o in anchors_o:
+            assert prefp_fiber(mp, o, "O").fiber == _ids(want_pre[o])
+            assert postfp_fiber(mp, o, "O").fiber == _ids(want_post[o])
+        for p in anchors_p:
+            assert prefp_fiber(mp, p, "P").fiber == _ids(_column(want_pre, p))
+            assert postfp_fiber(mp, p, "P").fiber == _ids(_column(want_post, p))

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from mucofix import (DocumentError, MutualPair, NotALatticeError, NotAPosetError,
-                     diamond, emit_lattice_doc, emit_pair_doc, load_document,
-                     pair_from_json, pair_to_json, parse_lattice_doc,
-                     parse_pair_doc)
+                     PairPoint, chain, diamond, emit_lattice_doc, emit_pair_doc,
+                     gsfp_direct, gsfp_product, load_document, lsfp_direct,
+                     lsfp_product, pair_from_json, pair_to_json,
+                     parse_lattice_doc, parse_pair_doc)
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,6 +58,21 @@ def test_parse_lattice_structure_failures_are_not_document_errors():
 def test_duplicate_edges_are_harmless():
     obj = {"elements": ["x", "y"], "leq": [["x", "y"], ["x", "y"], ["x", "x"]]}
     assert parse_lattice_doc(obj).size == 2
+
+
+@pytest.mark.parametrize("n", [257, 258])
+def test_long_chain_pair_document_solves(n):
+    # closing a chain of 258 once wrapped a uint8 path count at 256 and
+    # refused the document as not a lattice
+    names = [f"c{i}" for i in range(n)]
+    side = {"elements": names, "leq": [[a, b] for a, b in zip(names, names[1:])]}
+    doc = {"O": side, "P": side,
+           "F": {x: names[max(i, 10)] for i, x in enumerate(names)},
+           "G": {x: x for x in names}}
+    mp = parse_pair_doc(doc)
+    assert (mp.dom_o.poset.leq == chain(n).poset.leq).all()
+    assert lsfp_direct(mp).mu == lsfp_product(mp).mu == PairPoint(10, 10)
+    assert gsfp_direct(mp).nu == gsfp_product(mp).nu == PairPoint(n - 1, n - 1)
 
 
 def test_parse_pair_doc(k1):

@@ -1,10 +1,15 @@
 """Seeded generation, lemma runners, and the counterexample miner."""
+import json
+from pathlib import Path
+
 import pytest
 
-from mucofix import (BINARY, WITH_EMPTY, InstanceGenSpec, MutualPair, chain,
-                     check_lemma, diamond, gen_continuous_pair, gen_lattice,
-                     gen_monotone_pair, is_continuous_pair, is_monotone, m3,
-                     mine_counterexample, split_seed)
+from mucofix import (BINARY, WITH_EMPTY, InstanceGenSpec, MutualPair,
+                     NotMonotoneError, SolveResult, chain, check_lemma, diamond,
+                     gen_continuous_pair, gen_lattice, gen_monotone_pair,
+                     is_continuous_pair, is_monotone, m3, mine_counterexample,
+                     pair_from_json, split_seed)
+import mucofix.verifier as verifier
 from mucofix.verifier import (GenerationExhausted, LEMMAS, _check_l1, _check_l5,
                               render_finding_report, render_lemma_report)
 
@@ -167,3 +172,55 @@ def test_miner_is_deterministic():
     a = mine_counterexample("Q1", spec(9, family="mixed"), budget=400)
     b = mine_counterexample("Q1", spec(9, family="mixed"), budget=400)
     assert render_finding_report(a) == render_finding_report(b)
+
+
+WITNESSES = json.loads((Path(__file__).parent / "data" / "lemma_witnesses.json").read_text())
+RUNNERS = {"L3": verifier._check_l3, "L5": verifier._check_l5, "L7": verifier._check_l7,
+           "SFP": verifier._check_sfp, "Q1": verifier._q1, "Q2": verifier._q2}
+
+
+def _witness(runner, mp):
+    try:
+        return runner(mp, BINARY)
+    except NotMonotoneError as exc:
+        return f"raises NotMonotoneError: {exc}"
+
+
+def test_runners_report_the_pinned_first_witness():
+    # non-monotone pairs passed straight to the runners; each string is
+    # the first failure in the runner's scan order, recorded from the
+    # plain-loop scans
+    direct = [r for r in WITNESSES["records"] if r["variant"] == "direct"]
+    assert len(direct) >= 30
+    for record in direct:
+        mp = pair_from_json(record["instance"])
+        for name, want in record["witnesses"].items():
+            assert _witness(RUNNERS[name], mp) == want, (name, record["instance"])
+
+
+def test_sfp_reports_the_pinned_first_witness_when_solvers_are_wrong(monkeypatch):
+    # SFP's final scan only fires when all three strategies agree on a
+    # wrong pair: hand one direction the other direction's answer
+    def greatest_as_least(mp):
+        r = verifier.gsfp_direct(mp)
+        return SolveResult("direct", r.nu_f, r.nu_g, None, None, (), 0)
+
+    def least_as_greatest(mp):
+        r = verifier.lsfp_direct(mp)
+        return SolveResult("direct", None, None, r.mu_f, r.mu_g, (), 0)
+
+    swaps = {"least-is-greatest": {"lsfp_direct": greatest_as_least,
+                                   "lsfp_product": greatest_as_least,
+                                   "lsfp_tarski_oracle": lambda mp: greatest_as_least(mp).mu},
+             "greatest-is-least": {"gsfp_direct": least_as_greatest,
+                                   "gsfp_product": least_as_greatest,
+                                   "gsfp_tarski_oracle": lambda mp: least_as_greatest(mp).nu}}
+    records = [r for r in WITNESSES["records"] if r["variant"] in swaps]
+    assert len(records) >= 20
+    for record in records:
+        mp = pair_from_json(record["instance"])
+        with monkeypatch.context() as m:
+            for name, fake in swaps[record["variant"]].items():
+                m.setattr(verifier, name, fake)
+            got = verifier._check_sfp(mp, BINARY)
+        assert got == record["witnesses"]["SFP"] is not None
