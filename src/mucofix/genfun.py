@@ -88,10 +88,6 @@ class LatticeFn:
     def constant(cls, dom: FiniteLattice, cod: FiniteLattice, value: int) -> "LatticeFn":
         return cls(dom, cod, (value,) * dom.size)
 
-    @property
-    def is_endo(self) -> bool:
-        return self.dom is self.cod
-
 
 @dataclass(frozen=True)
 class MutualPair:
@@ -142,41 +138,42 @@ def is_monotone(fn: LatticeFn) -> bool:
     return monotone_witness(fn) is None
 
 
-def _subset_stream(size: int, mode: ContinuityMode):
-    # singletons preserve bounds trivially and are never witnesses
-    if mode.kind == "with-empty":
-        yield ()
-    if mode.kind in ("binary", "with-empty"):
-        yield from combinations(range(size), 2)
+def _continuity_witness(fn: LatticeFn, mode: ContinuityMode, law: str):
+    'Smallest subset (size, then lex) whose meet or join fn does not preserve, or None.'
+    dom, cod, t = fn.dom, fn.cod, fn.table
+    if law == "meet":
+        dom_op, cod_op, dom_bound, cod_bound = dom.meet, cod.meet, dom.meet_set, cod.meet_set
+        dom_unit, cod_unit = dom.top, cod.top
     else:
-        for k in range(2, min(mode.cap, size) + 1):
-            yield from combinations(range(size), k)
+        dom_op, cod_op, dom_bound, cod_bound = dom.join, cod.join, dom.join_set, cod.join_set
+        dom_unit, cod_unit = dom.bottom, cod.bottom
+    if mode.kind == "capped":
+        # singletons preserve bounds trivially and are never witnesses
+        for k in range(2, min(mode.cap, dom.size) + 1):
+            for s in combinations(range(dom.size), k):
+                if t[dom_bound(s)] != cod_bound([t[x] for x in s]):
+                    return s
+        return None
+    # the empty meet is top and the empty join is bottom
+    if mode.kind == "with-empty" and t[dom_unit] != cod_unit:
+        return ()
+    ta = np.asarray(t)
+    # bound tables are commutative and idempotent, so bad is symmetric with
+    # a false diagonal: its first True in row-major order (argmax) lies above
+    # the diagonal, where row-major order is that of combinations(range(n), 2)
+    bad = (ta[dom_op] != cod_op[ta][:, ta]).ravel()
+    i = int(bad.argmax())
+    return divmod(i, len(t)) if bad[i] else None
 
 
 def meet_continuity_witness(fn: LatticeFn, mode: ContinuityMode = BINARY):
     'Smallest subset (size, then lex) breaking meet preservation, or None.'
-    dom, cod, t = fn.dom, fn.cod, fn.table
-    for s in _subset_stream(dom.size, mode):
-        if not s:
-            if t[dom.top] != cod.top:
-                return ()
-            continue
-        if t[dom.meet_set(s)] != cod.meet_set([t[x] for x in s]):
-            return s
-    return None
+    return _continuity_witness(fn, mode, "meet")
 
 
 def join_continuity_witness(fn: LatticeFn, mode: ContinuityMode = BINARY):
     'Smallest subset (size, then lex) breaking join preservation, or None.'
-    dom, cod, t = fn.dom, fn.cod, fn.table
-    for s in _subset_stream(dom.size, mode):
-        if not s:
-            if t[dom.bottom] != cod.bottom:
-                return ()
-            continue
-        if t[dom.join_set(s)] != cod.join_set([t[x] for x in s]):
-            return s
-    return None
+    return _continuity_witness(fn, mode, "join")
 
 
 def is_meet_continuous(fn: LatticeFn, mode: ContinuityMode = BINARY) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +77,7 @@ class FinitePoset:
             raise ValueError(f"order matrix must be {n}x{n}")
         object.__setattr__(self, "leq", _frozen(leq))
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.labels)
 
@@ -138,7 +139,7 @@ class FiniteLattice:
         object.__setattr__(self, "bottom", int(self.bottom))
         object.__setattr__(self, "top", int(self.top))
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.poset.size
 

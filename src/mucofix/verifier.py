@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product as iproduct
 
 from . import textio
@@ -18,7 +19,8 @@ from .genfun import (BINARY, ContinuityMode, LatticeFn, MutualPair, compose_fg,
                      compose_gf, is_continuous_pair, is_monotone,
                      join_continuity_witness, meet_continuity_witness,
                      monotone_witness)
-from .lattice import CapacityError, FiniteLattice, FinitePoset, powerset_lattice, product, validate_lattice
+from .lattice import (CapacityError, FiniteLattice, FinitePoset, compose, powerset_lattice,
+                      product, validate_lattice)
 from .simpoints import component_sets, is_sim_fixed, point_masks
 from .solvers import (gsfp_direct, gsfp_product, gsfp_tarski_oracle, lsfp_direct,
                       lsfp_product, lsfp_tarski_oracle)
@@ -90,6 +92,30 @@ def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
     return chain(rng.randint(lo, hi))
 
 
+# Generation draws the same few small lattices over and over, so they are
+# built once. Lattices are immutable, which makes sharing them safe. The
+# public constructors stay uncached, and so does _random_closed, whose
+# family is too varied to pay for the memory it would hold.
+MEMO_CHAIN_MAX = 64
+
+
+@lru_cache(maxsize=16)
+def _memo_chain(n: int) -> FiniteLattice:
+    return chain(n)
+
+
+@lru_cache(maxsize=5)
+def _memo_powerset(ground: int) -> FiniteLattice:
+    return powerset_lattice(ground)
+
+
+@lru_cache(maxsize=1)
+def _product_pool() -> tuple[FiniteLattice, ...]:
+    'The 16 products of two factors from C2, C3, C4 and the diamond, in draw order.'
+    factors = [chain(2), chain(3), chain(4), diamond()]
+    return tuple(product(a, b) for a in factors for b in factors)
+
+
 def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
     'One lattice, deterministic in spec.seed, size within the range where the family allows.'
     rng = random.Random(spec.seed)
@@ -98,19 +124,19 @@ def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
         fam = rng.choice(("chains", "powersets", "products", "random-closed", "corpus"))
     lo, hi = spec.size_lo, spec.size_hi
     if fam == "chains":
-        return chain(rng.randint(lo, hi))
+        n = rng.randint(lo, hi)
+        # a large chain is rarely drawn twice, and 16 of them would hold a lot
+        return _memo_chain(n) if n <= MEMO_CHAIN_MAX else chain(n)
     if fam == "powersets":
         feasible = [g for g in range(5) if lo <= 1 << g <= hi]
         if not feasible:
             feasible = [max(g for g in range(5) if 1 << g <= hi)]
-        return powerset_lattice(rng.choice(feasible))
+        return _memo_powerset(rng.choice(feasible))
     if fam == "products":
-        factors = [chain(2), chain(3), chain(4), diamond()]
-        pairs = [(a, b) for a in factors for b in factors if lo <= a.size * b.size <= hi]
-        if not pairs:
+        pool = [lat for lat in _product_pool() if lo <= lat.size <= hi]
+        if not pool:
             return product(chain(1), chain(max(1, hi)))
-        a, b = rng.choice(pairs)
-        return product(a, b)
+        return rng.choice(pool)
     if fam == "random-closed":
         return _random_closed(rng, lo, hi)
     if fam == "corpus":
@@ -122,19 +148,21 @@ def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
 
 
 def _monotone_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:
-    # scan a linear extension; each image is drawn from the up-set of the
-    # join of the images already forced below, so the table is monotone
+    # scan a linear extension (down-set sizes ascending, ties in id order,
+    # as a stable sort gives); each image is drawn from the up-set of the
+    # join of the images of the strict down-set, so the table is monotone
     # by construction
-    order = sorted(range(dom.size), key=lambda i: (int(dom.poset.leq[:, i].sum()), i))
-    images: dict[int, int] = {}
-    for i in order:
+    below = [[j for j, le in enumerate(col) if le and j != i]
+             for i, col in enumerate(dom.poset.leq.T.tolist())]
+    up_sets = [[q for q, le in enumerate(row) if le] for row in cod.poset.leq.tolist()]
+    join = cod.join.tolist()
+    images = [0] * dom.size
+    for i in sorted(range(dom.size), key=lambda i: len(below[i])):
         forced = cod.bottom
-        for j, tj in images.items():
-            if dom.poset.leq[j, i]:
-                forced = int(cod.join[forced, tj])
-        choices = [q for q in range(cod.size) if cod.poset.leq[forced, q]]
-        images[i] = rng.choice(choices)
-    return tuple(images[i] for i in range(dom.size))
+        for j in below[i]:
+            forced = join[forced][images[j]]
+        images[i] = rng.choice(up_sets[forced])
+    return tuple(images)
 
 
 def gen_monotone_pair(spec: InstanceGenSpec, lat_o: FiniteLattice,
@@ -273,18 +301,42 @@ def _check_l3(mp, mode):
     return f"{kind} ({o},{p}) has a non-{kind} component"
 
 
+def _unclosed_rows(members: np.ndarray, meet: np.ndarray, join: np.ndarray) -> np.ndarray:
+    """Per row of a boolean membership matrix: whether two members have a
+    meet or join outside the row. meet and join name columns; the id equal
+    to the column count names an element outside every row."""
+    rows, n = members.shape
+    padded = np.concatenate([members, np.zeros((rows, 1), dtype=bool)], axis=1)
+    unclosed = np.zeros(rows, dtype=bool)
+    # one row of the pair tables at a time keeps memory linear in the subsets
+    for a in range(n - 1):
+        both = members[:, a, None] & members[:, a + 1:]
+        kept = padded[:, meet[a, a + 1:]] & padded[:, join[a, a + 1:]]
+        unclosed |= (both & ~kept).any(axis=1)
+    return unclosed
+
+
 def _check_l4(mp, mode):
     for side, dom, cod, table in (("F", mp.dom_o, mp.dom_p, mp.f),
                                   ("G", mp.dom_p, mp.dom_o, mp.g)):
-        if dom.size > 16:
+        n = dom.size
+        if n > 16:
             raise CapacityError("subset enumeration needs carriers of size <= 16")
-        for bits in range(1, 1 << dom.size):
-            s = [i for i in range(dom.size) if bits >> i & 1]
-            if dom.is_complete_sublattice(s):
-                img = sorted({table[i] for i in s})
-                v = cod.sublattice_violation(img)
-                if v is not None:
-                    return f"{side} image of sublattice {s} is not closed: {v}"
+        # row r holds the subset with bitmask r + 1, so rows run in mask order
+        subsets = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+        # the image of each subset, over columns of the image elements only;
+        # a bound outside the image maps to the pad column
+        image = np.array(sorted(set(table)))
+        in_image = compose(subsets, np.asarray(table)[:, None] == image)
+        column = np.full(cod.size, len(image))
+        column[image] = np.arange(len(image))
+        bad = ~_unclosed_rows(subsets, dom.meet, dom.join) & _unclosed_rows(
+            in_image, column[cod.meet[image][:, image]], column[cod.join[image][:, image]])
+        r = int(bad.argmax())
+        if bad[r]:
+            s = np.flatnonzero(subsets[r]).tolist()
+            v = cod.sublattice_violation(sorted({table[i] for i in s}))
+            return f"{side} image of sublattice {s} is not closed: {v}"
     return None
 
 
@@ -489,8 +541,8 @@ QUESTIONS = {"Q1": _q1, "Q2": _q2, "Q3": _q3}
 
 
 def _revalidate(question: str, serialized: str, witness: str, mode: ContinuityMode) -> bool:
-    # reparse and rerun from scratch; nothing is cached anywhere, so this
-    # repeats every scan against the stored instance
+    # reparse and rerun from scratch: the lattices are rebuilt from the
+    # JSON (only generation shares lattices), and every scan is repeated
     mp = textio.pair_from_json(serialized)
     if not (is_monotone(mp.f_fn) and is_monotone(mp.g_fn)):
         return False

@@ -211,3 +211,26 @@ def monotone_witness_oracle(table, dom_leq, cod_leq):
             if dom_leq[a][b] and not cod_leq[table[a]][table[b]]:
                 return (a, b)
     return None
+
+
+def continuity_witness_oracle(table, dom_leq, cod_leq, law, with_empty=False):
+    """First subset whose meet (law "meet") or join the table does not
+    preserve: the empty subset first when with_empty, then every pair in
+    lexicographic order; None when all are preserved. The empty meet is
+    the top and the empty join the bottom, which the scans give as is."""
+    bound = glb_scan if law == "meet" else lub_scan
+    n = len(dom_leq)
+    subsets = ([()] if with_empty else []) + [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for s in subsets:
+        if table[bound(dom_leq, list(s))] != bound(cod_leq, [table[i] for i in s]):
+            return s
+    return None
+
+
+def closed_subsets_oracle(leq):
+    'Nonempty subsets, in ascending bitmask order, holding the glb and lub of every two members.'
+    n = len(leq)
+    glb = [[glb_scan(leq, [a, b]) for b in range(n)] for a in range(n)]
+    lub = [[lub_scan(leq, [a, b]) for b in range(n)] for a in range(n)]
+    return [s for s in nonempty_subsets(n)
+            if all(glb[a][b] in s and lub[a][b] in s for a in s for b in s)]

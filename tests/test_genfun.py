@@ -1,20 +1,23 @@
 """Generator tables, composition, monotonicity, continuity modes."""
 import random
+from collections import Counter
+from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, LatticeFn, MutualPair,
+from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, InstanceGenSpec, LatticeFn, MutualPair,
                      capped, chain, compose_fg, compose_gf, corpus,
-                     corpus_lattice, diamond, is_continuous_pair,
+                     corpus_lattice, diamond, gen_lattice, is_continuous_pair,
                      is_join_continuous, is_meet_continuous, is_monotone,
                      join_continuity_witness, meet_continuity_witness,
                      monotone_witness, n5, pair_continuity_witness, parse_mode,
-                     product)
+                     product, split_seed)
+from mucofix.verifier import GenerationExhausted, _gen_pair
 
-from oracles import (monotone_witness_oracle, nonempty_subsets,
+from oracles import (continuity_witness_oracle, monotone_witness_oracle, nonempty_subsets,
                      preserves_joins_oracle, preserves_meets_oracle)
 
 
@@ -40,10 +43,8 @@ def test_parse_mode_round_trips():
 
 
 def test_fn_construction(c2, d4):
-    fn = LatticeFn(d4, c2, (0, 1, 1, 1))
-    assert not fn.is_endo
+    assert LatticeFn(d4, c2, (0, 1, 1, 1)).table == (0, 1, 1, 1)
     assert LatticeFn.identity(d4).table == (0, 1, 2, 3)
-    assert LatticeFn.endo(c2, (1, 1)).is_endo
     assert LatticeFn.constant(c2, d4, 2).table == (2, 2)
     with pytest.raises(ValueError):
         LatticeFn(c2, c2, (0,))
@@ -180,3 +181,40 @@ def test_capped_weakens_with_cap(name, data):
         assert meet_continuity_witness(fn, BINARY) is None
     if is_join_continuous(fn, hi):
         assert is_join_continuous(fn, lo)
+
+
+def _generated_fns(mode):
+    'Both generators of seeded pairs of every function class, so many are not continuous.'
+    fns = []
+    for k, function_class in enumerate(("monotone", "continuous", "arbitrary")):
+        spec = InstanceGenSpec(seed=split_seed(31, k), function_class=function_class)
+        for i in range(25):
+            child = split_seed(spec.seed, i)
+            lat_o = gen_lattice(replace(spec, seed=split_seed(child, 1)))
+            lat_p = gen_lattice(replace(spec, seed=split_seed(child, 2)))
+            try:
+                mp = _gen_pair(replace(spec, seed=split_seed(child, 3)), lat_o, lat_p, mode)
+            except GenerationExhausted:
+                continue
+            fns += [mp.f_fn, mp.g_fn]
+    return fns
+
+
+@pytest.mark.parametrize("mode", [BINARY, WITH_EMPTY], ids=lambda m: m.label)
+def test_continuity_witnesses_match_the_plain_loop_oracle(mode):
+    rng = random.Random(5)
+    fns = _generated_fns(mode)
+    for dom_name, cod_name in (("C3xC4", "D4"), ("C40", "C3xC4"), ("N5", "C3xC4")):
+        dom, cod = LATTICES[dom_name](), LATTICES[cod_name]()
+        fns += [LatticeFn(dom, cod, tuple(rng.randrange(cod.size) for _ in range(dom.size)))
+                for _ in range(3)]
+    kinds = Counter()
+    for fn in fns:
+        dom_leq, cod_leq = fn.dom.poset.leq.tolist(), fn.cod.poset.leq.tolist()
+        for law, witness in (("meet", meet_continuity_witness), ("join", join_continuity_witness)):
+            want = continuity_witness_oracle(fn.table, dom_leq, cod_leq, law,
+                                             with_empty=mode == WITH_EMPTY)
+            assert witness(fn, mode) == want, (law, fn.table)
+            kinds["none" if want is None else "empty" if want == () else "pair"] += 1
+    assert kinds["none"] and kinds["pair"]
+    assert bool(kinds["empty"]) == (mode == WITH_EMPTY)

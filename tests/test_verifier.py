@@ -1,19 +1,22 @@
 """Seeded generation, lemma runners, and the counterexample miner."""
 import json
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
-from mucofix import (BINARY, WITH_EMPTY, InstanceGenSpec, MutualPair,
-                     NotMonotoneError, SolveResult, chain, check_lemma, diamond,
+from mucofix import (BINARY, WITH_EMPTY, CapacityError, InstanceGenSpec, MutualPair,
+                     NotMonotoneError, SolveResult, chain, check_lemma, corpus, diamond,
                      gen_continuous_pair, gen_lattice, gen_monotone_pair,
                      is_continuous_pair, is_monotone, m3, mine_counterexample,
-                     pair_from_json, split_seed)
+                     pair_from_json, product, split_seed)
 import mucofix.verifier as verifier
 from mucofix.verifier import (GenerationExhausted, LEMMAS, _check_l1, _check_l5,
                               render_finding_report, render_lemma_report)
 
-from oracles import is_lattice_oracle
+from oracles import closed_subsets_oracle, is_lattice_oracle
 
 
 def spec(seed=0, **kw):
@@ -67,6 +70,8 @@ def test_gen_lattice_is_deterministic():
 
 def test_gen_lattice_range_fallbacks():
     assert gen_lattice(spec(0, family="powersets", size_lo=6, size_hi=6)).size == 4
+    # chains above the memoized sizes are built afresh
+    assert gen_lattice(spec(0, family="chains", size_lo=70, size_hi=70)).size == 70
     with pytest.raises(ValueError, match="no corpus lattice"):
         gen_lattice(spec(0, family="corpus", size_lo=9, size_hi=9))
 
@@ -175,8 +180,9 @@ def test_miner_is_deterministic():
 
 
 WITNESSES = json.loads((Path(__file__).parent / "data" / "lemma_witnesses.json").read_text())
-RUNNERS = {"L3": verifier._check_l3, "L5": verifier._check_l5, "L7": verifier._check_l7,
-           "SFP": verifier._check_sfp, "Q1": verifier._q1, "Q2": verifier._q2}
+RUNNERS = {"L3": verifier._check_l3, "L4": verifier._check_l4, "L5": verifier._check_l5,
+           "L7": verifier._check_l7, "SFP": verifier._check_sfp, "Q1": verifier._q1,
+           "Q2": verifier._q2}
 
 
 def _witness(runner, mp):
@@ -187,12 +193,14 @@ def _witness(runner, mp):
 
 
 def test_runners_report_the_pinned_first_witness():
-    # non-monotone pairs passed straight to the runners; each string is
-    # the first failure in the runner's scan order, recorded from the
-    # plain-loop scans
+    # non-monotone pairs, and monotone but not continuous ones for L4,
+    # passed straight to the runners; each string is the first failure
+    # in the runner's scan order, recorded from the plain-loop scans
     direct = [r for r in WITNESSES["records"] if r["variant"] == "direct"]
     assert len(direct) >= 30
-    for record in direct:
+    non_continuous = [r for r in WITNESSES["records"] if r["variant"] == "non-continuous"]
+    assert len(non_continuous) >= 30
+    for record in direct + non_continuous:
         mp = pair_from_json(record["instance"])
         for name, want in record["witnesses"].items():
             assert _witness(RUNNERS[name], mp) == want, (name, record["instance"])
@@ -224,3 +232,58 @@ def test_sfp_reports_the_pinned_first_witness_when_solvers_are_wrong(monkeypatch
                 m.setattr(verifier, name, fake)
             got = verifier._check_sfp(mp, BINARY)
         assert got == record["witnesses"]["SFP"] is not None
+
+
+def test_subset_closure_matches_the_plain_loop_oracle():
+    # row r of the membership matrix is the subset with bitmask r + 1
+    for name, lat in corpus():
+        if lat.size > 8:
+            continue
+        n = lat.size
+        members = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+        closed = ~verifier._unclosed_rows(members, lat.meet, lat.join)
+        got = [np.flatnonzero(members[r]).tolist() for r in np.flatnonzero(closed)]
+        assert got == closed_subsets_oracle(lat.poset.leq.tolist()), name
+
+
+def _l4_oracle(mp):
+    'The first side and closed subset, in mask order, whose image is not closed, or None.'
+    for side, dom, cod, table in (("F", mp.dom_o, mp.dom_p, mp.f),
+                                  ("G", mp.dom_p, mp.dom_o, mp.g)):
+        closed_images = {tuple(s) for s in closed_subsets_oracle(cod.poset.leq.tolist())}
+        for s in closed_subsets_oracle(dom.poset.leq.tolist()):
+            image = sorted({table[i] for i in s})
+            if tuple(image) not in closed_images:
+                return side, s, cod.sublattice_violation(image)
+    return None
+
+
+def test_l4_scan_matches_the_plain_loop_oracle():
+    found = 0
+    for function_class in ("monotone", "arbitrary"):
+        s = spec(17, function_class=function_class, size_hi=8)
+        for i in range(30):
+            child = split_seed(s.seed, i)
+            lat_o = gen_lattice(replace(s, seed=split_seed(child, 1)))
+            lat_p = gen_lattice(replace(s, seed=split_seed(child, 2)))
+            mp = verifier._gen_pair(replace(s, seed=split_seed(child, 3)), lat_o, lat_p, BINARY)
+            want = _l4_oracle(mp)
+            got = verifier._check_l4(mp, BINARY)
+            if want is None:
+                assert got is None
+            else:
+                found += 1
+                side, s_ids, violation = want
+                assert got == f"{side} image of sublattice {s_ids} is not closed: {violation}"
+    assert found >= 10
+
+
+def test_l4_refuses_carriers_above_sixteen():
+    mp = MutualPair(chain(17), chain(2), (0,) * 17, (0, 0))
+    with pytest.raises(CapacityError, match="subset enumeration"):
+        verifier._check_l4(mp, BINARY)
+    # only a domain is enumerated: an F witness into a 20-element lattice
+    # is reported before the G side would refuse
+    big = product(diamond(), chain(5))
+    mp = MutualPair(diamond(), big, (5, 10, 5, 10), (0,) * big.size)
+    assert verifier._check_l4(mp, BINARY).startswith("F image of sublattice [0, 1] ")
