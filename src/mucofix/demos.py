@@ -4,6 +4,10 @@ The first is a subtype system with interval-bounded generics: the
 subtyping relation on ground types and the containment relation on
 intervals define each other, so both are solved at once as a least or
 greatest simultaneous fixed point over a product of relation powersets.
+Each relation is a boolean matrix over the ids of the universe, so one
+generator step is a pair of array gathers and the powersets themselves
+are never materialized; the public answer is turned into frozensets of
+type pairs once, at the end.
 The second is a trio of mutually recursive functions extracted from a
 small imperative program, run as a label state machine over unbounded
 integers.
@@ -12,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import CapacityError
-from .solvers import (ImplicitMutualPair, kleene_implicit, implicit_product,
-                      powerset_implicit)
+import numpy as np
+
+from .lattice import CapacityError, compose
+from .solvers import (ImplicitLattice, ImplicitMutualPair, implicit_product,
+                      kleene_implicit)
 
 OBJECT = "Object"
 NULL = "Null"
@@ -162,6 +168,38 @@ def build_universe(ct: ClassTable, k: int,
     return types, intervals
 
 
+def _nonzero(m: np.ndarray):
+    'The (row, column) ids of the true entries of m, in row-major order.'
+    rows, cols = np.nonzero(m)
+    return zip(rows.tolist(), cols.tolist())
+
+
+def _relation_lattice(labels: tuple[str, ...]) -> ImplicitLattice:
+    """The powerset of pairs over n ids, as n x n boolean matrices: entry
+    (i, j) holds when the pair (labels[i], labels[j]) is in the relation.
+    The 2^(n*n) elements are never materialized."""
+    n = len(labels)
+
+    def serialize(m):
+        return "{" + ",".join(f"({labels[i]},{labels[j]})" for i, j in _nonzero(m)) + "}"
+
+    return ImplicitLattice(
+        bottom=lambda: np.zeros((n, n), dtype=bool),
+        top=lambda: np.ones((n, n), dtype=bool),
+        meet=lambda a, b: a & b,
+        join=lambda a, b: a | b,
+        eq=np.array_equal,
+        serialize=serialize,
+    )
+
+
+def _index(name: str, members) -> dict:
+    ids = {m: i for i, m in enumerate(members)}
+    if len(ids) != len(members):
+        raise ValueError(f"{name} must be distinct")
+    return ids
+
+
 def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...],
                        intervals: tuple[IntervalType, ...]) -> ImplicitMutualPair:
     """The mutual generator pair over relation powersets.
@@ -170,32 +208,36 @@ def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...],
     upper bound and contravariantly in the lower. From a containment
     relation R, ground types are related along the class hierarchy with
     generic arguments compared through R; Null and Object are below and
-    above everything unconditionally."""
+    above everything unconditionally. Relations are boolean matrices over
+    the positions in types and intervals, so both generators are gathers
+    through precomputed id arrays."""
+    tid = _index("types", types)
+    iid = _index("intervals", intervals)
+    try:
+        lo = np.array([tid[iv.lower] for iv in intervals], dtype=np.intp)
+        up = np.array([tid[iv.upper] for iv in intervals], dtype=np.intp)
+        arg = np.array([0 if t.arg is None else iid[t.arg] for t in types], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} is outside the given universe") from None
     sub = _subclass_rel(ct)
-    spairs = tuple((a, b) for a in types for b in types)
-    rpairs = tuple((a, b) for a in intervals for b in intervals)
-    lat_s = powerset_implicit(spairs, cap=len(spairs))
-    lat_r = powerset_implicit(rpairs, cap=len(rpairs))
+    subclass = np.array([[(a.class_name, b.class_name) in sub for b in types]
+                         for a in types], dtype=bool)
+    generic = np.array([t.arg is not None for t in types], dtype=bool)
+    base = (np.array([t.class_name == NULL for t in types], dtype=bool)[:, None]
+            | np.array([t.class_name == OBJECT for t in types], dtype=bool)[None, :]
+            | (subclass & ~generic[:, None] & ~generic[None, :]))
+    gated = subclass & generic[:, None] & generic[None, :]
+    # a non-generic type reads interval 0 through arg, where gated is false
+    uu, ll, aa = np.ix_(up, up), np.ix_(lo, lo), np.ix_(arg, arg)
 
-    def f(s: frozenset) -> frozenset:
-        return frozenset((i1, i2) for i1, i2 in rpairs
-                         if (i1.upper, i2.upper) in s and (i2.lower, i1.lower) in s)
+    def f(s: np.ndarray) -> np.ndarray:
+        return s[uu] & s[ll].T
 
-    def g(r: frozenset) -> frozenset:
-        out = set()
-        for t1, t2 in spairs:
-            if t1.class_name == NULL or t2.class_name == OBJECT:
-                out.add((t1, t2))
-                continue
-            if (t1.class_name, t2.class_name) not in sub:
-                continue
-            if t1.arg is None and t2.arg is None:
-                out.add((t1, t2))
-            elif t1.arg is not None and t2.arg is not None and (t1.arg, t2.arg) in r:
-                out.add((t1, t2))
-        return frozenset(out)
+    def g(r: np.ndarray) -> np.ndarray:
+        return base | (gated & r[aa])
 
-    return ImplicitMutualPair(lat_s, lat_r, f, g)
+    return ImplicitMutualPair(_relation_lattice(tuple(map(str, types))),
+                              _relation_lattice(tuple(map(str, intervals))), f, g)
 
 
 @dataclass(frozen=True)
@@ -207,14 +249,24 @@ class RelationPairState:
     intervals: tuple[IntervalType, ...]
 
 
-def _check_preorder(name, rel, carrier):
-    for t in carrier:
-        if (t, t) not in rel:
-            raise AssertionError(f"{name} relation must be reflexive at {t}")
-    for a, b in rel:
-        for c, d in rel:
-            if b == c and (a, d) not in rel:
-                raise AssertionError(f"{name} relation must be transitive at {a},{b},{d}")
+def _check_preorder(name: str, leq: np.ndarray, carrier) -> None:
+    """Raise AssertionError unless the boolean matrix leq over carrier is
+    reflexive and transitive. The witness is the first missing diagonal
+    entry, or the row-major first missing (a, d) with its smallest b."""
+    diag = np.diagonal(leq)
+    if not diag.all():
+        raise AssertionError(
+            f"{name} relation must be reflexive at {carrier[int(np.argmin(diag))]}")
+    gap = compose(leq, leq) & ~leq
+    if gap.any():
+        a, d = divmod(int(np.argmax(gap)), leq.shape[1])
+        b = int(np.argmax(leq[a] & leq[:, d]))
+        raise AssertionError(f"{name} relation must be transitive at "
+                             f"{carrier[a]},{carrier[b]},{carrier[d]}")
+
+
+def _pairs(m: np.ndarray, members) -> frozenset:
+    return frozenset((members[i], members[j]) for i, j in _nonzero(m))
 
 
 def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least",
@@ -235,7 +287,7 @@ def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least",
     subtypes, containments = run.limit
     _check_preorder("subtype", subtypes, types)
     _check_preorder("containment", containments, intervals)
-    return RelationPairState(frozenset(subtypes), frozenset(containments),
+    return RelationPairState(_pairs(subtypes, types), _pairs(containments, intervals),
                              types, intervals)
 
 

@@ -7,6 +7,7 @@ then lexicographically, so every check is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -105,11 +106,11 @@ class MutualPair:
         self.dom_p._check_ids(self.f)
         self.dom_o._check_ids(self.g)
 
-    @property
+    @cached_property
     def f_fn(self) -> LatticeFn:
         return LatticeFn(self.dom_o, self.dom_p, self.f)
 
-    @property
+    @cached_property
     def g_fn(self) -> LatticeFn:
         return LatticeFn(self.dom_p, self.dom_o, self.g)
 

@@ -10,8 +10,9 @@ is required and checked; continuity never is.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Callable
 
 from .genfun import LatticeFn, MutualPair, monotone_witness
@@ -163,11 +164,12 @@ def lsfp_tarski_oracle(mp: MutualPair) -> PairPoint:
     ensure_monotone(mp)
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
     meet_o, meet_p = mp.dom_o.meet, mp.dom_p.meet
+    f, g = mp.f, mp.g
     mo, mpp = mp.dom_o.top, mp.dom_p.top
     for o in range(mp.dom_o.size):
-        fo = mp.f[o]
+        fo = f[o]
         for p in range(mp.dom_p.size):
-            if leq_p[fo, p] and leq_o[mp.g[p], o]:
+            if leq_p[fo, p] and leq_o[g[p], o]:
                 mo = meet_o[mo, o]
                 mpp = meet_p[mpp, p]
     # the top pair is always pre-fixed, so the fold never stays empty
@@ -179,11 +181,12 @@ def gsfp_tarski_oracle(mp: MutualPair) -> PairPoint:
     ensure_monotone(mp)
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
     join_o, join_p = mp.dom_o.join, mp.dom_p.join
+    f, g = mp.f, mp.g
     jo, jpp = mp.dom_o.bottom, mp.dom_p.bottom
     for o in range(mp.dom_o.size):
-        fo = mp.f[o]
+        fo = f[o]
         for p in range(mp.dom_p.size):
-            if leq_p[p, fo] and leq_o[o, mp.g[p]]:
+            if leq_p[p, fo] and leq_o[o, g[p]]:
                 jo = join_o[jo, o]
                 jpp = join_p[jpp, p]
     return PairPoint(int(jo), int(jpp))
@@ -247,30 +250,37 @@ class ImplicitMutualPair:
 
 @dataclass(frozen=True)
 class KleeneRun:
-    """Limit of one implicit iteration plus the serialized tail of the
-    trace (ring buffer of the last iterates, to keep memory bounded)."""
+    """Limit of one implicit iteration plus the tail of the trace. The last
+    TRACE_TAIL iterates are kept raw in a ring buffer, to keep memory
+    bounded, and serialized when trace_tail is first read."""
     limit: Any
     iterations: int
-    trace_tail: tuple[str, ...]
+    tail_iterates: tuple = field(repr=False, compare=False)
+    serialize: Callable[[Any], str] = field(repr=False, compare=False)
+
+    @cached_property
+    def trace_tail(self) -> tuple[str, ...]:
+        return tuple(self.serialize(x) for x in self.tail_iterates)
 
 
 def kleene_implicit(il: ImplicitLattice, step: Callable[[Any], Any],
                     direction: str = "up", budget: int = DEFAULT_BUDGET) -> KleeneRun:
     """Iterate step from bottom (up) or top (down) until two successive
     iterates are equal. Monotonicity of step is the caller's contract and
-    is not checkable here; a budget overrun raises NonTerminationError."""
+    is not checkable here; a budget overrun raises NonTerminationError.
+    The trace keeps the iterates themselves, so step must return a new
+    element and leave its argument unmodified."""
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     if budget < 1:
         raise ValueError("budget must be positive")
     cur = il.bottom() if direction == "up" else il.top()
-    tail: deque[str] = deque(maxlen=TRACE_TAIL)
-    tail.append(il.serialize(cur))
+    tail: deque = deque([cur], maxlen=TRACE_TAIL)
     for i in range(1, budget + 1):
         nxt = step(cur)
-        tail.append(il.serialize(nxt))
+        tail.append(nxt)
         if il.eq(nxt, cur):
-            return KleeneRun(cur, i, tuple(tail))
+            return KleeneRun(cur, i, tuple(tail), il.serialize)
         cur = nxt
     raise NonTerminationError(budget)
 

@@ -139,14 +139,8 @@ def trio_recursive(x, y, z, entry="F"):
     return {"F": f, "G": g, "H": h}[entry](x, y, z)
 
 
-def subtyping_saturation(class_edges, generics, types, intervals):
-    """Least subtype/containment pair by worklist saturation.
-
-    class_edges: (sub, super) name pairs as declared; generics: names of
-    generic classes; types/intervals: the solved universe. Derives the
-    reflexive-transitive subclass closure itself, then grows both
-    relations together until nothing new fires.
-    """
+def _class_closure(class_edges, generics, types):
+    'Reflexive-transitive subclass closure, with Null below and Object above all.'
     names = {t.class_name for t in types} | set(generics)
     for a, b in class_edges:
         names.add(a)
@@ -163,7 +157,18 @@ def subtyping_saturation(class_edges, generics, types, intervals):
     for n in names:
         closure.add(("Null", n))
         closure.add((n, "Object"))
+    return closure
 
+
+def subtyping_saturation(class_edges, generics, types, intervals):
+    """Least subtype/containment pair by worklist saturation.
+
+    class_edges: (sub, super) name pairs as declared; generics: names of
+    generic classes; types/intervals: the solved universe. Derives the
+    reflexive-transitive subclass closure itself, then grows both
+    relations together until nothing new fires.
+    """
+    closure = _class_closure(class_edges, generics, types)
     sub, cont = set(), set()
     changed = True
     while changed:
@@ -191,6 +196,39 @@ def subtyping_saturation(class_edges, generics, types, intervals):
                 if (i1.upper, i2.upper) in sub and (i2.lower, i1.lower) in sub:
                     cont.add((i1, i2))
                     changed = True
+    return frozenset(sub), frozenset(cont)
+
+
+def subtyping_greatest_oracle(class_edges, generics, types, intervals):
+    """Greatest subtype/containment pair by deletion saturation.
+
+    Same arguments as subtyping_saturation. Starts from every pair of
+    both relations and deletes each pair whose rule no longer fires,
+    until a whole round deletes nothing.
+    """
+    closure = _class_closure(class_edges, generics, types)
+    sub = {(t1, t2) for t1 in types for t2 in types}
+    cont = {(i1, i2) for i1 in intervals for i2 in intervals}
+    changed = True
+    while changed:
+        changed = False
+        for t1, t2 in list(sub):
+            if t1.class_name == "Null" or t2.class_name == "Object":
+                continue
+            if (t1.class_name, t2.class_name) not in closure:
+                keep = False
+            elif t1.arg is None and t2.arg is None:
+                keep = True
+            else:
+                keep = (t1.arg is not None and t2.arg is not None
+                        and (t1.arg, t2.arg) in cont)
+            if not keep:
+                sub.discard((t1, t2))
+                changed = True
+        for i1, i2 in list(cont):
+            if not ((i1.upper, i2.upper) in sub and (i2.lower, i1.lower) in sub):
+                cont.discard((i1, i2))
+                changed = True
     return frozenset(sub), frozenset(cont)
 
 

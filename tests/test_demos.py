@@ -1,9 +1,11 @@
 """The subtyping instantiation and the recursive integer trio."""
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mucofix
@@ -12,9 +14,10 @@ from mucofix import (CapacityError, ClassDef, ClassTable, DocumentError,
                      StepBudgetExceeded, build_universe, fixture_tables,
                      is_contained, is_subtype, parse_class_table_doc,
                      paulson_trio, solve_subtyping)
-from mucofix.demos import NULL, OBJECT, _subclass_rel
+from mucofix.demos import (NULL, OBJECT, _check_preorder, _relation_lattice,
+                           _subclass_rel, subtype_generators)
 
-from oracles import subtyping_saturation, trio_recursive
+from oracles import subtyping_greatest_oracle, subtyping_saturation, trio_recursive
 
 
 def table(*defs):
@@ -151,6 +154,111 @@ def test_least_equals_greatest_on_stratified_universes():
         assert least.containments == greatest.containments
 
 
+def test_generic_depth_two_finishes_with_pinned_counts():
+    # 1444 intervals: about 2M containment candidates per step
+    generic = fixture_tables()["generic"]
+    least = solve_subtyping(generic, 2)
+    assert (len(least.types), len(least.intervals)) == (38, 1444)
+    assert (len(least.subtypes), len(least.containments)) == (475, 475 ** 2)
+    greatest = solve_subtyping(generic, 2, "greatest")
+    # both limits are fixed pairs, so equal subtypes force equal containments
+    assert greatest.subtypes == least.subtypes
+    assert len(greatest.containments) == len(least.containments)
+
+
+def test_containment_is_the_square_of_subtyping():
+    # [a,b] sits in [c,d] iff c <: a and b <: d, over every interval of the
+    # universe; depth 2 is pinned above at 475 ** 2
+    for k in (0, 1):
+        state = solve_subtyping(fixture_tables()["generic"], k)
+        assert len(state.containments) == len(state.subtypes) ** 2
+
+
+def random_class_table(rng):
+    """Object, Null, up to three plain classes and up to three generics,
+    each extending Object or an earlier class, in shuffled order; sized
+    so the depth-1 universe stays within 14 types."""
+    n_generic = rng.randrange(4)
+    n_plain = rng.randint(0, (3, 1, 0, 0)[n_generic])
+    defs, earlier = [], [OBJECT]
+    for name, is_generic in ([(f"P{i}", False) for i in range(n_plain)]
+                             + [(f"G{i}", True) for i in range(n_generic)]):
+        defs.append(ClassDef(name, is_generic, rng.choice(earlier)))
+        earlier.append(name)
+    defs.append(NUL)
+    rng.shuffle(defs)
+    return table(OBJ, *defs)
+
+
+def test_solve_matches_both_oracles_on_random_class_tables():
+    shapes = set()
+    for seed in range(10):
+        ct = random_class_table(random.Random(seed))
+        kinds = {c.name: c.is_generic for c in ct.classes}
+        for c in ct.classes:
+            if kinds[c.name] and c.superclass != OBJECT:
+                shapes.add("generic extends generic" if kinds[c.superclass]
+                           else "generic extends plain")
+        edges = [(c.name, c.superclass) for c in ct.classes if c.superclass]
+        generics = [c.name for c in ct.classes if c.is_generic]
+        for k in (0, 1):
+            least = solve_subtyping(ct, k)
+            greatest = solve_subtyping(ct, k, "greatest")
+            want = subtyping_saturation(edges, generics, least.types, least.intervals)
+            assert (least.subtypes, least.containments) == want, (seed, k)
+            want = subtyping_greatest_oracle(edges, generics, least.types, least.intervals)
+            assert (greatest.subtypes, greatest.containments) == want, (seed, k)
+    assert shapes == {"generic extends generic", "generic extends plain"}
+
+
+def test_generators_index_the_universe():
+    ct = fixture_tables()["generic"]
+    types, intervals = build_universe(ct, 1)
+    with pytest.raises(ValueError, match="types must be distinct"):
+        subtype_generators(ct, types + types[:1], intervals)
+    with pytest.raises(ValueError, match="intervals must be distinct"):
+        subtype_generators(ct, types, intervals + intervals[:1])
+    with pytest.raises(ValueError, match="outside the given universe"):
+        subtype_generators(ct, types[:2], intervals)
+    imp = subtype_generators(ct, types, intervals)
+    r = imp.f(np.eye(len(types), dtype=bool))    # only reflexive subtyping
+    for i, a in enumerate(intervals):
+        for j, b in enumerate(intervals):
+            assert r[i, j] == (a == b)
+
+
+def test_relation_lattice_operators():
+    il = _relation_lattice(("x", "y"))
+    a = np.array([[True, False], [True, True]])
+    b = np.array([[False, True], [True, False]])
+    assert not il.bottom().any() and il.top().all()
+    assert il.eq(il.meet(a, b), np.array([[False, False], [True, False]]))
+    assert il.eq(il.join(a, b), np.ones((2, 2), dtype=bool))
+    assert not il.eq(a, b)
+    assert il.serialize(a) == "{(x,x),(y,x),(y,y)}"
+    assert il.serialize(il.bottom()) == "{}"
+
+
+def test_preorder_check_names_the_first_witness():
+    carrier = ("p", "q", "r", "s")
+    leq = np.eye(4, dtype=bool)
+    leq[2, 2] = leq[3, 3] = False
+    with pytest.raises(AssertionError, match=r"^subtype relation must be reflexive at r$"):
+        _check_preorder("subtype", leq, carrier)
+    leq = np.eye(4, dtype=bool)
+    for a, b in ((0, 1), (0, 2), (1, 3), (2, 3), (3, 0)):
+        leq[a, b] = True
+    # (p,s) is missing through q and through r; (q,p), (r,p), (s,q) and
+    # (s,r) are missing too, and (q,p) would come first column by column
+    with pytest.raises(AssertionError,
+                       match=r"^containment relation must be transitive at p,q,s$"):
+        _check_preorder("containment", leq, carrier)
+    leq[0, 3] = True
+    with pytest.raises(AssertionError, match=r"transitive at q,s,p$"):
+        _check_preorder("containment", leq, carrier)
+    _check_preorder("subtype", np.ones((4, 4), dtype=bool), carrier)
+
+
 def test_solve_validation():
     with pytest.raises(ValueError, match="direction"):
         solve_subtyping(fixture_tables()["two"], 0, "middling")
@@ -185,8 +293,9 @@ def test_trio_budget_and_entry_validation():
 
 def test_preorder_check_survives_python_O():
     # an assert statement would be stripped by -O and let this pass silently
-    code = ("from mucofix.demos import _check_preorder\n"
-            "_check_preorder('subtype', frozenset(), ('A',))\n")
+    code = ("import numpy as np\n"
+            "from mucofix.demos import _check_preorder\n"
+            "_check_preorder('subtype', np.zeros((1, 1), bool), ('A',))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(mucofix.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env)

@@ -63,6 +63,15 @@ def test_pair_construction(c2, d4):
         MutualPair(c2, d4, (0, 3), (0, -1, 2, 1))
 
 
+def test_pair_functions_are_built_once(c2, d4):
+    mp = MutualPair(c2, d4, (0, 3), (0, 0, 1, 1))
+    assert mp.f_fn is mp.f_fn and mp.g_fn is mp.g_fn
+    assert mp.g_fn.table == (0, 0, 1, 1)
+    twin = MutualPair(c2, d4, (0, 3), (0, 0, 1, 1))
+    assert mp == twin    # the cached functions are not fields
+    assert replace(mp, f=(1, 3)).f_fn.table == (1, 3)
+
+
 def test_monotone_census_on_two_chain(c2):
     # exactly (0,0), (0,1), (1,1) are monotone; (1,0) flips the order
     monos = [t for t in iproduct(range(2), repeat=2)

@@ -5,6 +5,7 @@ agreement on every monotone pair is the main correctness check. The
 standard embedding is checked against a plain candidate-scan fixed
 point oracle.
 """
+from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
@@ -185,6 +186,16 @@ def test_kleene_tail_is_bounded():
     assert run.limit == 199
     assert len(run.trace_tail) == TRACE_TAIL
     assert run.trace_tail[-1] == "199"
+
+
+def test_kleene_trace_tail_is_serialized_on_first_read():
+    lat = chain(5)
+    labels = []
+    il = replace(implicit_from_explicit(lat), serialize=lambda a: labels.append(a) or str(a))
+    run = kleene_implicit(il, lambda x: min(x + 1, 4), "up")
+    assert (run.limit, run.iterations) == (4, 5) and labels == []
+    assert run.trace_tail == ("0", "1", "2", "3", "4", "4")
+    assert run.trace_tail is run.trace_tail and len(labels) == 6
 
 
 def test_powerset_implicit_operators():
