@@ -23,9 +23,9 @@ from .solvers import (ImplicitLattice, ImplicitMutualPair, KleeneRun,
                       NonTerminationError, NotMonotoneError, SolveResult, Verdict,
                       check_mutual_coinduction, check_mutual_induction,
                       ensure_monotone, gsfp_direct, gsfp_product,
-                      gsfp_tarski_oracle, implicit_from_explicit, implicit_product,
-                      kleene_implicit, lsfp_direct, lsfp_product,
-                      lsfp_tarski_oracle, powerset_implicit, standard_embed)
+                      gsfp_tarski_oracle, implicit_product, kleene_implicit,
+                      lsfp_direct, lsfp_product, lsfp_tarski_oracle,
+                      standard_embed)
 from .textio import (DocumentError, emit_lattice_doc, emit_pair_doc, load_document,
                      pair_from_json, pair_to_json, parse_lattice_doc, parse_pair_doc)
 from .verifier import (Finding, FindingReport, InstanceGenSpec, LemmaFailure,

@@ -15,7 +15,8 @@ from .lattice import CapacityError, NotALatticeError, NotAPosetError
 from .solvers import (DEFAULT_BUDGET, NonTerminationError, NotMonotoneError,
                       gsfp_direct, gsfp_product, gsfp_tarski_oracle, lsfp_direct,
                       lsfp_product, lsfp_tarski_oracle)
-from .textio import DocumentError, load_document, parse_lattice_doc, parse_pair_doc
+from .textio import (DocumentError, load_document, pair_from_lattices, parse_lattice_doc,
+                     parse_pair_doc)
 from .verifier import (InstanceGenSpec, LEMMA_IDS, QUESTIONS, check_lemma,
                        mine_counterexample, render_finding_report,
                        render_lemma_report, split_seed)
@@ -37,6 +38,9 @@ VERIFY_PLAN = (
     ("L7", "monotone"),
     ("SFP", "monotone"),
 )
+
+# the solvers that return a SolveResult, least first, by strategy name
+SOLVERS = {"direct": (lsfp_direct, gsfp_direct), "product": (lsfp_product, gsfp_product)}
 
 
 def _subset_text(lat, ids) -> str:
@@ -83,9 +87,10 @@ def _check_pair_doc(obj, mode) -> int:
     if not isinstance(obj, dict) or set(obj) != {"O", "P", "F", "G"}:
         raise DocumentError('a pair document has exactly the keys "O", "P", "F", "G"')
     ok = True
+    lats = []
     for side in ("O", "P"):
         try:
-            parse_lattice_doc(obj[side])
+            lats.append(parse_lattice_doc(obj[side]))
         except NotAPosetError as exc:
             print(f"{side}.poset: {exc}")
             ok = False
@@ -99,7 +104,7 @@ def _check_pair_doc(obj, mode) -> int:
         print(f"{side}.lattice: ok")
     if not ok:
         return EXIT_CHECK
-    mp = parse_pair_doc(obj)
+    mp = pair_from_lattices(obj, *lats)
     for name, fn in (("F", mp.f_fn), ("G", mp.g_fn)):
         w = monotone_witness(fn)
         if w is None:
@@ -141,19 +146,14 @@ def cmd_solve(args) -> int:
     strategies = ("direct", "product", "tarski") if args.strategy == "all" else (args.strategy,)
     for strategy in strategies:
         print(f"strategy: {strategy}")
-        if strategy == "direct":
-            res = lsfp_direct(mp) if least else gsfp_direct(mp)
-            point = res.mu if least else res.nu
-            _print_solution(lf, lg, mp.dom_o, mp.dom_p, point,
-                            res.iterations, res.trace, args.trace)
-        elif strategy == "product":
-            res = (lsfp_product if least else gsfp_product)(mp, args.engine, args.budget)
-            point = res.mu if least else res.nu
-            _print_solution(lf, lg, mp.dom_o, mp.dom_p, point,
-                            res.iterations, res.trace, args.trace)
-        else:
+        if strategy == "tarski":
             point = (lsfp_tarski_oracle if least else gsfp_tarski_oracle)(mp)
             _print_solution(lf, lg, mp.dom_o, mp.dom_p, point, None, (), False)
+        else:
+            res = SOLVERS[strategy][0 if least else 1](mp)
+            point = res.mu if least else res.nu
+            _print_solution(lf, lg, mp.dom_o, mp.dom_p, point,
+                            res.iterations, res.trace, args.trace)
         results.append(point)
     if args.strategy == "all":
         agree = all(r == results[0] for r in results)
@@ -233,10 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("least", "greatest"), default="least")
     p.add_argument("--strategy", choices=("direct", "product", "tarski", "all"),
                    default="all")
-    p.add_argument("--engine", choices=("explicit", "implicit"), default="explicit")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--trace", action="store_true",
-                   help="print the iterate trace (explicit product engine)")
+                   help="print the iterate trace (product strategy)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run the lemma suite over generated instances")

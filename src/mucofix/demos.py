@@ -186,8 +186,6 @@ def _relation_lattice(labels: tuple[str, ...]) -> ImplicitLattice:
     return ImplicitLattice(
         bottom=lambda: np.zeros((n, n), dtype=bool),
         top=lambda: np.ones((n, n), dtype=bool),
-        meet=lambda a, b: a & b,
-        join=lambda a, b: a | b,
         eq=np.array_equal,
         serialize=serialize,
     )

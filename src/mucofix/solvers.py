@@ -16,11 +16,10 @@ from functools import cached_property
 from typing import Any, Callable
 
 from .genfun import LatticeFn, MutualPair, monotone_witness
-from .lattice import CapacityError, FiniteLattice
+from .lattice import FiniteLattice
 from .simpoints import PairPoint, component_sets, is_sim_postfixed, is_sim_prefixed
 
 DEFAULT_BUDGET = 10_000
-IMPLICIT_GROUND_CAP = 16
 TRACE_TAIL = 64
 
 
@@ -47,7 +46,7 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class SolveResult:
     """One solver run. The side that was not solved stays None; the trace
-    carries full pair iterates only for the explicit product engine."""
+    carries full pair iterates only for the product strategy."""
     strategy: str
     mu_f: int | None
     mu_g: int | None
@@ -101,20 +100,16 @@ def gsfp_direct(mp: MutualPair) -> SolveResult:
     return SolveResult("direct", None, None, nf, ng, (), 0)
 
 
-def _paired_step(mp: MutualPair) -> Callable[[tuple[int, int]], tuple[int, int]]:
-    # the single-function encoding on the product: (o, p) -> (g[p], f[o])
-    return lambda op: (mp.g[op[1]], mp.f[op[0]])
-
-
 def _product_iterate(mp: MutualPair, start: tuple[int, int]):
-    step = _paired_step(mp)
+    # the single-function encoding on the product: (o, p) -> (g[p], f[o])
+    f, g = mp.f, mp.g
     cur = start
     trace = [PairPoint(*cur)]
     # iterates from a bound form a chain, so a strict run is capped by the
     # product carrier size
     bound = mp.dom_o.size * mp.dom_p.size + 1
     for i in range(1, bound + 1):
-        nxt = step(cur)
+        nxt = (g[cur[1]], f[cur[0]])
         trace.append(PairPoint(*nxt))
         if nxt == cur:
             return cur, tuple(trace), i
@@ -122,39 +117,18 @@ def _product_iterate(mp: MutualPair, start: tuple[int, int]):
     raise AssertionError("Kleene chain exceeded the product height")
 
 
-def lsfp_product(mp: MutualPair, engine: str = "explicit",
-                 budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Kleene-iterate the paired step from the bottom pair upward.
-
-    The explicit engine walks the tables and keeps the whole trace; the
-    implicit engine runs the same step through kleene_implicit under a
-    budget and keeps only the serialized tail.
-    """
+def lsfp_product(mp: MutualPair) -> SolveResult:
+    'Kleene-iterate the paired step from the bottom pair upward, keeping the trace.'
     ensure_monotone(mp)
-    if engine == "explicit":
-        (mf, mg), trace, its = _product_iterate(mp, (mp.dom_o.bottom, mp.dom_p.bottom))
-        return SolveResult("product-explicit", mf, mg, None, None, trace, its)
-    if engine == "implicit":
-        il = implicit_product(implicit_from_explicit(mp.dom_o), implicit_from_explicit(mp.dom_p))
-        run = kleene_implicit(il, _paired_step(mp), "up", budget)
-        mf, mg = run.limit
-        return SolveResult("product-implicit", mf, mg, None, None, (), run.iterations)
-    raise ValueError(f"unknown engine {engine!r}")
+    (mf, mg), trace, its = _product_iterate(mp, (mp.dom_o.bottom, mp.dom_p.bottom))
+    return SolveResult("product-explicit", mf, mg, None, None, trace, its)
 
 
-def gsfp_product(mp: MutualPair, engine: str = "explicit",
-                 budget: int = DEFAULT_BUDGET) -> SolveResult:
-    'Kleene-iterate the paired step from the top pair downward.'
+def gsfp_product(mp: MutualPair) -> SolveResult:
+    'Kleene-iterate the paired step from the top pair downward, keeping the trace.'
     ensure_monotone(mp)
-    if engine == "explicit":
-        (nf, ng), trace, its = _product_iterate(mp, (mp.dom_o.top, mp.dom_p.top))
-        return SolveResult("product-explicit", None, None, nf, ng, trace, its)
-    if engine == "implicit":
-        il = implicit_product(implicit_from_explicit(mp.dom_o), implicit_from_explicit(mp.dom_p))
-        run = kleene_implicit(il, _paired_step(mp), "down", budget)
-        nf, ng = run.limit
-        return SolveResult("product-implicit", None, None, nf, ng, (), run.iterations)
-    raise ValueError(f"unknown engine {engine!r}")
+    (nf, ng), trace, its = _product_iterate(mp, (mp.dom_o.top, mp.dom_p.top))
+    return SolveResult("product-explicit", None, None, nf, ng, trace, its)
 
 
 def lsfp_tarski_oracle(mp: MutualPair) -> PairPoint:
@@ -226,14 +200,12 @@ def standard_embed(lat: FiniteLattice, f) -> MutualPair:
 
 @dataclass(frozen=True)
 class ImplicitLattice:
-    """A lattice given by its operators instead of tables, for carriers
-    too large to materialize. The operators must satisfy the lattice laws
-    on every reachable element; the test harness spot-checks sampled
-    triples, nothing is verified here."""
+    """A lattice given by the four operators Kleene iteration reads, for
+    carriers too large to materialize: the bottom and top elements to start
+    from, equality to detect the limit, and serialize for the trace tail.
+    Nothing here is verified; the step's monotonicity is the caller's."""
     bottom: Callable[[], Any]
     top: Callable[[], Any]
-    meet: Callable[[Any, Any], Any]
-    join: Callable[[Any, Any], Any]
     eq: Callable[[Any, Any], bool]
     serialize: Callable[[Any], str]
 
@@ -285,48 +257,12 @@ def kleene_implicit(il: ImplicitLattice, step: Callable[[Any], Any],
     raise NonTerminationError(budget)
 
 
-def implicit_from_explicit(lat: FiniteLattice) -> ImplicitLattice:
-    'Wrap an explicit lattice in the operator interface; elements stay ids.'
-    return ImplicitLattice(
-        bottom=lambda: lat.bottom,
-        top=lambda: lat.top,
-        meet=lambda a, b: int(lat.meet[a, b]),
-        join=lambda a, b: int(lat.join[a, b]),
-        eq=lambda a, b: a == b,
-        serialize=lambda a: lat.label(a),
-    )
-
-
 def implicit_product(lat_a: ImplicitLattice, lat_b: ImplicitLattice) -> ImplicitLattice:
     'Component-wise product of two implicit lattices; elements are pairs.'
     return ImplicitLattice(
         bottom=lambda: (lat_a.bottom(), lat_b.bottom()),
         top=lambda: (lat_a.top(), lat_b.top()),
-        meet=lambda x, y: (lat_a.meet(x[0], y[0]), lat_b.meet(x[1], y[1])),
-        join=lambda x, y: (lat_a.join(x[0], y[0]), lat_b.join(x[1], y[1])),
         eq=lambda x, y: lat_a.eq(x[0], y[0]) and lat_b.eq(x[1], y[1]),
         serialize=lambda x: f"({lat_a.serialize(x[0])},{lat_b.serialize(x[1])})",
     )
 
-
-def powerset_implicit(members, cap: int = IMPLICIT_GROUND_CAP) -> ImplicitLattice:
-    """Powerset of a ground collection without materializing tables;
-    elements are frozensets of the given members."""
-    ground = tuple(members)
-    if len(set(ground)) != len(ground):
-        raise ValueError("ground members must be distinct")
-    if len(ground) > cap:
-        raise CapacityError(f"{len(ground)} ground members exceeds the cap {cap}")
-    full = frozenset(ground)
-
-    def serialize(s):
-        return "{" + ",".join(sorted(str(x) for x in s)) + "}"
-
-    return ImplicitLattice(
-        bottom=frozenset,
-        top=lambda: full,
-        meet=lambda a, b: a & b,
-        join=lambda a, b: a | b,
-        eq=lambda a, b: a == b,
-        serialize=serialize,
-    )

@@ -101,8 +101,11 @@ def _parse_table(obj, what: str, dom: FiniteLattice, cod: FiniteLattice) -> tupl
 def parse_pair_doc(obj) -> MutualPair:
     'Build a mutual pair from a document with O, P, F, G.'
     _require_keys(obj, {"O", "P", "F", "G"}, "pair document")
-    lat_o = parse_lattice_doc(obj["O"])
-    lat_p = parse_lattice_doc(obj["P"])
+    return pair_from_lattices(obj, parse_lattice_doc(obj["O"]), parse_lattice_doc(obj["P"]))
+
+
+def pair_from_lattices(obj, lat_o: FiniteLattice, lat_p: FiniteLattice) -> MutualPair:
+    'Read the F and G tables of a pair document over its already parsed lattices.'
     f = _parse_table(obj["F"], "F", lat_o, lat_p)
     g = _parse_table(obj["G"], "G", lat_p, lat_o)
     return MutualPair(lat_o, lat_p, f, g)

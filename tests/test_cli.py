@@ -47,6 +47,22 @@ def test_check_pair_ok(capsys):
     ]
 
 
+def test_check_pair_validates_each_lattice_once(monkeypatch, capsys):
+    import mucofix.textio as textio
+    validate, calls = textio.validate_lattice, []
+
+    def counting(poset):
+        calls.append(poset.labels)
+        return validate(poset)
+
+    monkeypatch.setattr(textio, "validate_lattice", counting)
+    rc, out = run(capsys, "check", K1)
+    assert rc == EXIT_OK and len(calls) == 2
+    assert out == (f"check: {K1}\nO.poset: ok\nO.lattice: ok\nP.poset: ok\n"
+                   "P.lattice: ok\nF.monotone: ok\nG.monotone: ok\n"
+                   "pair.continuous[binary]: ok\n")
+
+
 def test_check_pair_mode_changes_the_verdict(capsys):
     rc, out = run(capsys, "check", K1, "--mode", "with-empty")
     assert rc == EXIT_CHECK
@@ -112,12 +128,6 @@ def test_solve_greatest_direct(capsys):
     rc, out = run(capsys, "solve", K1, "--direction", "greatest", "--strategy", "direct")
     assert rc == EXIT_OK
     assert "nuF: 1" in out and "nuG: 1" in out and "muF" not in out
-
-
-def test_solve_implicit_engine(capsys):
-    rc, out = run(capsys, "solve", K1, "--strategy", "product", "--engine", "implicit")
-    assert rc == EXIT_OK
-    assert "iterations: 3" in out
 
 
 def test_solve_rejects_non_monotone(capsys):
@@ -199,6 +209,8 @@ def test_usage_errors_exit_two():
     assert main([]) == EXIT_INPUT
     assert main(["solve"]) == EXIT_INPUT
     assert main(["mine", "Q7"]) == EXIT_INPUT
+    assert main(["solve", K1, "--engine", "implicit"]) == EXIT_INPUT
+    assert main(["solve", K1, "--budget", "5"]) == EXIT_INPUT
 
 
 def test_console_script_is_wired():

@@ -1,4 +1,4 @@
-"""Solver strategies, proof principles, and the implicit engine.
+"""Solver strategies, proof principles, and implicit Kleene iteration.
 
 The three strategies share no code beyond the lattice tables, so their
 agreement on every monotone pair is the main correctness check. The
@@ -10,17 +10,23 @@ from itertools import product as iproduct
 
 import pytest
 
-from mucofix import (MutualPair, NonTerminationError, NotMonotoneError, PairPoint,
-                     Verdict, chain, check_mutual_coinduction,
-                     check_mutual_induction, corpus_lattice, diamond,
-                     ensure_monotone, gsfp_direct, gsfp_product,
-                     gsfp_tarski_oracle, implicit_from_explicit, implicit_product,
-                     is_monotone, is_sim_fixed, is_sim_postfixed, is_sim_prefixed,
+from mucofix import (ImplicitLattice, InstanceGenSpec, MutualPair,
+                     NonTerminationError, NotMonotoneError, PairPoint, Verdict,
+                     chain, check_mutual_coinduction, check_mutual_induction,
+                     corpus_lattice, diamond, ensure_monotone, gen_lattice,
+                     gen_monotone_pair, gsfp_direct, gsfp_product,
+                     gsfp_tarski_oracle, implicit_product, is_monotone,
+                     is_sim_fixed, is_sim_postfixed, is_sim_prefixed,
                      kleene_implicit, lsfp_direct, lsfp_product,
-                     lsfp_tarski_oracle, powerset_implicit, standard_embed)
-from mucofix.lattice import CapacityError
+                     lsfp_tarski_oracle, split_seed, standard_embed)
 
 from oracles import gfp_scan, lfp_scan, longest_chain_edges
+
+
+def id_lattice(lat):
+    'The element ids of an explicit lattice behind the implicit interface.'
+    return ImplicitLattice(bottom=lambda: lat.bottom, top=lambda: lat.top,
+                           eq=lambda a, b: a == b, serialize=lat.label)
 
 
 def all_monotone_pairs(lat_o, lat_p):
@@ -132,15 +138,21 @@ def test_standard_embed_validates_fn(c2, d4):
 
 
 def test_implicit_engine_matches_explicit(k1, swap):
-    for mp in (k1, swap):
-        exp, imp = lsfp_product(mp, "explicit"), lsfp_product(mp, "implicit")
-        assert imp.strategy == "product-implicit"
-        assert imp.mu == exp.mu and imp.iterations == exp.iterations
-        assert imp.trace == ()
-        exp, imp = gsfp_product(mp, "explicit"), gsfp_product(mp, "implicit")
-        assert imp.nu == exp.nu and imp.iterations == exp.iterations
-    with pytest.raises(ValueError):
-        lsfp_product(k1, "magic")
+    # kleene_implicit on the (o, p) id pairs, with the paired step, must reach
+    # the product strategy's limits in the same number of steps
+    seeded = [gen_monotone_pair(InstanceGenSpec(seed=seed),
+                                gen_lattice(InstanceGenSpec(seed=split_seed(seed, 1))),
+                                gen_lattice(InstanceGenSpec(seed=split_seed(seed, 2))))
+              for seed in range(6)]
+    for mp in [k1, swap] + seeded:
+        pairs = implicit_product(id_lattice(mp.dom_o), id_lattice(mp.dom_p))
+        step = lambda op: (mp.g[op[1]], mp.f[op[0]])
+        least, greatest = lsfp_product(mp), gsfp_product(mp)
+        up = kleene_implicit(pairs, step, "up")
+        assert PairPoint(*up.limit) == least.mu and up.iterations == least.iterations
+        down = kleene_implicit(pairs, step, "down")
+        assert PairPoint(*down.limit) == greatest.nu
+        assert down.iterations == greatest.iterations
 
 
 def test_verdicts(k1, id2):
@@ -164,7 +176,7 @@ def test_induction_passes_on_every_applicable_pair(swap):
 
 
 def test_kleene_budget_and_trace_tail():
-    il = implicit_from_explicit(chain(2))
+    il = id_lattice(chain(2))
     flip = lambda x: 1 - x
     with pytest.raises(NonTerminationError) as exc:
         kleene_implicit(il, flip, "up", budget=10)
@@ -181,7 +193,7 @@ def test_kleene_budget_and_trace_tail():
 def test_kleene_tail_is_bounded():
     from mucofix.solvers import TRACE_TAIL
     lat = chain(200)
-    il = implicit_from_explicit(lat)
+    il = id_lattice(lat)
     run = kleene_implicit(il, lambda x: min(x + 1, 199), "up", budget=500)
     assert run.limit == 199
     assert len(run.trace_tail) == TRACE_TAIL
@@ -191,29 +203,14 @@ def test_kleene_tail_is_bounded():
 def test_kleene_trace_tail_is_serialized_on_first_read():
     lat = chain(5)
     labels = []
-    il = replace(implicit_from_explicit(lat), serialize=lambda a: labels.append(a) or str(a))
+    il = replace(id_lattice(lat), serialize=lambda a: labels.append(a) or str(a))
     run = kleene_implicit(il, lambda x: min(x + 1, 4), "up")
     assert (run.limit, run.iterations) == (4, 5) and labels == []
     assert run.trace_tail == ("0", "1", "2", "3", "4", "4")
     assert run.trace_tail is run.trace_tail and len(labels) == 6
 
 
-def test_powerset_implicit_operators():
-    il = powerset_implicit(("x", "y", "z"))
-    assert il.bottom() == frozenset()
-    assert il.top() == frozenset({"x", "y", "z"})
-    a, b = frozenset({"x"}), frozenset({"x", "y"})
-    assert il.meet(a, b) == a and il.join(a, b) == b
-    assert il.serialize(b) == "{x,y}"
-    with pytest.raises(ValueError):
-        powerset_implicit(("x", "x"))
-    with pytest.raises(CapacityError):
-        powerset_implicit(range(17))
-
-
 def test_implicit_product_serialization(c2, d4):
-    il = implicit_product(implicit_from_explicit(c2), implicit_from_explicit(d4))
+    il = implicit_product(id_lattice(c2), id_lattice(d4))
     assert il.bottom() == (0, 0) and il.top() == (1, 3)
     assert il.serialize((1, 2)) == "(1,b)"
-    assert il.meet((1, 1), (0, 2)) == (0, 0)
-    assert il.join((1, 1), (0, 2)) == (1, 3)
