@@ -19,13 +19,12 @@ from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, LatticeFn, MutualPair,
 from .simpoints import (ComponentSets, FiberSet, PairPoint, component_sets,
                         enumerate_sim_fixed, is_sim_fixed, is_sim_postfixed,
                         is_sim_prefixed, point_masks, postfp_fiber, prefp_fiber)
-from .solvers import (ImplicitLattice, ImplicitMutualPair, KleeneRun,
-                      NonTerminationError, NotMonotoneError, SolveResult, Verdict,
+from .solvers import (ImplicitMutualPair, KleeneRun, NonTerminationError,
+                      NotMonotoneError, SolveResult, Verdict,
                       check_mutual_coinduction, check_mutual_induction,
                       ensure_monotone, gsfp_direct, gsfp_product,
-                      gsfp_tarski_oracle, implicit_product, kleene_implicit,
-                      lsfp_direct, lsfp_product, lsfp_tarski_oracle,
-                      standard_embed)
+                      gsfp_tarski_oracle, kleene_implicit, lsfp_direct,
+                      lsfp_product, lsfp_tarski_oracle, standard_embed)
 from .textio import (DocumentError, emit_lattice_doc, emit_pair_doc, load_document,
                      pair_from_json, pair_to_json, parse_lattice_doc, parse_pair_doc)
 from .verifier import (Finding, FindingReport, InstanceGenSpec, LemmaFailure,

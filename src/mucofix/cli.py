@@ -7,6 +7,7 @@ timestamps, deterministic bytes for a fixed input and seed. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 
 from .demos import (StepBudgetExceeded, fixture_tables, parse_class_table_doc,
                     paulson_trio, solve_subtyping)
@@ -56,7 +57,7 @@ def cmd_check(args) -> int:
         if not isinstance(obj, dict):
             raise DocumentError("top level must be an object")
         if "elements" in obj:
-            worst = max(worst, _check_lattice_doc(obj))
+            worst = max(worst, EXIT_CHECK if _checked_lattice(obj) is None else EXIT_OK)
         elif "O" in obj:
             worst = max(worst, _check_pair_doc(obj, mode))
         elif "classes" in obj:
@@ -68,42 +69,29 @@ def cmd_check(args) -> int:
     return worst
 
 
-def _check_lattice_doc(obj) -> int:
+def _checked_lattice(obj, prefix: str = ""):
+    'Print the poset and lattice verdicts of a lattice document; the lattice, or None.'
     try:
-        parse_lattice_doc(obj)
+        lat = parse_lattice_doc(obj)
     except NotAPosetError as exc:
-        print(f"poset: {exc}")
-        return EXIT_CHECK
+        print(f"{prefix}poset: {exc}")
+        return None
     except NotALatticeError as exc:
-        print("poset: ok")
-        print(f"lattice: {exc}")
-        return EXIT_CHECK
-    print("poset: ok")
-    print("lattice: ok")
-    return EXIT_OK
+        print(f"{prefix}poset: ok")
+        print(f"{prefix}lattice: {exc}")
+        return None
+    print(f"{prefix}poset: ok")
+    print(f"{prefix}lattice: ok")
+    return lat
 
 
 def _check_pair_doc(obj, mode) -> int:
     if not isinstance(obj, dict) or set(obj) != {"O", "P", "F", "G"}:
         raise DocumentError('a pair document has exactly the keys "O", "P", "F", "G"')
-    ok = True
-    lats = []
-    for side in ("O", "P"):
-        try:
-            lats.append(parse_lattice_doc(obj[side]))
-        except NotAPosetError as exc:
-            print(f"{side}.poset: {exc}")
-            ok = False
-            continue
-        except NotALatticeError as exc:
-            print(f"{side}.poset: ok")
-            print(f"{side}.lattice: {exc}")
-            ok = False
-            continue
-        print(f"{side}.poset: ok")
-        print(f"{side}.lattice: ok")
-    if not ok:
+    lats = [_checked_lattice(obj[side], f"{side}.") for side in ("O", "P")]
+    if any(lat is None for lat in lats):
         return EXIT_CHECK
+    ok = True
     mp = pair_from_lattices(obj, *lats)
     for name, fn in (("F", mp.f_fn), ("G", mp.g_fn)):
         w = monotone_witness(fn)
@@ -215,7 +203,11 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared after:
+    building it costs about as much as a small demo request, and parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mucofix",
         description="construct, solve, and verify mutual induction and "

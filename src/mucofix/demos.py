@@ -5,9 +5,9 @@ subtyping relation on ground types and the containment relation on
 intervals define each other, so both are solved at once as a least or
 greatest simultaneous fixed point over a product of relation powersets.
 Each relation is a boolean matrix over the ids of the universe, so one
-generator step is a pair of array gathers and the powersets themselves
-are never materialized; the public answer is turned into frozensets of
-type pairs once, at the end.
+generator step is a pair of array gathers, and the matrix pair is
+iterated directly from all-false or all-true; no powerset is built. The
+public answer is turned into frozensets of type pairs once, at the end.
 The second is a trio of mutually recursive functions extracted from a
 small imperative program, run as a label state machine over unbounded
 integers.
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CapacityError, compose
-from .solvers import (ImplicitLattice, ImplicitMutualPair, implicit_product,
-                      kleene_implicit)
+from .lattice import CapacityError, closure, transitivity_gap
+from .solvers import ImplicitMutualPair, kleene_implicit
 
 OBJECT = "Object"
 NULL = "Null"
@@ -128,26 +127,6 @@ class GroundType:
         return f"{self.class_name}<{self.arg}>"
 
 
-def _subclass_rel(ct: ClassTable) -> frozenset[tuple[str, str]]:
-    names = [c.name for c in ct.classes]
-    rel = {(n, n) for n in names}
-    for c in ct.classes:
-        if c.superclass is not None:
-            rel.add((c.name, c.superclass))
-    grew = True
-    while grew:
-        grew = False
-        for a, b in list(rel):
-            for c, d in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    grew = True
-    for n in names:
-        rel.add((NULL, n))
-        rel.add((n, OBJECT))
-    return frozenset(rel)
-
-
 def build_universe(ct: ClassTable, k: int,
                    cap: int = 40) -> tuple[tuple[GroundType, ...], tuple[IntervalType, ...]]:
     """Close the type universe to generic-nesting depth k: round j builds
@@ -168,29 +147,6 @@ def build_universe(ct: ClassTable, k: int,
     return types, intervals
 
 
-def _nonzero(m: np.ndarray):
-    'The (row, column) ids of the true entries of m, in row-major order.'
-    rows, cols = np.nonzero(m)
-    return zip(rows.tolist(), cols.tolist())
-
-
-def _relation_lattice(labels: tuple[str, ...]) -> ImplicitLattice:
-    """The powerset of pairs over n ids, as n x n boolean matrices: entry
-    (i, j) holds when the pair (labels[i], labels[j]) is in the relation.
-    The 2^(n*n) elements are never materialized."""
-    n = len(labels)
-
-    def serialize(m):
-        return "{" + ",".join(f"({labels[i]},{labels[j]})" for i, j in _nonzero(m)) + "}"
-
-    return ImplicitLattice(
-        bottom=lambda: np.zeros((n, n), dtype=bool),
-        top=lambda: np.ones((n, n), dtype=bool),
-        eq=np.array_equal,
-        serialize=serialize,
-    )
-
-
 def _index(name: str, members) -> dict:
     ids = {m: i for i, m in enumerate(members)}
     if len(ids) != len(members):
@@ -208,7 +164,8 @@ def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...],
     generic arguments compared through R; Null and Object are below and
     above everything unconditionally. Relations are boolean matrices over
     the positions in types and intervals, so both generators are gathers
-    through precomputed id arrays."""
+    through precomputed id arrays; the class order is the closure of the
+    extends matrix over class ids, gathered to types."""
     tid = _index("types", types)
     iid = _index("intervals", intervals)
     try:
@@ -217,9 +174,16 @@ def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...],
         arg = np.array([0 if t.arg is None else iid[t.arg] for t in types], dtype=np.intp)
     except KeyError as exc:
         raise ValueError(f"{exc.args[0]} is outside the given universe") from None
-    sub = _subclass_rel(ct)
-    subclass = np.array([[(a.class_name, b.class_name) in sub for b in types]
-                         for a in types], dtype=bool)
+    cid = {c.name: i for i, c in enumerate(ct.classes)}
+    try:
+        cls = np.array([cid[t.class_name] for t in types], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"class {exc.args[0]} is not in the class table") from None
+    extends = np.zeros((len(cid), len(cid)), dtype=bool)
+    for c in ct.classes:
+        if c.superclass is not None:
+            extends[cid[c.name], cid[c.superclass]] = True
+    subclass = closure(extends)[np.ix_(cls, cls)]
     generic = np.array([t.arg is not None for t in types], dtype=bool)
     base = (np.array([t.class_name == NULL for t in types], dtype=bool)[:, None]
             | np.array([t.class_name == OBJECT for t in types], dtype=bool)[None, :]
@@ -234,8 +198,7 @@ def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...],
     def g(r: np.ndarray) -> np.ndarray:
         return base | (gated & r[aa])
 
-    return ImplicitMutualPair(_relation_lattice(tuple(map(str, types))),
-                              _relation_lattice(tuple(map(str, intervals))), f, g)
+    return ImplicitMutualPair(f, g)
 
 
 @dataclass(frozen=True)
@@ -255,16 +218,15 @@ def _check_preorder(name: str, leq: np.ndarray, carrier) -> None:
     if not diag.all():
         raise AssertionError(
             f"{name} relation must be reflexive at {carrier[int(np.argmin(diag))]}")
-    gap = compose(leq, leq) & ~leq
-    if gap.any():
-        a, d = divmod(int(np.argmax(gap)), leq.shape[1])
-        b = int(np.argmax(leq[a] & leq[:, d]))
+    gap = transitivity_gap(leq)
+    if gap is not None:
         raise AssertionError(f"{name} relation must be transitive at "
-                             f"{carrier[a]},{carrier[b]},{carrier[d]}")
+                             + ",".join(str(carrier[i]) for i in gap))
 
 
 def _pairs(m: np.ndarray, members) -> frozenset:
-    return frozenset((members[i], members[j]) for i, j in _nonzero(m))
+    rows, cols = np.nonzero(m)
+    return frozenset((members[i], members[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
 
 def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least",
@@ -276,13 +238,16 @@ def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least",
         raise ValueError('direction must be "least" or "greatest"')
     types, intervals = build_universe(ct, k, cap)
     imp = subtype_generators(ct, types, intervals)
-    il = implicit_product(imp.lat_o, imp.lat_p)
+    fill = np.zeros if direction == "least" else np.ones
+    start = (fill((len(types),) * 2, dtype=bool), fill((len(intervals),) * 2, dtype=bool))
 
     def step(sr):
         return (imp.g(sr[1]), imp.f(sr[0]))
 
-    run = kleene_implicit(il, step, "up" if direction == "least" else "down", budget)
-    subtypes, containments = run.limit
+    def eq(x, y):
+        return np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+
+    subtypes, containments = kleene_implicit(start, step, eq, budget).limit
     _check_preorder("subtype", subtypes, types)
     _check_preorder("containment", containments, intervals)
     return RelationPairState(_pairs(subtypes, types), _pairs(containments, intervals),

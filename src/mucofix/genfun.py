@@ -7,7 +7,6 @@ then lexicographically, so every check is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -92,27 +91,22 @@ class LatticeFn:
 
 @dataclass(frozen=True)
 class MutualPair:
-    """Two mutual generators as tables: f maps O into P and g maps P into O."""
+    """Two mutual generators as tables: f maps O into P and g maps P into O.
+    f_fn and g_fn are the same tables as LatticeFn values."""
     dom_o: FiniteLattice
     dom_p: FiniteLattice
     f: tuple[int, ...]
     g: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "f", tuple(int(x) for x in self.f))
-        object.__setattr__(self, "g", tuple(int(x) for x in self.g))
-        if len(self.f) != self.dom_o.size or len(self.g) != self.dom_p.size:
+        f = tuple(int(x) for x in self.f)
+        g = tuple(int(x) for x in self.g)
+        if len(f) != self.dom_o.size or len(g) != self.dom_p.size:
             raise ValueError("generator tables must be total")
-        self.dom_p._check_ids(self.f)
-        self.dom_o._check_ids(self.g)
-
-    @cached_property
-    def f_fn(self) -> LatticeFn:
-        return LatticeFn(self.dom_o, self.dom_p, self.f)
-
-    @cached_property
-    def g_fn(self) -> LatticeFn:
-        return LatticeFn(self.dom_p, self.dom_o, self.g)
+        object.__setattr__(self, "f_fn", LatticeFn(self.dom_o, self.dom_p, f))
+        object.__setattr__(self, "g_fn", LatticeFn(self.dom_p, self.dom_o, g))
+        object.__setattr__(self, "f", self.f_fn.table)
+        object.__setattr__(self, "g", self.g_fn.table)
 
 
 def compose_gf(mp: MutualPair) -> LatticeFn:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,10 +75,7 @@ class FinitePoset:
         if leq.shape != (n, n):
             raise ValueError(f"order matrix must be {n}x{n}")
         object.__setattr__(self, "leq", _frozen(leq))
-
-    @cached_property
-    def size(self) -> int:
-        return len(self.labels)
+        object.__setattr__(self, "size", n)
 
     def index(self, label: str) -> int:
         try:
@@ -95,6 +91,26 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
+def closure(rel: np.ndarray) -> np.ndarray:
+    'Reflexive-transitive closure of a square boolean matrix, by repeated squaring.'
+    rel = rel | np.eye(len(rel), dtype=bool)
+    while True:
+        closed = rel | compose(rel, rel)
+        if (closed == rel).all():
+            return rel
+        rel = closed
+
+
+def transitivity_gap(leq: np.ndarray):
+    """First (i, j, k) with i <= j <= k but not i <= k, or None: (i, k) is
+    the row-major first missing pair and j its smallest middle."""
+    gaps = compose(leq, leq) & ~leq
+    if not gaps.any():
+        return None
+    i, k = divmod(int(np.argmax(gaps)), leq.shape[1])
+    return i, int(np.argmax(leq[i] & leq[:, k])), k
+
+
 def poset_violation(p: FinitePoset):
     'First order-axiom violation as (axiom, witness ids), or None.'
     leq = p.leq
@@ -106,12 +122,8 @@ def poset_violation(p: FinitePoset):
     if anti.any():
         i, j = np.argwhere(anti)[0]
         return ("antisymmetry", (int(i), int(j)))
-    gaps = compose(leq, leq) & ~leq
-    if gaps.any():
-        i, k = (int(x) for x in np.argwhere(gaps)[0])
-        j = int(np.argmax(leq[i] & leq[:, k]))
-        return ("transitivity", (i, j, k))
-    return None
+    gap = transitivity_gap(leq)
+    return None if gap is None else ("transitivity", gap)
 
 
 @dataclass(frozen=True)
@@ -138,10 +150,7 @@ class FiniteLattice:
         object.__setattr__(self, "join", _frozen(join))
         object.__setattr__(self, "bottom", int(self.bottom))
         object.__setattr__(self, "top", int(self.top))
-
-    @cached_property
-    def size(self) -> int:
-        return self.poset.size
+        object.__setattr__(self, "size", n)
 
     @property
     def labels(self) -> tuple[str, ...]:

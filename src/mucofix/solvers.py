@@ -6,13 +6,15 @@ iteration of the paired step on the product lattice), and a brute-force
 bound over every pre-/post-fixed pair of the product lattice, which
 serves as the oracle for the other two. Monotonicity of both generators
 is required and checked; continuity never is.
+
+kleene_implicit is the same iteration without tables: it runs a step
+from a caller's start element, for carriers too large to materialize
+(the subtype demo's relation matrices), and checks nothing but equality.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Any, Callable
 
 from .genfun import LatticeFn, MutualPair, monotone_witness
@@ -20,7 +22,6 @@ from .lattice import FiniteLattice
 from .simpoints import PairPoint, component_sets, is_sim_postfixed, is_sim_prefixed
 
 DEFAULT_BUDGET = 10_000
-TRACE_TAIL = 64
 
 
 class NotMonotoneError(Exception):
@@ -199,70 +200,32 @@ def standard_embed(lat: FiniteLattice, f) -> MutualPair:
 
 
 @dataclass(frozen=True)
-class ImplicitLattice:
-    """A lattice given by the four operators Kleene iteration reads, for
-    carriers too large to materialize: the bottom and top elements to start
-    from, equality to detect the limit, and serialize for the trace tail.
-    Nothing here is verified; the step's monotonicity is the caller's."""
-    bottom: Callable[[], Any]
-    top: Callable[[], Any]
-    eq: Callable[[Any, Any], bool]
-    serialize: Callable[[Any], str]
-
-
-@dataclass(frozen=True)
 class ImplicitMutualPair:
-    """The implicit twin of MutualPair: generator callables over two
-    implicit lattices."""
-    lat_o: ImplicitLattice
-    lat_p: ImplicitLattice
+    """Generator callables over carriers too large to materialize: f maps
+    O-elements to P-elements and g maps P-elements back."""
     f: Callable[[Any], Any]
     g: Callable[[Any], Any]
 
 
 @dataclass(frozen=True)
 class KleeneRun:
-    """Limit of one implicit iteration plus the tail of the trace. The last
-    TRACE_TAIL iterates are kept raw in a ring buffer, to keep memory
-    bounded, and serialized when trace_tail is first read."""
+    'Limit of one implicit iteration and the number of steps taken.'
     limit: Any
     iterations: int
-    tail_iterates: tuple = field(repr=False, compare=False)
-    serialize: Callable[[Any], str] = field(repr=False, compare=False)
-
-    @cached_property
-    def trace_tail(self) -> tuple[str, ...]:
-        return tuple(self.serialize(x) for x in self.tail_iterates)
 
 
-def kleene_implicit(il: ImplicitLattice, step: Callable[[Any], Any],
-                    direction: str = "up", budget: int = DEFAULT_BUDGET) -> KleeneRun:
-    """Iterate step from bottom (up) or top (down) until two successive
-    iterates are equal. Monotonicity of step is the caller's contract and
-    is not checkable here; a budget overrun raises NonTerminationError.
-    The trace keeps the iterates themselves, so step must return a new
-    element and leave its argument unmodified."""
-    if direction not in ("up", "down"):
-        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+def kleene_implicit(start, step: Callable[[Any], Any], eq: Callable[[Any, Any], bool],
+                    budget: int = DEFAULT_BUDGET) -> KleeneRun:
+    """Iterate step from start until two successive iterates are equal
+    under eq. Monotonicity of step, and that start is a bound it moves
+    away from, are the caller's contract and not checkable here; a budget
+    overrun raises NonTerminationError."""
     if budget < 1:
         raise ValueError("budget must be positive")
-    cur = il.bottom() if direction == "up" else il.top()
-    tail: deque = deque([cur], maxlen=TRACE_TAIL)
+    cur = start
     for i in range(1, budget + 1):
         nxt = step(cur)
-        tail.append(nxt)
-        if il.eq(nxt, cur):
-            return KleeneRun(cur, i, tuple(tail), il.serialize)
+        if eq(nxt, cur):
+            return KleeneRun(cur, i)
         cur = nxt
     raise NonTerminationError(budget)
-
-
-def implicit_product(lat_a: ImplicitLattice, lat_b: ImplicitLattice) -> ImplicitLattice:
-    'Component-wise product of two implicit lattices; elements are pairs.'
-    return ImplicitLattice(
-        bottom=lambda: (lat_a.bottom(), lat_b.bottom()),
-        top=lambda: (lat_a.top(), lat_b.top()),
-        eq=lambda x, y: lat_a.eq(x[0], y[0]) and lat_b.eq(x[1], y[1]),
-        serialize=lambda x: f"({lat_a.serialize(x[0])},{lat_b.serialize(x[1])})",
-    )
-

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .genfun import MutualPair
-from .lattice import FiniteLattice, FinitePoset, compose, cover_edges, validate_lattice
+from .lattice import FiniteLattice, FinitePoset, closure, cover_edges, validate_lattice
 
 
 class DocumentError(Exception):
@@ -60,7 +60,7 @@ def parse_lattice_doc(obj) -> FiniteLattice:
         raise DocumentError("'elements' must be distinct")
     idx = {name: i for i, name in enumerate(names)}
     n = len(names)
-    rel = np.eye(n, dtype=bool)
+    rel = np.zeros((n, n), dtype=bool)
     edges = obj["leq"]
     if not isinstance(edges, list):
         raise DocumentError("'leq' must be a list of [lower, upper] pairs")
@@ -71,12 +71,7 @@ def parse_lattice_doc(obj) -> FiniteLattice:
             if name not in idx:
                 raise DocumentError(f"order pair names unknown element {name!r}")
         rel[idx[e[0]], idx[e[1]]] = True
-    while True:
-        closed = rel | compose(rel, rel)
-        if (closed == rel).all():
-            break
-        rel = closed
-    return validate_lattice(FinitePoset(tuple(names), rel))
+    return validate_lattice(FinitePoset(tuple(names), closure(rel)))
 
 
 def _parse_table(obj, what: str, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 """The command line surface: output bytes, exit codes, error routing."""
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,22 @@ def test_check_pair_validates_each_lattice_once(monkeypatch, capsys):
     assert out == (f"check: {K1}\nO.poset: ok\nO.lattice: ok\nP.poset: ok\n"
                    "P.lattice: ok\nF.monotone: ok\nG.monotone: ok\n"
                    "pair.continuous[binary]: ok\n")
+
+
+def test_check_pair_reports_both_broken_sides(tmp_path, capsys):
+    # O is not a poset and P is not a lattice: both are reported, and the
+    # generator tables are never read
+    doc = tmp_path / "broken.json"
+    doc.write_text(json.dumps({"O": json.loads((DATA / "cycle.json").read_text()),
+                               "P": json.loads((DATA / "antichain3.json").read_text()),
+                               "F": {}, "G": {}}))
+    rc, out = run(capsys, "check", str(doc))
+    assert rc == EXIT_CHECK
+    assert out.splitlines() == [
+        f"check: {doc}",
+        "O.poset: NotAPoset: antisymmetry fails at ('x', 'y')",
+        "P.poset: ok", "P.lattice: NotALattice: {p,q} lacks lub",
+    ]
 
 
 def test_check_pair_mode_changes_the_verdict(capsys):

@@ -14,10 +14,10 @@ from mucofix import (CapacityError, ClassDef, ClassTable, DocumentError,
                      StepBudgetExceeded, build_universe, fixture_tables,
                      is_contained, is_subtype, parse_class_table_doc,
                      paulson_trio, solve_subtyping)
-from mucofix.demos import (NULL, OBJECT, _check_preorder, _relation_lattice,
-                           _subclass_rel, subtype_generators)
+from mucofix.demos import NULL, OBJECT, _check_preorder, subtype_generators
 
-from oracles import subtyping_greatest_oracle, subtyping_saturation, trio_recursive
+from oracles import (_class_closure, subtyping_greatest_oracle, subtyping_saturation,
+                     trio_recursive)
 
 
 def table(*defs):
@@ -71,14 +71,36 @@ def test_parse_class_table_doc():
         parse_class_table_doc(bad)
 
 
+def subclass_pairs(ct, k):
+    """The class order g reads over the depth-k universe, as name pairs:
+    g of the empty containment is the unconditional part, and g of the
+    full one adds the pairs of generic types whose classes are related."""
+    types, intervals = build_universe(ct, k)
+    imp = subtype_generators(ct, types, intervals)
+    m = len(intervals)
+    rel = imp.g(np.ones((m, m), dtype=bool))
+    assert (imp.g(np.zeros((m, m), dtype=bool)) <= rel).all()
+    return {(a.class_name, b.class_name) for i, a in enumerate(types)
+            for j, b in enumerate(types) if rel[i, j]}
+
+
 def test_subclass_closure():
     t = table(OBJ, NUL, ClassDef("A", superclass=OBJECT),
-              ClassDef("B", superclass="A"))
-    rel = _subclass_rel(t)
-    assert ("B", "A") in rel and ("B", "Object") in rel    # transitive
+              ClassDef("B", superclass="A"), ClassDef("C", superclass="B"))
+    rel = subclass_pairs(t, 0)
+    assert ("C", "A") in rel and ("B", "Object") in rel    # transitive
     assert ("A", "A") in rel                                # reflexive
     assert ("Null", "B") in rel and ("B", "Object") in rel  # sentinels
     assert ("A", "B") not in rel
+    # on seeded tables the order g reads is the plain-loop closure, over
+    # the pairs of types that are both plain or both generic
+    for seed in range(12):
+        ct = random_class_table(random.Random(seed))
+        generic = {c.name: c.is_generic for c in ct.classes}
+        edges = [(c.name, c.superclass) for c in ct.classes if c.superclass]
+        want = {(a, b) for a, b in _class_closure(edges, [], build_universe(ct, 1)[0])
+                if a == NULL or b == OBJECT or generic[a] == generic[b]}
+        assert subclass_pairs(ct, 1) == want, seed
 
 
 def test_type_labels():
@@ -220,21 +242,13 @@ def test_generators_index_the_universe():
         subtype_generators(ct, types, intervals + intervals[:1])
     with pytest.raises(ValueError, match="outside the given universe"):
         subtype_generators(ct, types[:2], intervals)
+    with pytest.raises(ValueError, match="class Ghost is not in the class table"):
+        subtype_generators(ct, types + (GroundType("Ghost"),), intervals)
     imp = subtype_generators(ct, types, intervals)
     r = imp.f(np.eye(len(types), dtype=bool))    # only reflexive subtyping
     for i, a in enumerate(intervals):
         for j, b in enumerate(intervals):
             assert r[i, j] == (a == b)
-
-
-def test_relation_lattice_operators():
-    il = _relation_lattice(("x", "y"))
-    a = np.array([[True, False], [True, True]])
-    b = np.array([[False, True], [True, False]])
-    assert not il.bottom().any() and il.top().all()
-    assert not il.eq(a, b)
-    assert il.serialize(a) == "{(x,x),(y,x),(y,y)}"
-    assert il.serialize(il.bottom()) == "{}"
 
 
 def test_preorder_check_names_the_first_witness():

@@ -1,7 +1,9 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
-`__init__.py` is skipped: its imports are the package's public surface.
+`__init__.py` is skipped for imports: they are the package's public
+surface.
 """
 import ast
 from pathlib import Path
@@ -34,3 +36,51 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    'Module-level private names (one leading underscore, not dunder) and their lines.'
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def referenced_names(source: str) -> set[str]:
+    'Names read, attributes taken, and names imported anywhere in the source.'
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    used = set().union(*(referenced_names(text) for text in sources.values()))
+    return [f"{module}: {name} (line {line})" for module, text in sources.items()
+            for name, line in private_definitions(text).items() if name not in used]
+
+
+def test_the_check_sees_an_unreferenced_private_name():
+    sources = {"a.py": "_A = 1\n_B = 2\ndef _helper():\n    return _A\n",
+               "b.py": "from a import _B\nclass _Unused:\n    pass\n"}
+    assert unreferenced_privates(sources) == ["a.py: _helper (line 3)",
+                                              "b.py: _Unused (line 2)"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(sources) == []

@@ -3,30 +3,26 @@
 The three strategies share no code beyond the lattice tables, so their
 agreement on every monotone pair is the main correctness check. The
 standard embedding is checked against a plain candidate-scan fixed
-point oracle.
+point oracle. Implicit Kleene iteration, given only a start pair, the
+paired step and equality, must reach the product strategy's limits in
+the same number of steps.
 """
-from dataclasses import replace
 from itertools import product as iproduct
+from operator import eq
 
 import pytest
 
-from mucofix import (ImplicitLattice, InstanceGenSpec, MutualPair,
-                     NonTerminationError, NotMonotoneError, PairPoint, Verdict,
-                     chain, check_mutual_coinduction, check_mutual_induction,
+from mucofix import (InstanceGenSpec, MutualPair, NonTerminationError,
+                     NotMonotoneError, PairPoint, Verdict, chain,
+                     check_mutual_coinduction, check_mutual_induction,
                      corpus_lattice, diamond, ensure_monotone, gen_lattice,
                      gen_monotone_pair, gsfp_direct, gsfp_product,
-                     gsfp_tarski_oracle, implicit_product, is_monotone,
-                     is_sim_fixed, is_sim_postfixed, is_sim_prefixed,
-                     kleene_implicit, lsfp_direct, lsfp_product,
-                     lsfp_tarski_oracle, split_seed, standard_embed)
+                     gsfp_tarski_oracle, is_monotone, is_sim_fixed,
+                     is_sim_postfixed, is_sim_prefixed, kleene_implicit,
+                     lsfp_direct, lsfp_product, lsfp_tarski_oracle, split_seed,
+                     standard_embed)
 
 from oracles import gfp_scan, lfp_scan, longest_chain_edges
-
-
-def id_lattice(lat):
-    'The element ids of an explicit lattice behind the implicit interface.'
-    return ImplicitLattice(bottom=lambda: lat.bottom, top=lambda: lat.top,
-                           eq=lambda a, b: a == b, serialize=lat.label)
 
 
 def all_monotone_pairs(lat_o, lat_p):
@@ -145,12 +141,11 @@ def test_implicit_engine_matches_explicit(k1, swap):
                                 gen_lattice(InstanceGenSpec(seed=split_seed(seed, 2))))
               for seed in range(6)]
     for mp in [k1, swap] + seeded:
-        pairs = implicit_product(id_lattice(mp.dom_o), id_lattice(mp.dom_p))
         step = lambda op: (mp.g[op[1]], mp.f[op[0]])
         least, greatest = lsfp_product(mp), gsfp_product(mp)
-        up = kleene_implicit(pairs, step, "up")
+        up = kleene_implicit((mp.dom_o.bottom, mp.dom_p.bottom), step, eq)
         assert PairPoint(*up.limit) == least.mu and up.iterations == least.iterations
-        down = kleene_implicit(pairs, step, "down")
+        down = kleene_implicit((mp.dom_o.top, mp.dom_p.top), step, eq)
         assert PairPoint(*down.limit) == greatest.nu
         assert down.iterations == greatest.iterations
 
@@ -175,42 +170,16 @@ def test_induction_passes_on_every_applicable_pair(swap):
                 Verdict.PASS, Verdict.NOT_APPLICABLE)
 
 
-def test_kleene_budget_and_trace_tail():
-    il = id_lattice(chain(2))
+def test_kleene_budget():
     flip = lambda x: 1 - x
     with pytest.raises(NonTerminationError) as exc:
-        kleene_implicit(il, flip, "up", budget=10)
+        kleene_implicit(0, flip, eq, budget=10)
     assert exc.value.budget == 10
-    run = kleene_implicit(il, lambda x: 1, "up", budget=5)
+    run = kleene_implicit(0, lambda x: 1, eq, budget=5)
     assert run.limit == 1 and run.iterations == 2
-    assert run.trace_tail == ("0", "1", "1")
+    # the confirming step counts against the budget too
+    with pytest.raises(NonTerminationError):
+        kleene_implicit(0, lambda x: min(x + 1, 3), eq, budget=3)
+    assert kleene_implicit(0, lambda x: min(x + 1, 3), eq, budget=4).iterations == 4
     with pytest.raises(ValueError):
-        kleene_implicit(il, flip, "sideways")
-    with pytest.raises(ValueError):
-        kleene_implicit(il, flip, "up", budget=0)
-
-
-def test_kleene_tail_is_bounded():
-    from mucofix.solvers import TRACE_TAIL
-    lat = chain(200)
-    il = id_lattice(lat)
-    run = kleene_implicit(il, lambda x: min(x + 1, 199), "up", budget=500)
-    assert run.limit == 199
-    assert len(run.trace_tail) == TRACE_TAIL
-    assert run.trace_tail[-1] == "199"
-
-
-def test_kleene_trace_tail_is_serialized_on_first_read():
-    lat = chain(5)
-    labels = []
-    il = replace(id_lattice(lat), serialize=lambda a: labels.append(a) or str(a))
-    run = kleene_implicit(il, lambda x: min(x + 1, 4), "up")
-    assert (run.limit, run.iterations) == (4, 5) and labels == []
-    assert run.trace_tail == ("0", "1", "2", "3", "4", "4")
-    assert run.trace_tail is run.trace_tail and len(labels) == 6
-
-
-def test_implicit_product_serialization(c2, d4):
-    il = implicit_product(id_lattice(c2), id_lattice(d4))
-    assert il.bottom() == (0, 0) and il.top() == (1, 3)
-    assert il.serialize((1, 2)) == "(1,b)"
+        kleene_implicit(0, flip, eq, budget=0)

@@ -123,6 +123,15 @@ def test_premise_gating_skips_instead_of_failing():
     assert report.passed
 
 
+def test_l1_fails_when_the_continuity_check_is_wrong(monkeypatch):
+    # continuity is L1's whole premise: were monotonicity checked first, a
+    # non-monotone pair the continuity check wrongly accepts would be skipped
+    monkeypatch.setattr(verifier, "is_continuous_pair", lambda mp, mode: True)
+    report = check_lemma("L1", InstanceGenSpec(seed=1, function_class="arbitrary", count=20))
+    assert report.failures and not report.passed
+    assert report.premise_skipped == 0
+
+
 def test_runners_catch_real_violations(c2, d4):
     # constant-bottom forward, collapse-the-atoms back: monotone but not
     # join-continuous, and the fiber at the bottom is the diamond minus
