@@ -99,12 +99,8 @@ class MutualPair:
     g: tuple[int, ...]
 
     def __post_init__(self):
-        f = tuple(int(x) for x in self.f)
-        g = tuple(int(x) for x in self.g)
-        if len(f) != self.dom_o.size or len(g) != self.dom_p.size:
-            raise ValueError("generator tables must be total")
-        object.__setattr__(self, "f_fn", LatticeFn(self.dom_o, self.dom_p, f))
-        object.__setattr__(self, "g_fn", LatticeFn(self.dom_p, self.dom_o, g))
+        object.__setattr__(self, "f_fn", LatticeFn(self.dom_o, self.dom_p, self.f))
+        object.__setattr__(self, "g_fn", LatticeFn(self.dom_p, self.dom_o, self.g))
         object.__setattr__(self, "f", self.f_fn.table)
         object.__setattr__(self, "g", self.g_fn.table)
 

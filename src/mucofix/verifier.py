@@ -591,9 +591,9 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
                 if monotone_witness(LatticeFn(lat_o, lat_p, f)) is not None:
                     continue
                 for g in iproduct(range(lat_o.size), repeat=lat_p.size):
-                    mp = MutualPair(lat_o, lat_p, f, g)
-                    if monotone_witness(mp.g_fn) is not None:
+                    if monotone_witness(LatticeFn(lat_p, lat_o, g)) is not None:
                         continue
+                    mp = MutualPair(lat_o, lat_p, f, g)
                     if tried >= budget:
                         exhaustive_complete = False
                         return FindingReport(question, mode.label, tried, None,
