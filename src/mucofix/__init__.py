@@ -12,7 +12,7 @@ from .lattice import (CapacityError, FiniteLattice, FinitePoset, LatticeError,
                       hasse_text, powerset_lattice, product, validate_lattice)
 from .fixtures import chain, corpus, corpus_lattice, diamond, m3, n5
 from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, LatticeFn, MutualPair,
-                     capped, compose_fg, compose_gf, is_continuous_pair,
+                     compose_fg, compose_gf, is_continuous_pair,
                      is_join_continuous, is_meet_continuous, is_monotone,
                      join_continuity_witness, meet_continuity_witness,
                      monotone_witness, pair_continuity_witness, parse_mode)

@@ -103,11 +103,11 @@ def _check_pair_doc(obj, mode) -> int:
             ok = False
     w = pair_continuity_witness(mp, mode)
     if w is None:
-        print(f"pair.continuous[{mode.label}]: ok")
+        print(f"pair.continuous[{mode.kind}]: ok")
     else:
         side, law, subset = w
         dom = mp.dom_o if side == "F" else mp.dom_p
-        print(f"pair.continuous[{mode.label}]: {side} breaks {law} "
+        print(f"pair.continuous[{mode.kind}]: {side} breaks {law} "
               f"preservation at {_subset_text(dom, subset)}")
         ok = False
     return EXIT_OK if ok else EXIT_CHECK
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate lattice, pair, or class table documents")
     p.add_argument("paths", nargs="+", metavar="PATH")
     p.add_argument("--mode", default="binary",
-                   help="continuity mode: binary, with-empty, or capped:N")
+                   help="continuity mode: binary or with-empty")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="solve a pair document for its fixed points")

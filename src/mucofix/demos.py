@@ -137,12 +137,13 @@ def build_universe(ct: ClassTable, k: int,
     base = tuple(GroundType(c.name) for c in ct.classes if not c.is_generic)
     generics = tuple(c.name for c in ct.classes if c.is_generic)
     types = base
-    for _ in range(k):
-        intervals = tuple(IntervalType(lo, up) for lo in types for up in types)
-        types = base + tuple(GroundType(g, iv) for g in generics for iv in intervals)
+    for depth in range(k + 1):
+        if depth:
+            intervals = tuple(IntervalType(lo, up) for lo in types for up in types)
+            types = base + tuple(GroundType(g, iv) for g in generics for iv in intervals)
         if len(types) > cap:
-            raise CapacityError(
-                f"type universe grew to {len(types)} > cap {cap}; lower the depth")
+            hint = "; lower the depth" if depth else " at depth 0"
+            raise CapacityError(f"type universe grew to {len(types)} > cap {cap}{hint}")
     intervals = tuple(IntervalType(lo, up) for lo in types for up in types)
     return types, intervals
 

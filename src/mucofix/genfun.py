@@ -2,12 +2,14 @@
 composition, and monotonicity/continuity checks with minimal witnesses.
 
 Witnesses are the smallest failing subsets, ordered by cardinality and
-then lexicographically, so every check is deterministic.
+then lexicographically, so every check is deterministic. Continuity is
+checked on binary bounds only: on a finite lattice every nonempty subset
+bound is a fold of binary ones, so preserving the binary bounds is
+preserving them all.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -16,51 +18,27 @@ from .lattice import FiniteLattice
 
 @dataclass(frozen=True)
 class ContinuityMode:
-    """How subset preservation is sampled.
+    """Which subset bounds a generator must preserve.
 
-    binary: binary meets/joins over nonempty subsets; on a finite lattice
-    this is equivalent to preserving every nonempty subset bound.
+    binary: binary meets/joins; on a finite lattice this is equivalent to
+    preserving every nonempty subset bound.
     with-empty: binary plus the empty subset, which pins top to top for
     meets and bottom to bottom for joins.
-    capped: brute force over every nonempty subset of at most cap elements.
     """
     kind: str
-    cap: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("binary", "with-empty", "capped"):
+        if self.kind not in ("binary", "with-empty"):
             raise ValueError(f"unknown continuity mode {self.kind!r}")
-        if self.kind == "capped":
-            if self.cap is None or self.cap < 2:
-                raise ValueError("capped mode needs cap >= 2")
-        elif self.cap is not None:
-            raise ValueError("only capped mode takes a cap")
-
-    @property
-    def label(self) -> str:
-        return self.kind if self.cap is None else f"capped:{self.cap}"
 
 
 BINARY = ContinuityMode("binary")
 WITH_EMPTY = ContinuityMode("with-empty")
 
 
-def capped(n: int) -> ContinuityMode:
-    return ContinuityMode("capped", n)
-
-
 def parse_mode(text: str) -> ContinuityMode:
-    'Parse a mode label: binary | with-empty | capped:N.'
-    if text == "binary":
-        return BINARY
-    if text == "with-empty":
-        return WITH_EMPTY
-    if text.startswith("capped:"):
-        try:
-            return capped(int(text.split(":", 1)[1]))
-        except ValueError as e:
-            raise ValueError(f"bad capped mode {text!r}: {e}") from None
-    raise ValueError(f"unknown continuity mode {text!r}")
+    'Parse a mode name: binary | with-empty.'
+    return ContinuityMode(text)
 
 
 @dataclass(frozen=True)
@@ -79,14 +57,6 @@ class LatticeFn:
     @classmethod
     def endo(cls, lat: FiniteLattice, table) -> "LatticeFn":
         return cls(lat, lat, table)
-
-    @classmethod
-    def identity(cls, lat: FiniteLattice) -> "LatticeFn":
-        return cls(lat, lat, tuple(range(lat.size)))
-
-    @classmethod
-    def constant(cls, dom: FiniteLattice, cod: FiniteLattice, value: int) -> "LatticeFn":
-        return cls(dom, cod, (value,) * dom.size)
 
 
 @dataclass(frozen=True)
@@ -133,18 +103,9 @@ def _continuity_witness(fn: LatticeFn, mode: ContinuityMode, law: str):
     'Smallest subset (size, then lex) whose meet or join fn does not preserve, or None.'
     dom, cod, t = fn.dom, fn.cod, fn.table
     if law == "meet":
-        dom_op, cod_op, dom_bound, cod_bound = dom.meet, cod.meet, dom.meet_set, cod.meet_set
-        dom_unit, cod_unit = dom.top, cod.top
+        dom_op, cod_op, dom_unit, cod_unit = dom.meet, cod.meet, dom.top, cod.top
     else:
-        dom_op, cod_op, dom_bound, cod_bound = dom.join, cod.join, dom.join_set, cod.join_set
-        dom_unit, cod_unit = dom.bottom, cod.bottom
-    if mode.kind == "capped":
-        # singletons preserve bounds trivially and are never witnesses
-        for k in range(2, min(mode.cap, dom.size) + 1):
-            for s in combinations(range(dom.size), k):
-                if t[dom_bound(s)] != cod_bound([t[x] for x in s]):
-                    return s
-        return None
+        dom_op, cod_op, dom_unit, cod_unit = dom.join, cod.join, dom.bottom, cod.bottom
     # the empty meet is top and the empty join is bottom
     if mode.kind == "with-empty" and t[dom_unit] != cod_unit:
         return ()

@@ -179,14 +179,6 @@ class FiniteLattice:
         self._check_id(b)
         return bool(self.poset.leq[a, b])
 
-    def up_set(self, a: int) -> np.ndarray:
-        self._check_id(a)
-        return self.poset.leq[a]
-
-    def down_set(self, a: int) -> np.ndarray:
-        self._check_id(a)
-        return self.poset.leq[:, a]
-
     def _ids(self, s) -> tuple[int, ...]:
         ids = tuple(sorted({int(x) for x in s}))
         self._check_ids(ids)
@@ -282,15 +274,17 @@ def product(lat_a: FiniteLattice, lat_b: FiniteLattice) -> FiniteLattice:
     return validate_lattice(FinitePoset(labels, leq))
 
 
-_GROUND_NAMES = "abcdefghijklmnop"
+POWERSET_GROUND_CAP = 5
+_GROUND_NAMES = "abcde"
 
 
-def powerset_lattice(n: int, cap: int = 5) -> FiniteLattice:
+def powerset_lattice(n: int) -> FiniteLattice:
     'Subsets of an n-member ground set under inclusion; ids are bitmasks.'
     if n < 0:
         raise ValueError("ground set size must be nonnegative")
-    if n > cap or n > len(_GROUND_NAMES):
-        raise CapacityError(f"2^{n} explicit subsets exceeds the cap (ground size {cap})")
+    if n > POWERSET_GROUND_CAP:
+        raise CapacityError(
+            f"2^{n} explicit subsets exceeds the cap (ground size {POWERSET_GROUND_CAP})")
     ground = _GROUND_NAMES[:n]
     labels = []
     for mask in range(1 << n):

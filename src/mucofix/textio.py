@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .genfun import MutualPair
-from .lattice import FiniteLattice, FinitePoset, closure, cover_edges, validate_lattice
+from .lattice import (CapacityError, FiniteLattice, FinitePoset, closure, cover_edges,
+                      explicit_cap, validate_lattice)
 
 
 class DocumentError(Exception):
@@ -58,8 +59,11 @@ def parse_lattice_doc(obj) -> FiniteLattice:
         raise DocumentError("'elements' must be a nonempty list of names")
     if len(set(names)) != len(names):
         raise DocumentError("'elements' must be distinct")
-    idx = {name: i for i, name in enumerate(names)}
     n = len(names)
+    # refuse before the n x n relation is allocated and closed
+    if n > explicit_cap():
+        raise CapacityError(f"{n} elements exceeds the explicit cap {explicit_cap()}")
+    idx = {name: i for i, name in enumerate(names)}
     rel = np.zeros((n, n), dtype=bool)
     edges = obj["leq"]
     if not isinstance(edges, list):

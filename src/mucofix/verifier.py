@@ -207,7 +207,7 @@ def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: Fini
         if is_continuous_pair(mp, mode):
             return mp
     raise GenerationExhausted(
-        f"no continuous pair found on {lat_o.size}x{lat_p.size} under {mode.label}")
+        f"no continuous pair found on {lat_o.size}x{lat_p.size} under {mode.kind}")
 
 
 def _arbitrary_pair(spec: InstanceGenSpec, lat_o: FiniteLattice,
@@ -449,7 +449,7 @@ def check_lemma(lemma_id: str, spec: InstanceGenSpec,
     if lemma_id not in LEMMAS:
         raise ValueError(f"unknown lemma {lemma_id!r}; choose from {', '.join(LEMMAS)}")
     title, premise, runner = LEMMAS[lemma_id]
-    report = LemmaReport(lemma_id, title, mode.label, spec.function_class)
+    report = LemmaReport(lemma_id, title, mode.kind, spec.function_class)
     for i in range(spec.count):
         child = split_seed(spec.seed, i)
         lat_o = gen_lattice(replace(spec, seed=split_seed(child, 1)))
@@ -576,7 +576,7 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
     def emit(mp, witness):
         serialized = textio.pair_to_json(mp)
         ok = _revalidate(question, serialized, witness, mode)
-        return FindingReport(question, mode.label, tried,
+        return FindingReport(question, mode.kind, tried,
                              max_size if exhaustive_complete else None,
                              randomized, Finding(serialized, witness), ok)
 
@@ -596,7 +596,7 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
                     mp = MutualPair(lat_o, lat_p, f, g)
                     if tried >= budget:
                         exhaustive_complete = False
-                        return FindingReport(question, mode.label, tried, None,
+                        return FindingReport(question, mode.kind, tried, None,
                                              randomized, None, None)
                     tried += 1
                     w = pred(mp, mode)
@@ -612,7 +612,7 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
         w = pred(mp, mode)
         if w is not None:
             return emit(mp, w)
-    return FindingReport(question, mode.label, tried,
+    return FindingReport(question, mode.kind, tried,
                          max_size if exhaustive_complete else None,
                          randomized, None, None)
 

@@ -1,11 +1,13 @@
 """The command line surface: output bytes, exit codes, error routing."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import mucofix.cli
 from mucofix.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
 
 DATA = Path(__file__).parent / "data"
@@ -230,8 +232,17 @@ def test_usage_errors_exit_two():
     assert main(["solve", K1, "--budget", "5"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [["check", K1], ["verify", "--count", "1"], ["mine", "Q1"]],
+                         ids=lambda a: a[0])
+def test_unknown_mode_exits_two(capsys, argv):
+    rc, out = run(capsys, *argv, "--mode", "capped:3")
+    assert (rc, out) == (EXIT_INPUT, "input error: unknown continuity mode 'capped:3'\n")
+
+
 def test_console_script_is_wired():
+    # the child finds the package where this process found it
+    env = dict(os.environ, PYTHONPATH=str(Path(mucofix.cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "mucofix.cli", "demo", "paulson"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "(1,1,0)\n"

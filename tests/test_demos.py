@@ -125,6 +125,19 @@ def test_build_universe_sizes():
         build_universe(ft["two"], -1)
 
 
+def test_universe_cap_holds_at_depth_zero():
+    # Object, Null and plain classes: no generic to nest, so depth 0 is
+    # the whole universe and the cap applies to it as it stands
+    def plain(n):
+        return table(OBJ, NUL, *(ClassDef(f"C{i}", superclass=OBJECT) for i in range(n - 2)))
+    types, intervals = build_universe(plain(40), 0)
+    assert len(types) == 40 and len(intervals) == 1600
+    # each type below itself, Null below the other 39, each C below Object
+    assert len(solve_subtyping(plain(40), 0).subtypes) == 40 + 39 + 38
+    with pytest.raises(CapacityError, match=r"^type universe grew to 41 > cap 40 at depth 0$"):
+        build_universe(plain(41), 0)
+
+
 def test_solve_two_classes():
     state = solve_subtyping(fixture_tables()["two"], k=0)
     n, o = GroundType(NULL), GroundType(OBJECT)

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from mucofix import (DocumentError, MutualPair, NotALatticeError, NotAPosetError,
+import mucofix.textio
+from mucofix import (CapacityError, DocumentError, NotALatticeError, NotAPosetError,
                      PairPoint, chain, diamond, emit_lattice_doc, emit_pair_doc,
                      gsfp_direct, gsfp_product, load_document, lsfp_direct,
                      lsfp_product, pair_from_json, pair_to_json,
@@ -53,6 +54,23 @@ def test_parse_lattice_structure_failures_are_not_document_errors():
         parse_lattice_doc(load_document(DATA / "cycle.json"))
     with pytest.raises(NotALatticeError):
         parse_lattice_doc(load_document(DATA / "antichain3.json"))
+
+
+def test_over_cap_document_is_refused_before_closure(monkeypatch):
+    names = [str(i) for i in range(7)]
+    chain_doc = {"elements": names, "leq": [[a, b] for a, b in zip(names, names[1:])]}
+    monkeypatch.setenv("MUCOFIX_CAP", "7")
+    assert parse_lattice_doc(chain_doc).size == 7
+
+    def no_closure(rel):
+        raise AssertionError("closure ran on an over-cap document")
+    monkeypatch.setattr(mucofix.textio, "closure", no_closure)
+    monkeypatch.setenv("MUCOFIX_CAP", "6")
+    with pytest.raises(CapacityError, match=r"^7 elements exceeds the explicit cap 6$"):
+        parse_lattice_doc(chain_doc)
+    # the cap is checked before the edges, so it wins over a bad edge
+    with pytest.raises(CapacityError):
+        parse_lattice_doc({"elements": names, "leq": [["0", "ghost"]]})
 
 
 def test_duplicate_edges_are_harmless():
