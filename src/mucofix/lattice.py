@@ -223,12 +223,81 @@ class FiniteLattice:
         return self.sublattice_violation(ids) is None
 
 
+# rows of pairs per bulk step; a step's temporaries are a few BLOCK_ROWS x n
+# arrays, a few MiB even at the explicit cap
+BLOCK_ROWS = 64
+
+
+def _hash_weights(n: int) -> np.ndarray:
+    """Two columns of pseudo-random integer weights in 1..2^24 // n, as
+    float32, so a weighted sum over at most n members stays within 2^24
+    and is exact. The weights are mixed with integer arithmetic
+    (splitmix64) rather than drawn from numpy.random, whose first import
+    costs several MiB of memory."""
+    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    limit = np.uint64((1 << 24) // n)
+    return (np.stack([x % limit, (x >> np.uint64(32)) % limit], axis=1) + 1).astype(np.float32)
+
+
+def _set_keys(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    'One int64 key from two exact weighted sums, each at most 2^24.'
+    return h1.astype(np.int64) << 25 | h2.astype(np.int64)
+
+
+def _bound_proposer(rows: np.ndarray, u: np.ndarray, w: np.ndarray):
+    """Bulk bound proposals for the pairs of one row block at a time.
+
+    rows is the boolean matrix whose row x is the set a bound of x must
+    match: up-sets for joins, down-sets (the transposed order) for meets;
+    u is the same matrix as float32. The bound of i and j is the element
+    whose own row equals rows[i] & rows[j]. propose(s, e) returns, for i
+    in s..e-1 and j in s..n-1, a candidate and whether it passed the
+    exact check: it lies in both rows, so by transitivity its own row is
+    inside the intersection, and it counts as many members, so the two
+    are equal. A hash collision or a missing bound fails the check.
+    """
+    n = len(u)
+    sizes = u.sum(axis=1)
+    own = u @ w
+    own = _set_keys(own[:, 0], own[:, 1])
+    order = np.argsort(own, kind="stable")
+    sorted_keys = own[order]
+
+    def propose(s: int, e: int):
+        blk = u[s:e]
+        b = e - s
+        # intersection counts and both intersection hashes, exact in float32
+        out = np.concatenate([blk, blk * w[:, 0], blk * w[:, 1]]) @ u[s:].T
+        pos = np.searchsorted(sorted_keys, _set_keys(out[b:2 * b], out[2 * b:]))
+        cand = order[np.minimum(pos, n - 1)]
+        ok = (sizes[cand] == out[:b]) & np.take_along_axis(rows[s:e], cand, axis=1)
+        ok &= rows[np.arange(s, n), cand]
+        return cand, ok
+
+    return propose
+
+
 def validate_lattice(p: FinitePoset) -> FiniteLattice:
     """Check the order axioms and fill the bound tables.
 
+    An element is recoverable from its up-set (or down-set) row, so the
+    least upper bound of i, j exists iff their up-set intersection is the
+    up-set of some element. The tables are proposed in bulk, a row block
+    at a time: float32 matmuls count and hash every intersection, and a
+    lookup among the elements' own hashed rows proposes a candidate. Each
+    candidate is then checked exactly, so the tables never depend on the
+    hash. A pair whose candidate fails the check is re-decided by a
+    dictionary lookup of its intersection, in scan order: row-major over
+    i <= j, lub before glb.
+
     Raises NotAPosetError or NotALatticeError carrying the first failing
-    witness in scan order, and CapacityError above the explicit cap. This
-    search accepts exactly the posets accepted by brute-force bound
+    witness in that scan order, and CapacityError above the explicit cap.
+    This search accepts exactly the posets accepted by brute-force bound
     existence, which the test suite checks against directly.
     """
     if p.size > explicit_cap():
@@ -238,24 +307,34 @@ def validate_lattice(p: FinitePoset) -> FiniteLattice:
         raise NotAPosetError(bad[0], bad[1], p.labels)
     n = p.size
     leq = p.leq
-    down = leq.T.copy()
-    # an element is recoverable from its up-set (or down-set) row, so the
-    # least upper bound of i,j exists iff their up-set intersection is
-    # itself the up-set of some element
-    up_key = {leq[i].tobytes(): i for i in range(n)}
-    down_key = {down[i].tobytes(): i for i in range(n)}
+    u = leq.astype(np.float32)
+    w = _hash_weights(n)
     meet = np.zeros((n, n), dtype=np.int32)
     join = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        for j in range(i, n):
-            above = up_key.get((leq[i] & leq[j]).tobytes())
-            if above is None:
-                raise NotALatticeError("lub", (i, j), p.labels)
-            join[i, j] = join[j, i] = above
-            below = down_key.get((down[i] & down[j]).tobytes())
-            if below is None:
-                raise NotALatticeError("glb", (i, j), p.labels)
-            meet[i, j] = meet[j, i] = below
+    # up-sets propose joins and down-sets meets; each pair's lub is decided first
+    sides = ((leq, join, "lub", _bound_proposer(leq, u, w)),
+             (leq.T, meet, "glb", _bound_proposer(leq.T, u.T, w)))
+    row_keys = None
+    for s in range(0, n, BLOCK_ROWS):
+        e = min(s + BLOCK_ROWS, n)
+        rejected = []
+        for _, table, _, propose in sides:
+            cand, ok = propose(s, e)
+            table[s:e, s:] = cand
+            table[s:, s:e] = cand.T
+            rejected.append(np.triu(~ok))
+        # flat index order over (i, j, side) is the scan order
+        for flat in np.flatnonzero(np.stack(rejected, axis=-1)):
+            rest, side = divmod(int(flat), 2)
+            b, c = divmod(rest, n - s)
+            i, j = s + b, s + c
+            rows, table, kind, _ = sides[side]
+            if row_keys is None:
+                row_keys = [{r[x].tobytes(): x for x in range(n)} for r, *_ in sides]
+            found = row_keys[side].get((rows[i] & rows[j]).tobytes())
+            if found is None:
+                raise NotALatticeError(kind, (i, j), p.labels)
+            table[i, j] = table[j, i] = found
     bottom = 0
     top = 0
     for x in range(1, n):

@@ -20,7 +20,7 @@ from .genfun import (BINARY, ContinuityMode, LatticeFn, MutualPair, compose_fg,
                      join_continuity_witness, meet_continuity_witness,
                      monotone_witness)
 from .lattice import (CapacityError, FiniteLattice, FinitePoset, compose, powerset_lattice,
-                      product, validate_lattice)
+                      product)
 from .simpoints import component_sets, is_sim_fixed, point_masks
 from .solvers import (gsfp_direct, gsfp_product, gsfp_tarski_oracle, lsfp_direct,
                       lsfp_product, lsfp_tarski_oracle)
@@ -86,9 +86,15 @@ def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
         if lo <= len(closed) <= hi:
             masks = sorted(closed, key=lambda m: (bin(m).count("1"), m))
             labels = tuple("m" + format(m, "04b") for m in masks)
+            # the family is closed under & and |, so the bound tables are
+            # those of the powerset, renumbered; the fewest bits come first
+            # and the most last, which makes 0 the bottom and len-1 the top
             arr = np.array(masks)
+            pos = np.zeros(16, dtype=np.int32)
+            pos[arr] = np.arange(len(arr))
             leq = (arr[:, None] & ~arr[None, :]) == 0
-            return validate_lattice(FinitePoset(labels, leq))
+            return FiniteLattice(FinitePoset(labels, leq), pos[arr[:, None] & arr[None, :]],
+                                 pos[arr[:, None] | arr[None, :]], 0, len(arr) - 1)
     return chain(rng.randint(lo, hi))
 
 

@@ -61,6 +61,19 @@ def is_lattice_oracle(leq):
     return True
 
 
+def first_missing_bound_oracle(leq):
+    """First pair of a poset lacking a bound, as (kind, (i, j)), or None:
+    pairs row-major over i <= j, and for each pair the lub before the glb."""
+    n = len(leq)
+    for i in range(n):
+        for j in range(i, n):
+            if lub_scan(leq, [i, j]) is None:
+                return ("lub", (i, j))
+            if glb_scan(leq, [i, j]) is None:
+                return ("glb", (i, j))
+    return None
+
+
 def preserves_meets_oracle(table, dom_leq, cod_leq, subsets):
     'f(glb S) == glb f[S] for every listed subset, all bounds by scan.'
     for s in subsets:

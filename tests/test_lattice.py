@@ -1,22 +1,31 @@
 """Order structure: posets, bound tables, subsets, products, duals.
 
 The bound tables are cross-checked against plain candidate scans over
-the order matrix, so the dict-based search in validate_lattice never
-gets to grade its own work.
+the order matrix, so the bulk propose-and-check kernel in
+validate_lattice never gets to grade its own work. Its rarely taken
+per-pair path is forced by making every hash collide.
 """
+import os
+import random
+import subprocess
+import sys
+from itertools import product as iproduct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucofix import (CapacityError, FinitePoset, NotALatticeError, NotAPosetError,
-                     chain, corpus, corpus_lattice, cover_edges, diamond, dual,
-                     hasse_text, m3, n5, powerset_lattice, product,
+import mucofix
+from mucofix import (CapacityError, FiniteLattice, FinitePoset, NotALatticeError,
+                     NotAPosetError, chain, corpus, corpus_lattice, cover_edges,
+                     diamond, dual, hasse_text, m3, n5, powerset_lattice, product,
                      validate_lattice)
-from mucofix.lattice import poset_violation
+from mucofix.lattice import closure, poset_violation
 
-from oracles import (glb_scan, is_lattice_oracle, is_poset_oracle,
-                     longest_chain_edges, lub_scan, nonempty_subsets)
+from oracles import (first_missing_bound_oracle, glb_scan, is_lattice_oracle,
+                     is_poset_oracle, longest_chain_edges, lub_scan, nonempty_subsets)
 
 
 def test_poset_rejects_bad_construction():
@@ -59,25 +68,134 @@ def test_validate_rejects_antichain():
         validate_lattice(FinitePoset(("p", "q"), leq))
 
 
+def every_reflexive_relation(n):
+    'All 2^(n(n-1)) reflexive relations on n elements, posets or not.'
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in iproduct((False, True), repeat=len(off)):
+        leq = np.eye(n, dtype=bool)
+        for (i, j), bit in zip(off, bits):
+            leq[i, j] = bit
+        yield leq
+
+
+def random_dag_closures(seed, count, max_n=12):
+    """Transitive closures of random DAGs under a random relabelling; half
+    get a least and a greatest element added first, so lattices are common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.random() * 0.5
+        leq = np.eye(n, dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                leq[i, j] = rng.random() < p
+        if n > 2 and rng.random() < 0.5:
+            leq[0, :] = leq[:, n - 1] = True
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield closure(leq)[np.ix_(perm, perm)]
+
+
+def oracle_inputs():
+    return [*every_reflexive_relation(4), *random_dag_closures(8, 300)]
+
+
+def lattice_verdict(leq):
+    """validate_lattice on leq: the tables and bounds, or the kind and pair
+    of its NotALattice witness, or None for a NotAPoset failure."""
+    try:
+        lat = validate_lattice(FinitePoset(tuple(str(i) for i in range(len(leq))), leq))
+    except NotAPosetError:
+        return None
+    except NotALatticeError as err:
+        return (err.kind, err.pair)
+    return lat.meet.tolist(), lat.join.tolist(), lat.bottom, lat.top
+
+
 def test_validate_agrees_with_bound_existence_oracle():
-    # the dict-intersection search accepts exactly the orders where every
-    # pair has both bounds; try all orders on a fixed 3-element shape pool
-    shapes = [
-        np.eye(3, dtype=bool),
-        np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool),
-        np.array([[1, 1, 1], [0, 1, 0], [0, 0, 1]], dtype=bool),
-        np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1]], dtype=bool),
-        np.array([[1, 0, 0], [0, 1, 0], [1, 1, 1]], dtype=bool),
-    ]
-    for leq in shapes:
-        p = FinitePoset(("a", "b", "c"), leq)
-        want = is_lattice_oracle(leq.tolist())
-        try:
-            validate_lattice(p)
-            got = True
-        except (NotAPosetError, NotALatticeError):
-            got = False
-        assert got == want
+    # the kernel accepts exactly the orders where every pair has both
+    # bounds, fills the tables the candidate scans give, and names the
+    # first missing bound in scan order
+    lattices = misses = 0
+    for leq in oracle_inputs():
+        rel = leq.tolist()
+        verdict = lattice_verdict(leq)
+        accepted = verdict is not None and isinstance(verdict[0], list)
+        assert accepted == is_lattice_oracle(rel)
+        if verdict is None:
+            assert not is_poset_oracle(rel)
+        elif not accepted:
+            misses += 1
+            assert verdict == first_missing_bound_oracle(rel)
+        else:
+            lattices += 1
+            n = len(rel)
+            assert verdict[0] == [[glb_scan(rel, [i, j]) for j in range(n)] for i in range(n)]
+            assert verdict[1] == [[lub_scan(rel, [i, j]) for j in range(n)] for i in range(n)]
+            assert verdict[2:] == (glb_scan(rel, range(n)), lub_scan(rel, range(n)))
+    assert lattices > 100 and misses > 100
+
+
+def grid_lattice(a, b):
+    'The a x b grid from the min/max-outer tables, no order search.'
+    k = np.arange(a * b)
+    row, col = k // b, k % b
+    leq = (row[:, None] <= row[None, :]) & (col[:, None] <= col[None, :])
+    meet = np.minimum.outer(row, row) * b + np.minimum.outer(col, col)
+    join = np.maximum.outer(row, row) * b + np.maximum.outer(col, col)
+    return FiniteLattice(FinitePoset(tuple(str(i) for i in k), leq), meet, join, 0, a * b - 1)
+
+
+def same_tables(a, b):
+    return ((a.meet == b.meet).all() and (a.join == b.join).all()
+            and (a.bottom, a.top) == (b.bottom, b.top))
+
+
+@pytest.mark.parametrize("weight", [0, 1])
+def test_colliding_hashes_leave_tables_and_witnesses_unchanged(monkeypatch, weight):
+    # zero weights hash every set to one key, so nearly every proposal
+    # fails its exact check and goes to the per-pair lookup; unit weights
+    # hash a set to its size, so the membership checks must refuse a
+    # candidate of the right size outside the intersection
+    inputs = oracle_inputs()
+    want = [lattice_verdict(leq) for leq in inputs]
+    monkeypatch.setattr(mucofix.lattice, "_hash_weights",
+                        lambda n: np.full((n, 2), weight, dtype=np.float32))
+    for ref in [lat for _, lat in corpus()] + [chain(257), grid_lattice(16, 16)]:
+        assert same_tables(validate_lattice(ref.poset), ref)
+    assert [lattice_verdict(leq) for leq in inputs] == want
+
+
+@pytest.mark.parametrize("dims", [(257,), (1025,), (32, 32)])
+def test_large_tables_are_exact(dims):
+    # past 256 and 1024 elements the float32 counts and hashes need more
+    # than 8 and 10 bits; the tables must still equal the direct ones
+    ref = chain(*dims) if len(dims) == 1 else grid_lattice(*dims)
+    assert same_tables(validate_lattice(ref.poset), ref)
+
+
+@pytest.mark.parametrize("split, want", [("top", ("lub", (255, 256))),
+                                         ("bottom", ("glb", (0, 1)))])
+def test_witness_of_a_long_chain_split_at_one_end(split, want):
+    # a 255-chain with two incomparable elements added above (or below)
+    # lacks exactly one bound; above, the pair sits in the fourth row block
+    leq = np.triu(np.ones((257, 257), dtype=bool))
+    leq[255, 256] = False
+    if split == "bottom":
+        leq = leq[::-1, ::-1].T
+    assert lattice_verdict(leq) == want
+
+
+def test_validation_leaves_numpy_random_unloaded():
+    # numpy.random costs several MiB on first import, so bound tables
+    # must be built without it
+    env = dict(os.environ, PYTHONPATH=str(Path(mucofix.__file__).resolve().parents[1]))
+    code = ("import sys, mucofix\n"
+            "mucofix.validate_lattice(mucofix.chain(64).poset)\n"
+            "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("name", [n for n, _ in corpus()])

@@ -11,12 +11,12 @@ from mucofix import (BINARY, WITH_EMPTY, CapacityError, InstanceGenSpec, MutualP
                      NotMonotoneError, SolveResult, chain, check_lemma, corpus, diamond,
                      gen_continuous_pair, gen_lattice, gen_monotone_pair,
                      is_continuous_pair, is_monotone, m3, mine_counterexample,
-                     pair_from_json, product, split_seed)
+                     pair_from_json, product, split_seed, validate_lattice)
 import mucofix.verifier as verifier
 from mucofix.verifier import (GenerationExhausted, LEMMAS, _check_l1, _check_l5,
                               render_finding_report, render_lemma_report)
 
-from oracles import closed_subsets_oracle, is_lattice_oracle
+from oracles import closed_subsets_oracle, glb_scan, is_lattice_oracle, lub_scan
 
 
 def spec(seed=0, **kw):
@@ -66,6 +66,21 @@ def test_gen_lattice_is_deterministic():
         b = gen_lattice(spec(7, family=family))
         assert a.labels == b.labels
         assert (a.poset.leq == b.poset.leq).all()
+
+
+def test_random_closed_tables_match_validation_and_scans():
+    # random-closed lattices get their tables straight from the masks;
+    # the order search and the candidate scans must agree with them
+    for seed in range(40):
+        lat = gen_lattice(spec(seed, family="random-closed", size_lo=2, size_hi=8))
+        ref = validate_lattice(lat.poset)
+        assert (lat.meet == ref.meet).all() and (lat.join == ref.join).all()
+        assert (lat.bottom, lat.top) == (ref.bottom, ref.top)
+        leq = lat.poset.leq.tolist()
+        for i in range(lat.size):
+            for j in range(lat.size):
+                assert lat.meet[i, j] == glb_scan(leq, [i, j])
+                assert lat.join[i, j] == lub_scan(leq, [i, j])
 
 
 def test_gen_lattice_range_fallbacks():
