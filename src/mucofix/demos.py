@@ -23,6 +23,8 @@ from .solvers import ImplicitMutualPair, kleene_implicit
 
 OBJECT = "Object"
 NULL = "Null"
+# most ground types in a universe at any depth; containment is n^2 x n^2
+UNIVERSE_CAP = 40
 
 
 class StepBudgetExceeded(Exception):
@@ -127,11 +129,11 @@ class GroundType:
         return f"{self.class_name}<{self.arg}>"
 
 
-def build_universe(ct: ClassTable, k: int,
-                   cap: int = 40) -> tuple[tuple[GroundType, ...], tuple[IntervalType, ...]]:
+def build_universe(ct: ClassTable,
+                   k: int) -> tuple[tuple[GroundType, ...], tuple[IntervalType, ...]]:
     """Close the type universe to generic-nesting depth k: round j builds
     intervals over the depth-j types, then applies every generic class to
-    them. Deterministic order, capacity-guarded."""
+    them. Deterministic order; refused above UNIVERSE_CAP types."""
     if k < 0:
         raise ValueError("depth must be nonnegative")
     base = tuple(GroundType(c.name) for c in ct.classes if not c.is_generic)
@@ -141,9 +143,9 @@ def build_universe(ct: ClassTable, k: int,
         if depth:
             intervals = tuple(IntervalType(lo, up) for lo in types for up in types)
             types = base + tuple(GroundType(g, iv) for g in generics for iv in intervals)
-        if len(types) > cap:
+        if len(types) > UNIVERSE_CAP:
             hint = "; lower the depth" if depth else " at depth 0"
-            raise CapacityError(f"type universe grew to {len(types)} > cap {cap}{hint}")
+            raise CapacityError(f"type universe grew to {len(types)} > cap {UNIVERSE_CAP}{hint}")
     intervals = tuple(IntervalType(lo, up) for lo in types for up in types)
     return types, intervals
 
@@ -231,13 +233,13 @@ def _pairs(m: np.ndarray, members) -> frozenset:
 
 
 def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least",
-                    budget: int = 10_000, cap: int = 40) -> RelationPairState:
+                    budget: int = 10_000) -> RelationPairState:
     """Solve both relations at once by iterating the paired step from the
     empty pair upward or the full pair downward. Either answer is checked
     to be a preorder in both components before it is returned."""
     if direction not in ("least", "greatest"):
         raise ValueError('direction must be "least" or "greatest"')
-    types, intervals = build_universe(ct, k, cap)
+    types, intervals = build_universe(ct, k)
     imp = subtype_generators(ct, types, intervals)
     fill = np.zeros if direction == "least" else np.ones
     start = (fill((len(types),) * 2, dtype=bool), fill((len(intervals),) * 2, dtype=bool))

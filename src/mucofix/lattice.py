@@ -9,13 +9,12 @@ and safe to share between threads.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+# the one element cap for explicit lattices; read at each call, not at import
 DEFAULT_CAP = 4096
-CAP_ENV = "MUCOFIX_CAP"
 
 
 class LatticeError(Exception):
@@ -40,12 +39,6 @@ class NotALatticeError(LatticeError):
 
 class CapacityError(LatticeError):
     """A size cap was exceeded; raise rather than grind on huge tables."""
-
-
-def explicit_cap() -> int:
-    'Size cap for explicit lattices; the MUCOFIX_CAP env var overrides.'
-    raw = os.environ.get(CAP_ENV)
-    return DEFAULT_CAP if raw is None else int(raw)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -296,12 +289,13 @@ def validate_lattice(p: FinitePoset) -> FiniteLattice:
     i <= j, lub before glb.
 
     Raises NotAPosetError or NotALatticeError carrying the first failing
-    witness in that scan order, and CapacityError above the explicit cap.
+    witness in that scan order, and CapacityError above DEFAULT_CAP
+    elements, before any order check.
     This search accepts exactly the posets accepted by brute-force bound
     existence, which the test suite checks against directly.
     """
-    if p.size > explicit_cap():
-        raise CapacityError(f"{p.size} elements exceeds the explicit cap {explicit_cap()}")
+    if p.size > DEFAULT_CAP:
+        raise CapacityError(f"{p.size} elements exceeds the explicit cap {DEFAULT_CAP}")
     bad = poset_violation(p)
     if bad is not None:
         raise NotAPosetError(bad[0], bad[1], p.labels)
@@ -346,8 +340,8 @@ def validate_lattice(p: FinitePoset) -> FiniteLattice:
 def product(lat_a: FiniteLattice, lat_b: FiniteLattice) -> FiniteLattice:
     'Component-wise product lattice; pair (i, j) gets id i*|B| + j.'
     n = lat_a.size * lat_b.size
-    if n > explicit_cap():
-        raise CapacityError(f"product size {n} exceeds the explicit cap {explicit_cap()}")
+    if n > DEFAULT_CAP:
+        raise CapacityError(f"product size {n} exceeds the explicit cap {DEFAULT_CAP}")
     labels = tuple(f"({x},{y})" for x in lat_a.labels for y in lat_b.labels)
     leq = np.kron(lat_a.poset.leq.astype(np.uint8), lat_b.poset.leq.astype(np.uint8)).astype(bool)
     return validate_lattice(FinitePoset(labels, leq))

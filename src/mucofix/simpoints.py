@@ -3,9 +3,11 @@ generator pair, their fibers, and the four component projections.
 
 point_masks classifies every pair of the product carrier in one pass of
 array operations; fibers are rows or columns of its masks and component
-sets are their row and column projections. Nothing is cached. The
-solvers' Tarski folds and the plain-loop oracles in the test suite
-classify pairs independently of this kernel, so they check it.
+sets are their row and column projections. Nothing is cached, and no
+pair count is capped: the element cap on each carrier bounds the masks
+at two 16 MiB boolean arrays. The solvers' Tarski folds and the
+plain-loop oracles in the test suite classify pairs independently of
+this kernel, so they check it.
 """
 from __future__ import annotations
 
@@ -14,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genfun import MutualPair
-from .lattice import CapacityError
-
-PAIR_SCAN_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,22 +77,14 @@ def _check_side(side: str):
         raise ValueError(f"side must be 'O' or 'P', got {side!r}")
 
 
-def _scan_guard(mp: MutualPair):
-    if mp.dom_o.size * mp.dom_p.size > PAIR_SCAN_CAP:
-        raise CapacityError(
-            f"{mp.dom_o.size}x{mp.dom_p.size} pairs exceeds the scan cap {PAIR_SCAN_CAP}")
-
-
 def point_masks(mp: MutualPair) -> tuple[np.ndarray, np.ndarray]:
     """Classify every pair of the product carrier at once.
 
     Returns two boolean |O| x |P| arrays: pre[o, p] holds when F(o) is
     below p and G(p) below o, post[o, p] when p is below F(o) and o below
-    G(p). A pair is simultaneously fixed exactly where both hold. Raises
-    CapacityError above PAIR_SCAN_CAP pairs, and so do the fibers and
-    component sets, which are read off these masks.
+    G(p). A pair is simultaneously fixed exactly where both hold. The
+    fibers and component sets are read off these masks.
     """
-    _scan_guard(mp)
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
     f, g = np.asarray(mp.f), np.asarray(mp.g)
     pre = leq_p[f, :] & leq_o[g, :].T
@@ -133,7 +124,6 @@ def component_sets(mp: MutualPair) -> ComponentSets:
 
 def enumerate_sim_fixed(mp: MutualPair) -> list[PairPoint]:
     'All simultaneous fixed pairs in lexicographic order; the pairing is one-to-one.'
-    _scan_guard(mp)
     out = [PairPoint(o, mp.f[o]) for o in range(mp.dom_o.size) if mp.g[mp.f[o]] == o]
     # each o pairs only with f[o], and g maps each p back to one o, so
     # components can never repeat across the list

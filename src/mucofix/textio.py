@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import lattice
 from .genfun import MutualPair
 from .lattice import (CapacityError, FiniteLattice, FinitePoset, closure, cover_edges,
-                      explicit_cap, validate_lattice)
+                      validate_lattice)
 
 
 class DocumentError(Exception):
@@ -61,8 +62,8 @@ def parse_lattice_doc(obj) -> FiniteLattice:
         raise DocumentError("'elements' must be distinct")
     n = len(names)
     # refuse before the n x n relation is allocated and closed
-    if n > explicit_cap():
-        raise CapacityError(f"{n} elements exceeds the explicit cap {explicit_cap()}")
+    if n > lattice.DEFAULT_CAP:
+        raise CapacityError(f"{n} elements exceeds the explicit cap {lattice.DEFAULT_CAP}")
     idx = {name: i for i, name in enumerate(names)}
     rel = np.zeros((n, n), dtype=bool)
     edges = obj["leq"]

@@ -31,6 +31,10 @@ MASK64 = (1 << 64) - 1
 FAMILIES = ("chains", "powersets", "products", "random-closed", "corpus", "mixed")
 FUNCTION_CLASSES = ("monotone", "continuous", "arbitrary")
 EXHAUST_COMBO_CAP = 200_000
+# the lemma scans grow faster than |O| x |P| (L7 meets every pre-fixed
+# pair with every other), so generated carriers stay small: an L7
+# instance on two chains takes about 0.3 s at 64 elements, 68 s at 256
+INSTANCE_SIZE_CAP = 64
 
 
 class GenerationExhausted(Exception):
@@ -59,6 +63,8 @@ class InstanceGenSpec:
     def __post_init__(self):
         if not 1 <= self.size_lo <= self.size_hi:
             raise ValueError("need 1 <= size_lo <= size_hi")
+        if self.size_hi > INSTANCE_SIZE_CAP:
+            raise ValueError(f"size_hi {self.size_hi} exceeds the cap {INSTANCE_SIZE_CAP}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.function_class not in FUNCTION_CLASSES:
@@ -102,9 +108,6 @@ def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
 # built once. Lattices are immutable, which makes sharing them safe. The
 # public constructors stay uncached, and so does _random_closed, whose
 # family is too varied to pay for the memory it would hold.
-MEMO_CHAIN_MAX = 64
-
-
 @lru_cache(maxsize=16)
 def _memo_chain(n: int) -> FiniteLattice:
     return chain(n)
@@ -130,9 +133,7 @@ def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
         fam = rng.choice(("chains", "powersets", "products", "random-closed", "corpus"))
     lo, hi = spec.size_lo, spec.size_hi
     if fam == "chains":
-        n = rng.randint(lo, hi)
-        # a large chain is rarely drawn twice, and 16 of them would hold a lot
-        return _memo_chain(n) if n <= MEMO_CHAIN_MAX else chain(n)
+        return _memo_chain(rng.randint(lo, hi))
     if fam == "powersets":
         feasible = [g for g in range(5) if lo <= 1 << g <= hi]
         if not feasible:
@@ -567,6 +568,12 @@ def _dedup_shapes(max_size: int):
     return shapes
 
 
+def _monotone_tables(dom: FiniteLattice, cod: FiniteLattice) -> list[tuple[int, ...]]:
+    'Every monotone table from dom to cod, in lexicographic table order.'
+    return [t for t in iproduct(range(cod.size), repeat=dom.size)
+            if monotone_witness(LatticeFn(dom, cod, t)) is None]
+
+
 def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
                         max_size: int = 3, mode: ContinuityMode = BINARY) -> FindingReport:
     """Search for a counterexample: exhaustively over every monotone pair
@@ -593,12 +600,9 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
             if combos > EXHAUST_COMBO_CAP:
                 exhaustive_complete = False
                 continue
-            for f in iproduct(range(lat_p.size), repeat=lat_o.size):
-                if monotone_witness(LatticeFn(lat_o, lat_p, f)) is not None:
-                    continue
-                for g in iproduct(range(lat_o.size), repeat=lat_p.size):
-                    if monotone_witness(LatticeFn(lat_p, lat_o, g)) is not None:
-                        continue
+            gs = _monotone_tables(lat_p, lat_o)
+            for f in _monotone_tables(lat_o, lat_p):
+                for g in gs:
                     mp = MutualPair(lat_o, lat_p, f, g)
                     if tried >= budget:
                         exhaustive_complete = False

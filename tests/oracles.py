@@ -123,6 +123,16 @@ def gfp_scan(table, leq):
     return None
 
 
+def sim_kleene_oracle(f, g, start):
+    """Iterate (o, p) -> (g[p], f[o]) from start until it repeats. From
+    the bottom pair of a monotone pair this is the least simultaneous
+    fixed point, from the top pair the greatest."""
+    o, p = start
+    while (g[p], f[o]) != (o, p):
+        o, p = g[p], f[o]
+    return o, p
+
+
 def longest_chain_edges(leq):
     'Length in edges of the longest strictly ascending chain.'
     n = len(leq)

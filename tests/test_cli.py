@@ -1,6 +1,7 @@
 """The command line surface: output bytes, exit codes, error routing."""
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 import mucofix.cli
 from mucofix.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
+
+from oracles import sim_kleene_oracle
 
 DATA = Path(__file__).parent / "data"
 K1 = str(DATA / "k1.json")
@@ -149,6 +152,32 @@ def test_solve_greatest_direct(capsys):
     assert "nuF: 1" in out and "nuG: 1" in out and "muF" not in out
 
 
+@pytest.mark.parametrize("direction", ["least", "greatest"])
+def test_solve_1025_chain_pair_matches_kleene(tmp_path, capsys, direction):
+    # 1025 x 1025 is the first square chain pair past 2^20 pairs, where a
+    # pair-count cap once refused; every strategy must run to the answer
+    n = 1025
+    rng = random.Random(n)
+    # sorted draws from the middle half: monotone, and both fixed points
+    # lie inside the chains, a few Kleene steps from either end
+    f = sorted(rng.randrange(n // 4, 3 * n // 4) for _ in range(n))
+    g = sorted(rng.randrange(n // 4, 3 * n // 4) for _ in range(n))
+    names = [f"c{i}" for i in range(n)]
+    chain_doc = {"elements": names, "leq": [[a, b] for a, b in zip(names, names[1:])]}
+    doc = tmp_path / "chains.json"
+    doc.write_text(json.dumps({"O": chain_doc, "P": chain_doc,
+                               "F": {a: names[f[i]] for i, a in enumerate(names)},
+                               "G": {a: names[g[i]] for i, a in enumerate(names)}}))
+    least = direction == "least"
+    o, p = sim_kleene_oracle(f, g, (0, 0) if least else (n - 1, n - 1))
+    rc, out = run(capsys, "solve", str(doc), "--direction", direction)
+    assert rc == EXIT_OK
+    lines = out.splitlines()
+    lf, lg = ("muF", "muG") if least else ("nuF", "nuG")
+    assert lines.count(f"{lf}: c{o}") == 3 and lines.count(f"{lg}: c{p}") == 3
+    assert lines[-1] == "agreement: AGREE"
+
+
 def test_solve_rejects_non_monotone(capsys):
     rc, out = run(capsys, "solve", str(DATA / "notmono.json"))
     assert rc == EXIT_CHECK
@@ -162,6 +191,16 @@ def test_verify_single_lemma_deterministic(capsys):
     assert out.splitlines()[-1] == "verify: PASS"
     rc2, out2 = run(capsys, "verify", "--lemma", "L1", "--count", "5", "--size-hi", "5")
     assert (rc2, out2) == (rc, out)
+
+
+def test_verify_size_bound(capsys):
+    rc, out = run(capsys, "verify", "--size-hi", "65")
+    assert (rc, out) == (EXIT_INPUT, "input error: size_hi 65 exceeds the cap 64\n")
+    # the largest admitted instance runs the heaviest lemma scan
+    rc, out = run(capsys, "verify", "--lemma", "L7", "--family", "chains",
+                  "--size-lo", "64", "--size-hi", "64", "--count", "1")
+    assert rc == EXIT_OK
+    assert "instances: 1" in out and out.endswith("verify: PASS\n")
 
 
 def test_verify_rejects_unknown_lemma(capsys):
@@ -217,8 +256,8 @@ def test_demo_subtype_from_document(capsys):
     assert "types: 4" in out and "subtypes: 10" in out
 
 
-def test_cap_env_flows_through(capsys, monkeypatch):
-    monkeypatch.setenv("MUCOFIX_CAP", "2")
+def test_cap_refusal_flows_through(capsys, monkeypatch):
+    monkeypatch.setattr(mucofix.lattice, "DEFAULT_CAP", 2)
     rc, out = run(capsys, "check", str(DATA / "diamond.json"))
     assert rc == EXIT_CHECK
     assert "exceeds the explicit cap 2" in out

@@ -119,8 +119,11 @@ def test_build_universe_sizes():
     types, intervals = build_universe(ft["generic"], 1)
     assert len(types) == 6 and len(intervals) == 36
     assert sum(t.class_name == "List" for t in types) == 4
-    with pytest.raises(CapacityError):
-        build_universe(ft["generic"], 1, cap=5)
+    # depth 2 holds 38 types; depth 3 would apply List to 38^2 intervals
+    assert len(build_universe(ft["generic"], 2)[0]) == 38
+    with pytest.raises(CapacityError,
+                       match=r"^type universe grew to 1446 > cap 40; lower the depth$"):
+        build_universe(ft["generic"], 3)
     with pytest.raises(ValueError):
         build_universe(ft["two"], -1)
 

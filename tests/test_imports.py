@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a module imports is used in that module, every
+module-level private name is used somewhere in the package, and no
+module reads the process environment.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
 `__init__.py` is skipped for imports: they are the package's public
@@ -84,3 +85,33 @@ def test_the_check_sees_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Every read of the process environment: an attribute such as
+    os.environ or os.getenv, under any alias of os, or one of those names
+    imported from os. Settings come in through arguments, so a size cap
+    or a mode cannot change behind a caller's back."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name in ENVIRONMENT_NAMES)
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_check_sees_an_environment_read():
+    source = ("import os\nimport os as o\nfrom os import getenv, path\n"
+              "a = os.environ.get('X')\nb = o.getenv('Y')\nc = os.path.join('p')\n")
+    assert environment_reads(source) == ["getenv (line 3)", "environ (line 4)",
+                                         "getenv (line 5)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text()) == []

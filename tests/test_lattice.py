@@ -337,13 +337,13 @@ def test_chain_height_matches_dp():
     assert longest_chain_edges(diamond().poset.leq.tolist()) == 2
 
 
-def test_capacity_env_override(monkeypatch):
+def test_capacity_cap_is_read_per_call(monkeypatch):
     leq = np.triu(np.ones((7, 7), dtype=bool))
     p = FinitePoset(tuple("abcdefg"), leq)
-    monkeypatch.setenv("MUCOFIX_CAP", "6")
+    monkeypatch.setattr(mucofix.lattice, "DEFAULT_CAP", 6)
     with pytest.raises(CapacityError):
         validate_lattice(p)
-    monkeypatch.setenv("MUCOFIX_CAP", "7")
+    monkeypatch.setattr(mucofix.lattice, "DEFAULT_CAP", 7)
     assert validate_lattice(p).size == 7
 
 

@@ -8,8 +8,6 @@ from mucofix import (InstanceGenSpec, MutualPair, PairPoint, chain, component_se
                      diamond, enumerate_sim_fixed, gen_monotone_pair,
                      is_sim_fixed, is_sim_postfixed, is_sim_prefixed, m3, n5,
                      point_masks, postfp_fiber, prefp_fiber, product)
-from mucofix.lattice import CapacityError
-import mucofix.simpoints as simpoints
 
 from oracles import point_classes_oracle
 
@@ -101,18 +99,6 @@ def test_enumerate_sim_fixed(id2, swap, k1):
 
 def test_not_postfixed_case(id2):
     assert not is_sim_postfixed(id2, PairPoint(1, 0))
-
-
-def test_scan_cap_guard(k1, monkeypatch):
-    monkeypatch.setattr(simpoints, "PAIR_SCAN_CAP", 3)
-    with pytest.raises(CapacityError):
-        component_sets(k1)
-    with pytest.raises(CapacityError):
-        enumerate_sim_fixed(k1)
-    with pytest.raises(CapacityError):
-        point_masks(k1)
-    with pytest.raises(CapacityError):
-        postfp_fiber(k1, 0, "P")
 
 
 @pytest.fixture(scope="module")

@@ -59,13 +59,13 @@ def test_parse_lattice_structure_failures_are_not_document_errors():
 def test_over_cap_document_is_refused_before_closure(monkeypatch):
     names = [str(i) for i in range(7)]
     chain_doc = {"elements": names, "leq": [[a, b] for a, b in zip(names, names[1:])]}
-    monkeypatch.setenv("MUCOFIX_CAP", "7")
+    monkeypatch.setattr(mucofix.lattice, "DEFAULT_CAP", 7)
     assert parse_lattice_doc(chain_doc).size == 7
 
     def no_closure(rel):
         raise AssertionError("closure ran on an over-cap document")
     monkeypatch.setattr(mucofix.textio, "closure", no_closure)
-    monkeypatch.setenv("MUCOFIX_CAP", "6")
+    monkeypatch.setattr(mucofix.lattice, "DEFAULT_CAP", 6)
     with pytest.raises(CapacityError, match=r"^7 elements exceeds the explicit cap 6$"):
         parse_lattice_doc(chain_doc)
     # the cap is checked before the edges, so it wins over a bad edge

@@ -44,6 +44,9 @@ def test_spec_validation():
         InstanceGenSpec(seed=0, function_class="wild")
     with pytest.raises(ValueError):
         InstanceGenSpec(seed=0, count=-1)
+    assert InstanceGenSpec(seed=0, size_hi=64).size_hi == 64
+    with pytest.raises(ValueError, match=r"^size_hi 65 exceeds the cap 64$"):
+        InstanceGenSpec(seed=0, size_hi=65)
 
 
 @pytest.mark.parametrize("family", ["chains", "powersets", "products",
@@ -85,8 +88,10 @@ def test_random_closed_tables_match_validation_and_scans():
 
 def test_gen_lattice_range_fallbacks():
     assert gen_lattice(spec(0, family="powersets", size_lo=6, size_hi=6)).size == 4
-    # chains above the memoized sizes are built afresh
-    assert gen_lattice(spec(0, family="chains", size_lo=70, size_hi=70)).size == 70
+    assert gen_lattice(spec(0, family="chains", size_lo=64, size_hi=64)).size == 64
+    # a chain past the instance cap is refused with its spec
+    with pytest.raises(ValueError, match=r"^size_hi 70 exceeds the cap 64$"):
+        spec(0, family="chains", size_lo=70, size_hi=70)
     with pytest.raises(ValueError, match="no corpus lattice"):
         gen_lattice(spec(0, family="corpus", size_lo=9, size_hi=9))
 
