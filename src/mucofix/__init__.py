@@ -12,15 +12,14 @@ from .lattice import (CapacityError, FiniteLattice, FinitePoset, LatticeError,
                       hasse_text, powerset_lattice, product, validate_lattice)
 from .fixtures import chain, corpus, corpus_lattice, diamond, m3, n5
 from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, LatticeFn, MutualPair,
-                     compose_fg, compose_gf, is_continuous_pair,
+                     compose_fg, compose_gf, dual_pair, is_continuous_pair,
                      is_join_continuous, is_meet_continuous, is_monotone,
                      join_continuity_witness, meet_continuity_witness,
                      monotone_witness, pair_continuity_witness, parse_mode)
 from .simpoints import (ComponentSets, FiberSet, PairPoint, component_sets,
                         enumerate_sim_fixed, is_sim_fixed, is_sim_postfixed,
                         is_sim_prefixed, point_masks, postfp_fiber, prefp_fiber)
-from .solvers import (ImplicitMutualPair, KleeneRun, NonTerminationError,
-                      NotMonotoneError, SolveResult, Verdict,
+from .solvers import (ImplicitMutualPair, KleeneRun, NotMonotoneError, SolveResult, Verdict,
                       check_mutual_coinduction, check_mutual_induction,
                       ensure_monotone, gsfp_direct, gsfp_product,
                       gsfp_tarski_oracle, kleene_implicit, lsfp_direct,

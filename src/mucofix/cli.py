@@ -13,12 +13,11 @@ from .demos import (StepBudgetExceeded, fixture_tables, parse_class_table_doc,
                     paulson_trio, solve_subtyping)
 from .genfun import monotone_witness, pair_continuity_witness, parse_mode
 from .lattice import CapacityError, NotALatticeError, NotAPosetError
-from .solvers import (DEFAULT_BUDGET, NonTerminationError, NotMonotoneError,
-                      gsfp_direct, gsfp_product, gsfp_tarski_oracle, lsfp_direct,
-                      lsfp_product, lsfp_tarski_oracle)
+from .solvers import (NotMonotoneError, gsfp_direct, gsfp_product, gsfp_tarski_oracle,
+                      lsfp_direct, lsfp_product, lsfp_tarski_oracle)
 from .textio import (DocumentError, load_document, pair_from_lattices, parse_lattice_doc,
                      parse_pair_doc)
-from .verifier import (InstanceGenSpec, LEMMA_IDS, QUESTIONS, check_lemma,
+from .verifier import (InstanceGenSpec, L4_SIZE_CAP, LEMMA_IDS, QUESTIONS, check_lemma,
                        mine_counterexample, render_finding_report,
                        render_lemma_report, split_seed)
 
@@ -153,14 +152,17 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     mode = parse_mode(args.mode)
+    # every row's input is checked before the first report is printed
+    rows = [(lemma_id, InstanceGenSpec(seed=split_seed(args.seed, row_index),
+                                       size_lo=args.size_lo, size_hi=args.size_hi,
+                                       family=args.family, function_class=function_class,
+                                       count=args.count))
+            for row_index, (lemma_id, function_class) in enumerate(VERIFY_PLAN)
+            if args.lemma in ("all", lemma_id)]
+    if args.size_hi > L4_SIZE_CAP and any(lemma_id == "L4" for lemma_id, _ in rows):
+        raise ValueError(f"L4 enumerates subsets, so --size-hi must be at most {L4_SIZE_CAP}")
     all_passed = True
-    for row_index, (lemma_id, function_class) in enumerate(VERIFY_PLAN):
-        if args.lemma != "all" and lemma_id != args.lemma:
-            continue
-        spec = InstanceGenSpec(seed=split_seed(args.seed, row_index),
-                               size_lo=args.size_lo, size_hi=args.size_hi,
-                               family=args.family, function_class=function_class,
-                               count=args.count)
+    for lemma_id, spec in rows:
         report = check_lemma(lemma_id, spec, mode)
         print(render_lemma_report(report))
         all_passed = all_passed and report.passed
@@ -190,7 +192,7 @@ def cmd_demo(args) -> int:
         table, source = fixture_tables()["basic"], "basic"
     else:
         table, source = parse_class_table_doc(load_document(args.classes)), args.classes
-    state = solve_subtyping(table, args.depth, args.direction, args.budget)
+    state = solve_subtyping(table, args.depth, args.direction)
     print(f"classes: {source}")
     print(f"depth: {args.depth}")
     print(f"direction: {args.direction}")
@@ -261,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="class table document (default: a small built-in table)")
     d.add_argument("--depth", type=int, default=1)
     d.add_argument("--direction", choices=("least", "greatest"), default="least")
-    d.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     d.set_defaults(func=cmd_demo)
     return parser
 
@@ -278,7 +279,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}")
         return EXIT_INPUT
     except (NotAPosetError, NotALatticeError, NotMonotoneError,
-            NonTerminationError, StepBudgetExceeded, CapacityError) as exc:
+            StepBudgetExceeded, CapacityError) as exc:
         print(str(exc))
         return EXIT_CHECK
     except ValueError as exc:

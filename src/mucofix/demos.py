@@ -232,11 +232,11 @@ def _pairs(m: np.ndarray, members) -> frozenset:
     return frozenset((members[i], members[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
 
-def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least",
-                    budget: int = 10_000) -> RelationPairState:
+def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least") -> RelationPairState:
     """Solve both relations at once by iterating the paired step from the
-    empty pair upward or the full pair downward. Either answer is checked
-    to be a preorder in both components before it is returned."""
+    empty pair upward or the full pair downward, at most one step per
+    matrix cell. Either answer is checked to be a preorder in both
+    components before it is returned."""
     if direction not in ("least", "greatest"):
         raise ValueError('direction must be "least" or "greatest"')
     types, intervals = build_universe(ct, k)
@@ -250,7 +250,8 @@ def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least",
     def eq(x, y):
         return np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
 
-    subtypes, containments = kleene_implicit(start, step, eq, budget).limit
+    height = len(types) ** 2 + len(intervals) ** 2
+    subtypes, containments = kleene_implicit(start, step, eq, height).limit
     _check_preorder("subtype", subtypes, types)
     _check_preorder("containment", containments, intervals)
     return RelationPairState(_pairs(subtypes, types), _pairs(containments, intervals),

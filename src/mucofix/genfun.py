@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, dual
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,11 @@ class MutualPair:
         object.__setattr__(self, "g_fn", LatticeFn(self.dom_p, self.dom_o, self.g))
         object.__setattr__(self, "f", self.f_fn.table)
         object.__setattr__(self, "g", self.g_fn.table)
+
+
+def dual_pair(mp: MutualPair) -> MutualPair:
+    'The same tables between both order-duals; its least pair is the greatest of mp.'
+    return MutualPair(dual(mp.dom_o), dual(mp.dom_p), mp.f, mp.g)
 
 
 def compose_gf(mp: MutualPair) -> LatticeFn:

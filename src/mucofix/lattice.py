@@ -41,7 +41,9 @@ class CapacityError(LatticeError):
     """A size cap was exceeded; raise rather than grind on huge tables."""
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def _frozen(arr, dtype) -> np.ndarray:
+    'arr as read-only dtype; one already of that dtype is frozen in place, not copied.'
+    arr = np.asarray(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -64,10 +66,9 @@ class FinitePoset:
             raise ValueError("a poset needs at least one element")
         if len(set(self.labels)) != n:
             raise ValueError("labels must be distinct")
-        leq = np.array(self.leq, dtype=bool)
-        if leq.shape != (n, n):
+        object.__setattr__(self, "leq", _frozen(self.leq, bool))
+        if self.leq.shape != (n, n):
             raise ValueError(f"order matrix must be {n}x{n}")
-        object.__setattr__(self, "leq", _frozen(leq))
         object.__setattr__(self, "size", n)
 
     def index(self, label: str) -> int:
@@ -135,12 +136,10 @@ class FiniteLattice:
 
     def __post_init__(self):
         n = self.poset.size
-        meet = np.array(self.meet, dtype=np.int32)
-        join = np.array(self.join, dtype=np.int32)
-        if meet.shape != (n, n) or join.shape != (n, n):
+        object.__setattr__(self, "meet", _frozen(self.meet, np.int32))
+        object.__setattr__(self, "join", _frozen(self.join, np.int32))
+        if self.meet.shape != (n, n) or self.join.shape != (n, n):
             raise ValueError("bound tables must match the carrier")
-        object.__setattr__(self, "meet", _frozen(meet))
-        object.__setattr__(self, "join", _frozen(join))
         object.__setattr__(self, "bottom", int(self.bottom))
         object.__setattr__(self, "top", int(self.top))
         object.__setattr__(self, "size", n)
@@ -371,7 +370,7 @@ def powerset_lattice(n: int) -> FiniteLattice:
 
 
 def dual(lat: FiniteLattice) -> FiniteLattice:
-    'Order-dual lattice: transpose the order, swap the tables and bounds.'
+    'Order-dual lattice: transpose the order, swap the tables and bounds; no array is copied.'
     poset = FinitePoset(lat.labels, lat.poset.leq.T)
     return FiniteLattice(poset, lat.join, lat.meet, lat.top, lat.bottom)
 

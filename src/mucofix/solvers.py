@@ -1,15 +1,21 @@
 """Solvers for least and greatest simultaneous fixed points.
 
 Three strategies are kept deliberately separate so they can check each
-other: direct (meets/joins of the component sets), product (Kleene
+other: direct (meets of the pre-fixed component sets), product (Kleene
 iteration of the paired step on the product lattice), and a brute-force
-bound over every pre-/post-fixed pair of the product lattice, which
-serves as the oracle for the other two. Monotonicity of both generators
-is required and checked; continuity never is.
+meet over every pre-fixed pair of the product lattice, which serves as
+the oracle for the other two. Monotonicity of both generators is
+required and checked; continuity never is.
+
+Direct and the oracle solve the greatest pair as the least pair of
+genfun.dual_pair, once monotonicity holds on the given pair; product
+iterates down from the given top, so a wrong dual cannot make all three
+agree.
 
 kleene_implicit is the same iteration without tables: it runs a step
 from a caller's start element, for carriers too large to materialize
-(the subtype demo's relation matrices), and checks nothing but equality.
+(the subtype demo's relation matrices), and checks nothing but equality
+and the carrier height.
 """
 from __future__ import annotations
 
@@ -17,12 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from .genfun import LatticeFn, MutualPair, monotone_witness
+from .genfun import LatticeFn, MutualPair, dual_pair, monotone_witness
 from .lattice import FiniteLattice
 from .simpoints import PairPoint, component_sets, is_sim_postfixed, is_sim_prefixed
-
-DEFAULT_BUDGET = 10_000
-
 
 class NotMonotoneError(Exception):
     def __init__(self, side: str, witness: tuple[int, int], labels):
@@ -30,12 +33,6 @@ class NotMonotoneError(Exception):
         self.witness = witness
         a, b = (labels[i] for i in witness)
         super().__init__(f"NotMonotone: {side} breaks the order at ({a},{b})")
-
-
-class NonTerminationError(Exception):
-    def __init__(self, budget: int):
-        self.budget = budget
-        super().__init__(f"NonTermination: no fixed point within {budget} steps")
 
 
 class Verdict(Enum):
@@ -75,29 +72,28 @@ def ensure_monotone(mp: MutualPair):
         raise NotMonotoneError("G", w, mp.dom_p.labels)
 
 
-def lsfp_direct(mp: MutualPair) -> SolveResult:
-    """Least pair as the meets of the pre-fixed component sets.
-
-    The results must pair up exactly under f and g; with monotone
-    generators that is a theorem, so a violation is an internal error.
-    """
-    ensure_monotone(mp)
+def _meet_components(mp: MutualPair) -> tuple[int, int]:
+    """Meets of the pre-fixed component sets of a monotone pair. That they
+    pair up under f and g is a theorem, so a mismatch is an internal error."""
     cs = component_sets(mp)
     mf = mp.dom_o.meet_set(cs.c)
     mg = mp.dom_p.meet_set(cs.d)
     if mp.f[mf] != mg or mp.g[mg] != mf:
-        raise AssertionError("least components fail the fixed-point identities")
+        raise AssertionError("extremal components fail the fixed-point identities")
+    return mf, mg
+
+
+def lsfp_direct(mp: MutualPair) -> SolveResult:
+    'Least pair as the meets of the pre-fixed component sets.'
+    ensure_monotone(mp)
+    mf, mg = _meet_components(mp)
     return SolveResult("direct", mf, mg, None, None, (), 0)
 
 
 def gsfp_direct(mp: MutualPair) -> SolveResult:
-    'Greatest pair as the joins of the post-fixed component sets.'
+    'Greatest pair as the least of the dual: joins of the post-fixed component sets.'
     ensure_monotone(mp)
-    cs = component_sets(mp)
-    nf = mp.dom_o.join_set(cs.e)
-    ng = mp.dom_p.join_set(cs.fset)
-    if mp.f[nf] != ng or mp.g[ng] != nf:
-        raise AssertionError("greatest components fail the fixed-point identities")
+    nf, ng = _meet_components(dual_pair(mp))
     return SolveResult("direct", None, None, nf, ng, (), 0)
 
 
@@ -132,11 +128,8 @@ def gsfp_product(mp: MutualPair) -> SolveResult:
     return SolveResult("product-explicit", None, None, nf, ng, trace, its)
 
 
-def lsfp_tarski_oracle(mp: MutualPair) -> PairPoint:
-    """Brute force: fold the component-wise meet over every simultaneous
-    pre-fixed pair of the product carrier. Kept free of the component-set
-    and solver code paths on purpose."""
-    ensure_monotone(mp)
+def _tarski_meet(mp: MutualPair) -> PairPoint:
+    'Fold the component-wise meet over every simultaneous pre-fixed pair.'
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
     meet_o, meet_p = mp.dom_o.meet, mp.dom_p.meet
     f, g = mp.f, mp.g
@@ -151,20 +144,18 @@ def lsfp_tarski_oracle(mp: MutualPair) -> PairPoint:
     return PairPoint(int(mo), int(mpp))
 
 
-def gsfp_tarski_oracle(mp: MutualPair) -> PairPoint:
-    'Dual brute force: fold the join over every simultaneous post-fixed pair.'
+def lsfp_tarski_oracle(mp: MutualPair) -> PairPoint:
+    """Brute force: fold the component-wise meet over every simultaneous
+    pre-fixed pair of the product carrier. Kept free of the component-set
+    and solver code paths on purpose."""
     ensure_monotone(mp)
-    leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
-    join_o, join_p = mp.dom_o.join, mp.dom_p.join
-    f, g = mp.f, mp.g
-    jo, jpp = mp.dom_o.bottom, mp.dom_p.bottom
-    for o in range(mp.dom_o.size):
-        fo = f[o]
-        for p in range(mp.dom_p.size):
-            if leq_p[p, fo] and leq_o[o, g[p]]:
-                jo = join_o[jo, o]
-                jpp = join_p[jpp, p]
-    return PairPoint(int(jo), int(jpp))
+    return _tarski_meet(mp)
+
+
+def gsfp_tarski_oracle(mp: MutualPair) -> PairPoint:
+    'Dual brute force: the meet fold on the dual folds joins over post-fixed pairs.'
+    ensure_monotone(mp)
+    return _tarski_meet(dual_pair(mp))
 
 
 def check_mutual_induction(mp: MutualPair, pt: PairPoint) -> Verdict:
@@ -215,17 +206,16 @@ class KleeneRun:
 
 
 def kleene_implicit(start, step: Callable[[Any], Any], eq: Callable[[Any, Any], bool],
-                    budget: int = DEFAULT_BUDGET) -> KleeneRun:
+                    height: int) -> KleeneRun:
     """Iterate step from start until two successive iterates are equal
     under eq. Monotonicity of step, and that start is a bound it moves
-    away from, are the caller's contract and not checkable here; a budget
-    overrun raises NonTerminationError."""
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    away from, are the caller's contract; the iterates then form a chain,
+    so past height strict steps (the carrier's longest strict chain) and
+    one confirming step the run is an internal error."""
     cur = start
-    for i in range(1, budget + 1):
+    for i in range(1, height + 2):
         nxt = step(cur)
         if eq(nxt, cur):
             return KleeneRun(cur, i)
         cur = nxt
-    raise NonTerminationError(budget)
+    raise AssertionError(f"Kleene run exceeded the carrier height {height}")

@@ -35,6 +35,8 @@ EXHAUST_COMBO_CAP = 200_000
 # pair with every other), so generated carriers stay small: an L7
 # instance on two chains takes about 0.3 s at 64 elements, 68 s at 256
 INSTANCE_SIZE_CAP = 64
+# L4 enumerates every nonempty subset of a carrier, 2^16 - 1 at this size
+L4_SIZE_CAP = 16
 
 
 class GenerationExhausted(Exception):
@@ -327,8 +329,8 @@ def _check_l4(mp, mode):
     for side, dom, cod, table in (("F", mp.dom_o, mp.dom_p, mp.f),
                                   ("G", mp.dom_p, mp.dom_o, mp.g)):
         n = dom.size
-        if n > 16:
-            raise CapacityError("subset enumeration needs carriers of size <= 16")
+        if n > L4_SIZE_CAP:
+            raise CapacityError(f"subset enumeration needs carriers of size <= {L4_SIZE_CAP}")
         # row r holds the subset with bitmask r + 1, so rows run in mask order
         subsets = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
         # the image of each subset, over columns of the image elements only;

@@ -203,6 +203,16 @@ def test_verify_size_bound(capsys):
     assert "instances: 1" in out and out.endswith("verify: PASS\n")
 
 
+def test_verify_refuses_l4_above_its_subset_limit_before_any_report(capsys):
+    argv = ("verify", "--family", "chains", "--size-lo", "17", "--size-hi", "17", "--count", "1")
+    rc, out = run(capsys, *argv)
+    assert (rc, out) == (EXIT_INPUT,
+                         "input error: L4 enumerates subsets, so --size-hi must be at most 16\n")
+    assert run(capsys, *argv, "--lemma", "L4")[0] == EXIT_INPUT
+    rc, out = run(capsys, *argv, "--lemma", "L7")
+    assert rc == EXIT_OK and out.endswith("verify: PASS\n")
+
+
 def test_verify_rejects_unknown_lemma(capsys):
     assert main(["verify", "--lemma", "L99"]) == EXIT_INPUT
 
@@ -269,6 +279,7 @@ def test_usage_errors_exit_two():
     assert main(["mine", "Q7"]) == EXIT_INPUT
     assert main(["solve", K1, "--engine", "implicit"]) == EXIT_INPUT
     assert main(["solve", K1, "--budget", "5"]) == EXIT_INPUT
+    assert main(["demo", "subtype", "--budget", "5"]) == EXIT_INPUT
 
 
 @pytest.mark.parametrize("argv", [["check", K1], ["verify", "--count", "1"], ["mine", "Q1"]],

@@ -10,10 +10,9 @@ import pytest
 
 import mucofix
 from mucofix import (CapacityError, ClassDef, ClassTable, DocumentError,
-                     GroundType, IntervalType, NonTerminationError,
-                     StepBudgetExceeded, build_universe, fixture_tables,
-                     is_contained, is_subtype, parse_class_table_doc,
-                     paulson_trio, solve_subtyping)
+                     GroundType, IntervalType, StepBudgetExceeded,
+                     build_universe, fixture_tables, is_contained, is_subtype,
+                     parse_class_table_doc, paulson_trio, solve_subtyping)
 from mucofix.demos import NULL, OBJECT, _check_preorder, subtype_generators
 
 from oracles import (_class_closure, subtyping_greatest_oracle, subtyping_saturation,
@@ -290,8 +289,6 @@ def test_preorder_check_names_the_first_witness():
 def test_solve_validation():
     with pytest.raises(ValueError, match="direction"):
         solve_subtyping(fixture_tables()["two"], 0, "middling")
-    with pytest.raises(NonTerminationError):
-        solve_subtyping(fixture_tables()["basic"], 0, budget=1)
 
 
 def test_trio_frozen_values():

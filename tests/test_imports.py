@@ -1,12 +1,14 @@
 """Every name a module imports is used in that module, every
-module-level private name is used somewhere in the package, and no
-module reads the process environment.
+module-level private name is used somewhere in the package, every
+exception class the package defines can be raised, and no module reads
+the process environment.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
 `__init__.py` is skipped for imports: they are the package's public
 surface.
 """
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -85,6 +87,58 @@ def test_the_check_sees_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def raised_name(node: ast.Raise):
+    'The class or function name a raise statement names, or None for a bare raise.'
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    return exc.attr if isinstance(exc, ast.Attribute) else None
+
+
+def dead_exceptions(sources: dict[str, str]) -> list[str]:
+    """Exception classes that are neither raised anywhere in the sources
+    nor the base, at any depth, of one that is."""
+    classes, raised = {}, set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id if isinstance(b, ast.Name) else b.attr for b in node.bases
+                         if isinstance(b, (ast.Name, ast.Attribute))]
+                classes[node.name] = (module, node.lineno, bases)
+            elif isinstance(node, ast.Raise):
+                raised.add(raised_name(node))
+
+    def is_exception(name):
+        if name in classes:
+            return any(is_exception(b) for b in classes[name][2])
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    live = set()
+    todo = [name for name in raised if name in classes]
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo.extend(b for b in classes[name][2] if b in classes)
+    return [f"{module}: {name} (line {line})" for name, (module, line, _) in classes.items()
+            if is_exception(name) and name not in live]
+
+
+def test_the_check_sees_a_dead_exception_class():
+    sources = {"a.py": ("class Base(Exception):\n    pass\nclass Used(Base):\n    pass\n"
+                        "class Dead(ValueError):\n    pass\nclass Plain:\n    pass\n"),
+               "b.py": ("import a\nclass Unraised(a.Used):\n    pass\nclass Late(Base):\n"
+                        "    pass\ndef f():\n    raise a.Used('x')\n")}
+    assert dead_exceptions(sources) == ["a.py: Dead (line 5)", "b.py: Unraised (line 2)",
+                                        "b.py: Late (line 4)"]
+
+
+def test_every_exception_class_is_raised():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_exceptions(sources) == []
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}

@@ -303,6 +303,25 @@ def test_dual_swaps_everything():
         assert d.meet_set(s) == lat.join_set(s)
 
 
+def test_constructors_keep_arrays_of_the_right_dtype():
+    # a dual shares its arrays with the lattice, so building one copies no table
+    lat = n5()
+    d = dual(lat)
+    assert np.shares_memory(d.poset.leq, lat.poset.leq)
+    assert np.shares_memory(d.meet, lat.join) and np.shares_memory(d.join, lat.meet)
+    r = np.arange(3)
+    leq = r[:, None] <= r[None, :]
+    meet = np.minimum.outer(r, r).astype(np.int32)
+    join = np.maximum.outer(r, r).astype(np.int32)
+    built = FiniteLattice(FinitePoset(("a", "b", "c"), leq), meet, join, 0, 2)
+    assert built.poset.leq is leq and built.meet is meet and built.join is join
+    assert not any(x.flags.writeable for x in (leq, meet, join))
+    # tables of another dtype are converted, and the caller's array is left alone
+    wide = np.maximum.outer(r, r)
+    assert FiniteLattice(built.poset, meet, wide, 0, 2).join.dtype == np.int32
+    assert wide.flags.writeable
+
+
 def test_cover_edges_and_hasse():
     lat = diamond()
     assert set(cover_edges(lat)) == {(0, 1), (0, 2), (1, 3), (2, 3)}

@@ -1,28 +1,32 @@
 """Solver strategies, proof principles, and implicit Kleene iteration.
 
-The three strategies share no code beyond the lattice tables, so their
-agreement on every monotone pair is the main correctness check. The
-standard embedding is checked against a plain candidate-scan fixed
-point oracle. Implicit Kleene iteration, given only a start pair, the
-paired step and equality, must reach the product strategy's limits in
-the same number of steps.
+The direct strategy and the Tarski oracle solve the greatest pair as the
+least pair of the dual pair, while the product strategy iterates down
+from the top pair of the given lattices; their agreement on every
+monotone pair is the main correctness check, and a plain Kleene oracle
+checks all three against the given tables. The standard embedding is
+checked against a plain candidate-scan fixed point oracle. Implicit
+Kleene iteration, given only a start pair, the paired step, equality
+and a height, must reach the product strategy's limits in the same
+number of steps.
 """
+import random
 from itertools import product as iproduct
 from operator import eq
 
+import numpy as np
 import pytest
 
-from mucofix import (InstanceGenSpec, MutualPair, NonTerminationError,
-                     NotMonotoneError, PairPoint, Verdict, chain,
-                     check_mutual_coinduction, check_mutual_induction,
-                     corpus_lattice, diamond, ensure_monotone, gen_lattice,
-                     gen_monotone_pair, gsfp_direct, gsfp_product,
-                     gsfp_tarski_oracle, is_monotone, is_sim_fixed,
-                     is_sim_postfixed, is_sim_prefixed, kleene_implicit,
-                     lsfp_direct, lsfp_product, lsfp_tarski_oracle, split_seed,
-                     standard_embed)
+from mucofix import (InstanceGenSpec, MutualPair, NotMonotoneError, PairPoint,
+                     Verdict, chain, check_mutual_coinduction,
+                     check_mutual_induction, corpus, corpus_lattice, diamond,
+                     dual_pair, ensure_monotone, gen_lattice, gen_monotone_pair,
+                     gsfp_direct, gsfp_product, gsfp_tarski_oracle, is_monotone,
+                     is_sim_fixed, is_sim_postfixed, is_sim_prefixed,
+                     kleene_implicit, lsfp_direct, lsfp_product,
+                     lsfp_tarski_oracle, product, split_seed, standard_embed)
 
-from oracles import gfp_scan, lfp_scan, longest_chain_edges
+from oracles import gfp_scan, lfp_scan, longest_chain_edges, sim_kleene_oracle
 
 
 def all_monotone_pairs(lat_o, lat_p):
@@ -100,6 +104,56 @@ def test_strategies_agree_exhaustively(lat_o, lat_p):
         assert mp.dom_o.leq(mu.o, nu.o) and mp.dom_p.leq(mu.p, nu.p)
 
 
+def greatest_by_every_route(mp):
+    'The greatest pair by direct, as the least of the dual, by the oracle and by plain Kleene.'
+    top = (mp.dom_o.top, mp.dom_p.top)
+    return (gsfp_direct(mp).nu, lsfp_direct(dual_pair(mp)).mu, gsfp_tarski_oracle(mp),
+            PairPoint(*sim_kleene_oracle(mp.f, mp.g, top)))
+
+
+def test_greatest_is_the_least_of_the_dual_on_small_corpus_shapes():
+    small = [lat for _, lat in corpus() if lat.size <= 3]
+    for lat_o, lat_p in iproduct(small, repeat=2):
+        for mp in all_monotone_pairs(lat_o, lat_p):
+            nu, *others = greatest_by_every_route(mp)
+            assert others == [nu] * 3
+
+
+def seeded_monotone_table(rng, dom, cod, generators=6):
+    """A monotone table: at each x, the meet of a join of random images of
+    a few elements below x and a meet of random images of a few above."""
+    leq = dom.poset.leq
+    low = np.full(dom.size, cod.bottom)
+    high = np.full(dom.size, cod.top)
+    for a in rng.sample(range(dom.size), generators):
+        low[leq[a]] = cod.join[low[leq[a]], rng.randrange(cod.size)]
+    for a in rng.sample(range(dom.size), generators):
+        high[leq[:, a]] = cod.meet[high[leq[:, a]], rng.randrange(cod.size)]
+    return cod.meet[low, high].tolist()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_greatest_is_the_least_of_the_dual_on_large_pairs(seed):
+    rng = random.Random(seed)
+    shapes = (chain(300), product(chain(15), chain(20)))
+    for lat_o, lat_p in iproduct(shapes, repeat=2):
+        mp = MutualPair(lat_o, lat_p, seeded_monotone_table(rng, lat_o, lat_p),
+                        seeded_monotone_table(rng, lat_p, lat_o))
+        assert is_monotone(mp.f_fn) and is_monotone(mp.g_fn)
+        nu, *others = greatest_by_every_route(mp)
+        assert others == [nu] * 3
+        assert nu != PairPoint(lat_o.top, lat_p.top)
+
+
+def test_greatest_solvers_name_the_witness_in_the_given_order():
+    # on the dual the same table breaks the order at (1,0) instead
+    mp = MutualPair(chain(3), chain(3), (2, 1, 0), (0, 1, 2))
+    for solve in (gsfp_direct, gsfp_tarski_oracle):
+        with pytest.raises(NotMonotoneError,
+                           match=r"^NotMonotone: F breaks the order at \(0,1\)$"):
+            solve(mp)
+
+
 def test_least_and_greatest_are_extremal(swap):
     mu, nu = lsfp_direct(swap).mu, gsfp_direct(swap).nu
     for o in range(4):
@@ -142,10 +196,11 @@ def test_implicit_engine_matches_explicit(k1, swap):
               for seed in range(6)]
     for mp in [k1, swap] + seeded:
         step = lambda op: (mp.g[op[1]], mp.f[op[0]])
+        height = mp.dom_o.size * mp.dom_p.size
         least, greatest = lsfp_product(mp), gsfp_product(mp)
-        up = kleene_implicit((mp.dom_o.bottom, mp.dom_p.bottom), step, eq)
+        up = kleene_implicit((mp.dom_o.bottom, mp.dom_p.bottom), step, eq, height)
         assert PairPoint(*up.limit) == least.mu and up.iterations == least.iterations
-        down = kleene_implicit((mp.dom_o.top, mp.dom_p.top), step, eq)
+        down = kleene_implicit((mp.dom_o.top, mp.dom_p.top), step, eq, height)
         assert PairPoint(*down.limit) == greatest.nu
         assert down.iterations == greatest.iterations
 
@@ -170,16 +225,15 @@ def test_induction_passes_on_every_applicable_pair(swap):
                 Verdict.PASS, Verdict.NOT_APPLICABLE)
 
 
-def test_kleene_budget():
-    flip = lambda x: 1 - x
-    with pytest.raises(NonTerminationError) as exc:
-        kleene_implicit(0, flip, eq, budget=10)
-    assert exc.value.budget == 10
-    run = kleene_implicit(0, lambda x: 1, eq, budget=5)
-    assert run.limit == 1 and run.iterations == 2
-    # the confirming step counts against the budget too
-    with pytest.raises(NonTerminationError):
-        kleene_implicit(0, lambda x: min(x + 1, 3), eq, budget=3)
-    assert kleene_implicit(0, lambda x: min(x + 1, 3), eq, budget=4).iterations == 4
-    with pytest.raises(ValueError):
-        kleene_implicit(0, flip, eq, budget=0)
+def test_kleene_height_bound():
+    # on the chain 0 < 1 < 2 < 3 (height 3) a climb to the top takes three
+    # strict steps and one confirming step
+    climb = lambda x: min(x + 1, 3)
+    run = kleene_implicit(0, climb, eq, 3)
+    assert run.limit == 3 and run.iterations == 4
+    assert kleene_implicit(0, lambda x: 1, eq, 3).iterations == 2
+    # a run longer than the height allows breaks the caller's contract
+    with pytest.raises(AssertionError, match="exceeded the carrier height 2"):
+        kleene_implicit(0, climb, eq, 2)
+    with pytest.raises(AssertionError, match="exceeded the carrier height 1"):
+        kleene_implicit(0, lambda x: 1 - x, eq, 1)
