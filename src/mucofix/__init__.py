@@ -9,11 +9,10 @@ supporting lemma against seeded brute-force enumeration.
 """
 from .lattice import (CapacityError, FiniteLattice, FinitePoset, LatticeError,
                       NotALatticeError, NotAPosetError, cover_edges, dual,
-                      hasse_text, powerset_lattice, product, validate_lattice)
-from .fixtures import chain, corpus, corpus_lattice, diamond, m3, n5
+                      powerset_lattice, product, validate_lattice)
+from .fixtures import chain, corpus, diamond, m3, n5
 from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, LatticeFn, MutualPair,
-                     compose_fg, compose_gf, dual_pair, is_continuous_pair,
-                     is_join_continuous, is_meet_continuous, is_monotone,
+                     compose_fg, compose_gf, dual_pair, is_continuous_pair, is_monotone,
                      join_continuity_witness, meet_continuity_witness,
                      monotone_witness, pair_continuity_witness, parse_mode)
 from .simpoints import (ComponentSets, FiberSet, PairPoint, component_sets,

@@ -17,6 +17,8 @@ def chain(n: int) -> FiniteLattice:
     leq = r[:, None] <= r[None, :]
     meet = np.minimum.outer(r, r).astype(np.int32)
     join = np.maximum.outer(r, r).astype(np.int32)
+    for table in (leq, meet, join):
+        table.flags.writeable = False
     return FiniteLattice(FinitePoset(tuple(str(i) for i in r), leq), meet, join, 0, n - 1)
 
 
@@ -66,10 +68,3 @@ def corpus() -> tuple[tuple[str, FiniteLattice], ...]:
         ("C2xC3", product(chain(2), chain(3))),
         ("D4xC2", product(diamond(), chain(2))),
     )
-
-
-def corpus_lattice(name: str) -> FiniteLattice:
-    for entry, lat in corpus():
-        if entry == name:
-            return lat
-    raise ValueError(f"no corpus lattice named {name!r}")

@@ -9,7 +9,9 @@ preserving them all.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,20 +45,17 @@ def parse_mode(text: str) -> ContinuityMode:
 
 @dataclass(frozen=True)
 class LatticeFn:
-    """A total function between lattice carriers as an image table."""
+    """A total function between lattice carriers as an image table of
+    integers; a float or string entry raises TypeError (operator.index)."""
     dom: FiniteLattice
     cod: FiniteLattice
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(x) for x in self.table))
+        object.__setattr__(self, "table", tuple(map(operator.index, self.table)))
         if len(self.table) != self.dom.size:
             raise ValueError("table must cover every domain element")
         self.cod._check_ids(self.table)
-
-    @classmethod
-    def endo(cls, lat: FiniteLattice, table) -> "LatticeFn":
-        return cls(lat, lat, table)
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,17 @@ class MutualPair:
         object.__setattr__(self, "f", self.f_fn.table)
         object.__setattr__(self, "g", self.g_fn.table)
 
+    @cached_property
+    def monotone_failure(self):
+        """The first (side, witness) at which f, then g, breaks the order,
+        or None. A pair's tables and lattices cannot change, so both are
+        scanned at most once per pair, on first use."""
+        for side, fn in (("F", self.f_fn), ("G", self.g_fn)):
+            w = monotone_witness(fn)
+            if w is not None:
+                return side, w
+        return None
+
 
 def dual_pair(mp: MutualPair) -> MutualPair:
     'The same tables between both order-duals; its least pair is the greatest of mp.'
@@ -82,12 +92,12 @@ def dual_pair(mp: MutualPair) -> MutualPair:
 
 def compose_gf(mp: MutualPair) -> LatticeFn:
     'The round trip through P, an endofunction on O.'
-    return LatticeFn.endo(mp.dom_o, tuple(mp.g[x] for x in mp.f))
+    return LatticeFn(mp.dom_o, mp.dom_o, tuple(mp.g[x] for x in mp.f))
 
 
 def compose_fg(mp: MutualPair) -> LatticeFn:
     'The round trip through O, an endofunction on P.'
-    return LatticeFn.endo(mp.dom_p, tuple(mp.f[x] for x in mp.g))
+    return LatticeFn(mp.dom_p, mp.dom_p, tuple(mp.f[x] for x in mp.g))
 
 
 def monotone_witness(fn: LatticeFn):
@@ -131,14 +141,6 @@ def meet_continuity_witness(fn: LatticeFn, mode: ContinuityMode = BINARY):
 def join_continuity_witness(fn: LatticeFn, mode: ContinuityMode = BINARY):
     'Smallest subset (size, then lex) breaking join preservation, or None.'
     return _continuity_witness(fn, mode, "join")
-
-
-def is_meet_continuous(fn: LatticeFn, mode: ContinuityMode = BINARY) -> bool:
-    return meet_continuity_witness(fn, mode) is None
-
-
-def is_join_continuous(fn: LatticeFn, mode: ContinuityMode = BINARY) -> bool:
-    return join_continuity_witness(fn, mode) is None
 
 
 def pair_continuity_witness(mp: MutualPair, mode: ContinuityMode = BINARY):

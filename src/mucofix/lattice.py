@@ -42,8 +42,15 @@ class CapacityError(LatticeError):
 
 
 def _frozen(arr, dtype) -> np.ndarray:
-    'arr as read-only dtype; one already of that dtype is frozen in place, not copied.'
-    arr = np.asarray(arr, dtype=dtype)
+    """arr as a read-only dtype array. One of that dtype is kept only when
+    it and its bases are read-only (dual's views, builders' frozen arrays);
+    anything else is copied once, so no caller's array is aliased or frozen."""
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable and base.base is not None:
+        base = base.base
+    if isinstance(base, np.ndarray) and not base.flags.writeable and arr.dtype == dtype:
+        return arr
+    arr = np.array(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -333,6 +340,7 @@ def validate_lattice(p: FinitePoset) -> FiniteLattice:
     for x in range(1, n):
         bottom = int(meet[bottom, x])
         top = int(join[top, x])
+    meet.flags.writeable = join.flags.writeable = False
     return FiniteLattice(p, meet, join, bottom, top)
 
 
@@ -343,6 +351,7 @@ def product(lat_a: FiniteLattice, lat_b: FiniteLattice) -> FiniteLattice:
         raise CapacityError(f"product size {n} exceeds the explicit cap {DEFAULT_CAP}")
     labels = tuple(f"({x},{y})" for x in lat_a.labels for y in lat_b.labels)
     leq = np.kron(lat_a.poset.leq.astype(np.uint8), lat_b.poset.leq.astype(np.uint8)).astype(bool)
+    leq.flags.writeable = False
     return validate_lattice(FinitePoset(labels, leq))
 
 
@@ -380,8 +389,3 @@ def cover_edges(lat: FiniteLattice) -> list[tuple[int, int]]:
     lt = lat.poset.leq & ~np.eye(lat.size, dtype=bool)
     return [(int(i), int(j)) for i, j in np.argwhere(lt & ~compose(lt, lt))]
 
-
-def hasse_text(lat: FiniteLattice) -> str:
-    'Plain-text adjacency dump of the cover relation, one edge per line.'
-    lines = [f"{lat.label(i)} < {lat.label(j)}" for i, j in cover_edges(lat)]
-    return "\n".join(lines)

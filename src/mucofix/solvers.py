@@ -5,25 +5,28 @@ other: direct (meets of the pre-fixed component sets), product (Kleene
 iteration of the paired step on the product lattice), and a brute-force
 meet over every pre-fixed pair of the product lattice, which serves as
 the oracle for the other two. Monotonicity of both generators is
-required and checked; continuity never is.
+required and checked, through the verdict each pair caches; continuity
+never is.
 
 Direct and the oracle solve the greatest pair as the least pair of
 genfun.dual_pair, once monotonicity holds on the given pair; product
 iterates down from the given top, so a wrong dual cannot make all three
 agree.
 
-kleene_implicit is the same iteration without tables: it runs a step
-from a caller's start element, for carriers too large to materialize
-(the subtype demo's relation matrices), and checks nothing but equality
-and the carrier height.
+kleene_implicit is the one Kleene loop: it runs a step from a caller's
+start element and checks nothing but equality and the carrier height.
+The product strategy runs through it with a step over the explicit
+tables that records each iterate in its trace; the subtype demo runs it
+on relation matrices too large to materialize as lattices.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from .genfun import LatticeFn, MutualPair, dual_pair, monotone_witness
+from .genfun import LatticeFn, MutualPair, dual_pair
 from .lattice import FiniteLattice
 from .simpoints import PairPoint, component_sets, is_sim_postfixed, is_sim_prefixed
 
@@ -64,12 +67,10 @@ class SolveResult:
 
 def ensure_monotone(mp: MutualPair):
     'Raise NotMonotoneError naming the offending side and witness pair.'
-    w = monotone_witness(mp.f_fn)
-    if w is not None:
-        raise NotMonotoneError("F", w, mp.dom_o.labels)
-    w = monotone_witness(mp.g_fn)
-    if w is not None:
-        raise NotMonotoneError("G", w, mp.dom_p.labels)
+    failure = mp.monotone_failure
+    if failure is not None:
+        side, w = failure
+        raise NotMonotoneError(side, w, (mp.dom_o if side == "F" else mp.dom_p).labels)
 
 
 def _meet_components(mp: MutualPair) -> tuple[int, int]:
@@ -98,20 +99,18 @@ def gsfp_direct(mp: MutualPair) -> SolveResult:
 
 
 def _product_iterate(mp: MutualPair, start: tuple[int, int]):
-    # the single-function encoding on the product: (o, p) -> (g[p], f[o])
+    # the single-function encoding on the product: (o, p) -> (g[p], f[o]);
+    # a strict chain of the product is at most (|O|-1)+(|P|-1) steps long
     f, g = mp.f, mp.g
-    cur = start
-    trace = [PairPoint(*cur)]
-    # iterates from a bound form a chain, so a strict run is capped by the
-    # product carrier size
-    bound = mp.dom_o.size * mp.dom_p.size + 1
-    for i in range(1, bound + 1):
+    trace = [PairPoint(*start)]
+
+    def step(cur):
         nxt = (g[cur[1]], f[cur[0]])
         trace.append(PairPoint(*nxt))
-        if nxt == cur:
-            return cur, tuple(trace), i
-        cur = nxt
-    raise AssertionError("Kleene chain exceeded the product height")
+        return nxt
+
+    run = kleene_implicit(start, step, operator.eq, mp.dom_o.size + mp.dom_p.size - 2)
+    return run.limit, tuple(trace), run.iterations
 
 
 def lsfp_product(mp: MutualPair) -> SolveResult:
@@ -184,10 +183,8 @@ def standard_embed(lat: FiniteLattice, f) -> MutualPair:
     if isinstance(f, LatticeFn):
         if f.dom is not lat or f.cod is not lat:
             raise ValueError("endofunction must live on the given lattice")
-        table = f.table
-    else:
-        table = tuple(int(x) for x in f)
-    return MutualPair(lat, lat, table, tuple(range(lat.size)))
+        f = f.table
+    return MutualPair(lat, lat, f, tuple(range(lat.size)))
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,9 @@ def parse_lattice_doc(obj) -> FiniteLattice:
             if name not in idx:
                 raise DocumentError(f"order pair names unknown element {name!r}")
         rel[idx[e[0]], idx[e[1]]] = True
-    return validate_lattice(FinitePoset(tuple(names), closure(rel)))
+    leq = closure(rel)
+    leq.flags.writeable = False
+    return validate_lattice(FinitePoset(tuple(names), leq))
 
 
 def _parse_table(obj, what: str, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:

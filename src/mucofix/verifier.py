@@ -16,9 +16,8 @@ from itertools import product as iproduct
 from . import textio
 from .fixtures import chain, corpus, diamond
 from .genfun import (BINARY, ContinuityMode, LatticeFn, MutualPair, compose_fg,
-                     compose_gf, is_continuous_pair, is_monotone,
-                     join_continuity_witness, meet_continuity_witness,
-                     monotone_witness)
+                     compose_gf, is_continuous_pair, join_continuity_witness,
+                     meet_continuity_witness, monotone_witness)
 from .lattice import (CapacityError, FiniteLattice, FinitePoset, compose, powerset_lattice,
                       product)
 from .simpoints import component_sets, is_sim_fixed, point_masks
@@ -37,6 +36,8 @@ EXHAUST_COMBO_CAP = 200_000
 INSTANCE_SIZE_CAP = 64
 # L4 enumerates every nonempty subset of a carrier, 2^16 - 1 at this size
 L4_SIZE_CAP = 16
+# monotone draws per continuous pair before the curated fallbacks
+CONTINUOUS_RETRIES = 64
 
 
 class GenerationExhausted(Exception):
@@ -181,7 +182,7 @@ def gen_monotone_pair(spec: InstanceGenSpec, lat_o: FiniteLattice,
     mp = MutualPair(lat_o, lat_p,
                     _monotone_table(rng, lat_o, lat_p),
                     _monotone_table(rng, lat_p, lat_o))
-    if not (is_monotone(mp.f_fn) and is_monotone(mp.g_fn)):
+    if mp.monotone_failure is not None:
         raise AssertionError
     return mp
 
@@ -206,9 +207,9 @@ def _curated_pairs(lat_o: FiniteLattice, lat_p: FiniteLattice):
 
 
 def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: FiniteLattice,
-                        mode: ContinuityMode = BINARY, retries: int = 64) -> MutualPair:
+                        mode: ContinuityMode = BINARY) -> MutualPair:
     'Rejection-sample monotone pairs, then fall back to a curated family.'
-    for k in range(retries):
+    for k in range(CONTINUOUS_RETRIES):
         mp = gen_monotone_pair(replace(spec, seed=split_seed(spec.seed, k)), lat_o, lat_p)
         if is_continuous_pair(mp, mode):
             return mp
@@ -264,11 +265,8 @@ class LemmaReport:
 
 
 def _check_l1(mp, mode):
-    for side, fn in (("F", mp.f_fn), ("G", mp.g_fn)):
-        w = monotone_witness(fn)
-        if w is not None:
-            return f"{side} breaks the order at {w}"
-    return None
+    failure = mp.monotone_failure
+    return None if failure is None else "{} breaks the order at {}".format(*failure)
 
 
 def _check_l2(mp, mode):
@@ -349,7 +347,11 @@ def _check_l4(mp, mode):
     return None
 
 
-def _check_l5(mp, mode):
+def _fiber_failures(mp):
+    """Every L5 failure as (kind, closed, message), lazily in scan order:
+    side O then P, anchor, pre then post fiber. closed is False for a
+    nonempty fiber that is not a complete sublattice, True for a closed
+    one whose glb or lub is not the image of the anchor."""
     pre, post = point_masks(mp)
     for side, pre_rows, post_rows, partner, image, name in (
             ("O", pre, post, mp.dom_p, mp.f, "F(o)"),
@@ -361,13 +363,19 @@ def _check_l5(mp, mode):
                 if fib:
                     v = partner.sublattice_violation(fib)
                     if v is not None:
-                        return f"{kind} fiber at {side}={a} is not a complete sublattice: {v}"
-                    if bound(fib) != image[a]:
-                        return f"{law} of the {kind} fiber at {side}={a} is not {name}"
-    return None
+                        yield kind, False, (f"{kind} fiber at {side}={a} "
+                                            f"is not a complete sublattice: {v}")
+                    elif bound(fib) != image[a]:
+                        yield kind, True, f"{law} of the {kind} fiber at {side}={a} is not {name}"
 
 
-def _check_l6(mp, mode):
+def _check_l5(mp, mode):
+    return next((message for *_, message in _fiber_failures(mp)), None)
+
+
+def _component_failures(mp):
+    """Every L6 failure as (set name, message), lazily in scan order: sets
+    C, D, E, F, each checked for closure and then for its bound."""
     cs = component_sets(mp)
     checks = (("C", mp.dom_o, cs.c, mp.dom_o.top, "top"),
               ("D", mp.dom_p, cs.d, mp.dom_p.top, "top"),
@@ -376,10 +384,13 @@ def _check_l6(mp, mode):
     for name, lat, ids, bound, where in checks:
         v = lat.sublattice_violation(sorted(ids))
         if v is not None:
-            return f"component set {name} is not a complete sublattice: {v}"
-        if bound not in ids:
-            return f"component set {name} misses the {where}"
-    return None
+            yield name, f"component set {name} is not a complete sublattice: {v}"
+        elif bound not in ids:
+            yield name, f"component set {name} misses the {where}"
+
+
+def _check_l6(mp, mode):
+    return next((message for _, message in _component_failures(mp)), None)
 
 
 def _check_l7(mp, mode):
@@ -446,7 +457,7 @@ def _premise_holds(premise: str, mp: MutualPair, mode: ContinuityMode) -> bool:
     # preservation implies monotonicity, so L1 can fail when it is wrong
     if premise == "continuous":
         return is_continuous_pair(mp, mode)
-    return is_monotone(mp.f_fn) and is_monotone(mp.g_fn)
+    return mp.monotone_failure is None
 
 
 def check_lemma(lemma_id: str, spec: InstanceGenSpec,
@@ -509,15 +520,8 @@ def _q1(mp, mode):
     'A monotone, non-continuous pair with a nonempty fiber that is not a complete sublattice.'
     if is_continuous_pair(mp, mode):
         return None
-    pre, _ = point_masks(mp)
-    for side, rows, partner in (("O", pre, mp.dom_p), ("P", pre.T, mp.dom_o)):
-        for a, row in enumerate(rows):
-            fib = row.nonzero()[0].tolist()
-            if fib:
-                v = partner.sublattice_violation(fib)
-                if v is not None:
-                    return f"pre fiber at {side}={a} is not a complete sublattice: {v}"
-    return None
+    return next((message for kind, closed, message in _fiber_failures(mp)
+                 if kind == "pre" and not closed), None)
 
 
 def _q2(mp, mode):
@@ -536,14 +540,8 @@ def _q2(mp, mode):
 
 def _q3(mp, mode):
     'A monotone pair whose pre-fixed component sets are not complete sublattices.'
-    cs = component_sets(mp)
-    v = mp.dom_o.sublattice_violation(sorted(cs.c))
-    if v is not None:
-        return f"component set C is not a complete sublattice: {v}"
-    v = mp.dom_p.sublattice_violation(sorted(cs.d))
-    if v is not None:
-        return f"component set D is not a complete sublattice: {v}"
-    return None
+    return next((message for name, message in _component_failures(mp)
+                 if name in ("C", "D")), None)
 
 
 QUESTIONS = {"Q1": _q1, "Q2": _q2, "Q3": _q3}
@@ -553,7 +551,7 @@ def _revalidate(question: str, serialized: str, witness: str, mode: ContinuityMo
     # reparse and rerun from scratch: the lattices are rebuilt from the
     # JSON (only generation shares lattices), and every scan is repeated
     mp = textio.pair_from_json(serialized)
-    if not (is_monotone(mp.f_fn) and is_monotone(mp.g_fn)):
+    if mp.monotone_failure is not None:
         return False
     return QUESTIONS[question](mp, mode) == witness
 

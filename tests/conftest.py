@@ -1,6 +1,26 @@
 import pytest
 
+import mucofix.cli
+import mucofix.genfun
+import mucofix.solvers
+import mucofix.verifier
 from mucofix import MutualPair, chain, diamond
+
+
+@pytest.fixture
+def monotone_scans(monkeypatch):
+    'The LatticeFn of every monotone_witness call, through any module that binds it.'
+    calls = []
+    real = mucofix.genfun.monotone_witness
+
+    def counting(fn):
+        calls.append(fn)
+        return real(fn)
+
+    for module in (mucofix.genfun, mucofix.solvers, mucofix.verifier, mucofix.cli):
+        if getattr(module, "monotone_witness", None) is real:
+            monkeypatch.setattr(module, "monotone_witness", counting)
+    return calls
 
 
 @pytest.fixture

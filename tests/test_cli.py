@@ -124,9 +124,11 @@ def test_check_unrecognized_shape(tmp_path, capsys):
     assert "shape not recognized" in out
 
 
-def test_solve_all_strategies(capsys):
+def test_solve_all_strategies(capsys, monotone_scans):
     rc, out = run(capsys, "solve", K1)
     assert rc == EXIT_OK
+    # three strategies share the pair's one verdict: F and G scanned once each
+    assert len(monotone_scans) == 2
     assert out == (
         f"solve: {K1}\n"
         "direction: least\n"

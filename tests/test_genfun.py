@@ -8,8 +8,8 @@ import pytest
 
 from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, InstanceGenSpec, LatticeFn, MutualPair,
                      chain, compose_fg, compose_gf, diamond, gen_lattice,
-                     is_continuous_pair, is_join_continuous, is_meet_continuous, is_monotone,
-                     join_continuity_witness, meet_continuity_witness,
+                     is_continuous_pair, is_monotone, join_continuity_witness,
+                     meet_continuity_witness,
                      monotone_witness, n5, pair_continuity_witness, parse_mode,
                      product, split_seed)
 from mucofix.verifier import GenerationExhausted, _gen_pair
@@ -41,6 +41,14 @@ def test_fn_construction(c2, d4):
         LatticeFn(d4, c2, (0, 5, -1, 7))
 
 
+@pytest.mark.parametrize("f, g", [((0.9, 1.7), (1, 1)), ((0, 1), (True, "1")),
+                                  ((0, 1), (1, 1.0))])
+def test_table_entries_must_be_integers(c2, f, g):
+    # int() once read 0.9 as 0 and "1" as 1, so a wrong table was accepted
+    with pytest.raises(TypeError):
+        MutualPair(c2, c2, f, g)
+
+
 def test_pair_construction(c2, d4):
     mp = MutualPair(c2, d4, (0, 3), (0, 0, 1, 1))
     assert mp.f_fn.dom is c2 and mp.g_fn.cod is c2
@@ -61,12 +69,23 @@ def test_pair_functions_are_built_once(c2, d4):
     assert replace(mp, f=(1, 3)).f_fn.table == (1, 3)
 
 
+def test_monotone_failure_is_scanned_once_per_pair(monotone_scans, c2, d4):
+    mp = MutualPair(c2, d4, (0, 3), (1, 0, 1, 1))
+    assert mp.monotone_failure == ("G", (0, 1))
+    assert mp.monotone_failure == ("G", (0, 1))
+    assert monotone_scans == [mp.f_fn, mp.g_fn]
+    # f fails first, so g is never scanned
+    bad_f = MutualPair(c2, d4, (3, 0), (1, 0, 1, 1))
+    assert bad_f.monotone_failure == ("F", (0, 1)) and monotone_scans[2:] == [bad_f.f_fn]
+    assert MutualPair(c2, d4, (0, 3), (0, 0, 1, 1)).monotone_failure is None
+
+
 def test_monotone_census_on_two_chain(c2):
     # exactly (0,0), (0,1), (1,1) are monotone; (1,0) flips the order
     monos = [t for t in iproduct(range(2), repeat=2)
-             if is_monotone(LatticeFn.endo(c2, t))]
+             if is_monotone(LatticeFn(c2, c2, t))]
     assert monos == [(0, 0), (0, 1), (1, 1)]
-    assert monotone_witness(LatticeFn.endo(c2, (1, 0))) == (0, 1)
+    assert monotone_witness(LatticeFn(c2, c2, (1, 0))) == (0, 1)
     pairs = [(f, g) for f in iproduct(range(2), repeat=2)
              for g in iproduct(range(2), repeat=2)
              if is_monotone(MutualPair(c2, c2, f, g).f_fn)
@@ -114,15 +133,13 @@ def test_meet_witness_on_diamond_collapse(c2, d4):
     assert is_monotone(fn)
     assert meet_continuity_witness(fn, BINARY) == (1, 2)
     assert join_continuity_witness(fn, BINARY) is None
-    assert is_join_continuous(fn)
-    assert not is_meet_continuous(fn)
 
 
 def test_with_empty_adds_the_bound_laws(k1):
     g = k1.g_fn
-    assert is_join_continuous(g, BINARY)
+    assert join_continuity_witness(g, BINARY) is None
     assert join_continuity_witness(g, WITH_EMPTY) == ()
-    assert is_meet_continuous(g, WITH_EMPTY)
+    assert meet_continuity_witness(g, WITH_EMPTY) is None
     assert pair_continuity_witness(k1, BINARY) is None
     assert pair_continuity_witness(k1, WITH_EMPTY) == ("G", "join", ())
 
@@ -140,10 +157,10 @@ def test_binary_equals_full_subset_continuity():
         leq = lat.poset.leq.tolist()
         subsets = nonempty_subsets(lat.size)
         for t in iproduct(range(lat.size), repeat=lat.size):
-            fn = LatticeFn.endo(lat, t)
-            assert is_meet_continuous(fn, BINARY) == preserves_meets_oracle(
+            fn = LatticeFn(lat, lat, t)
+            assert (meet_continuity_witness(fn, BINARY) is None) == preserves_meets_oracle(
                 t, leq, leq, subsets), t
-            assert is_join_continuous(fn, BINARY) == preserves_joins_oracle(
+            assert (join_continuity_witness(fn, BINARY) is None) == preserves_joins_oracle(
                 t, leq, leq, subsets), t
 
 
@@ -153,7 +170,8 @@ def test_binary_continuity_implies_monotone_exhaustively(c2, d4):
     for dom, cod in ((c2, d4), (d4, c2), (d4, d4)):
         for t in iproduct(range(cod.size), repeat=dom.size):
             fn = LatticeFn(dom, cod, t)
-            if is_meet_continuous(fn, BINARY) and is_join_continuous(fn, BINARY):
+            if (meet_continuity_witness(fn, BINARY) is None
+                    and join_continuity_witness(fn, BINARY) is None):
                 assert is_monotone(fn)
 
 

@@ -9,6 +9,7 @@ surface.
 """
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import pytest
@@ -169,3 +170,46 @@ def test_the_check_sees_an_environment_read():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_environment_reads(path):
     assert environment_reads(path.read_text()) == []
+
+
+ROOT = SRC.parent.parent
+
+
+def public_names(init_source: str) -> list[str]:
+    'The names the package imports into its namespace, which its __all__ exports.'
+    return [alias.asname or alias.name for node in ast.parse(init_source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def readme_names(text: str) -> set[str]:
+    'Identifiers inside the inline code spans and code blocks of a markdown text.'
+    return {name for span in re.findall(r"`+([^`]+)`+", text)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def unused_exports(init_source: str, sources: dict[str, str], readme: str) -> list[str]:
+    """Exported names that no source reads, imports or names in a string
+    constant (the benchmark patches functions by name), and that the
+    README does not show as code."""
+    used = readme_names(readme)
+    for text in sources.values():
+        used |= referenced_names(text)
+        used |= {node.value for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return [name for name in public_names(init_source) if name not in used]
+
+
+def test_the_check_sees_an_unused_export():
+    init = "from .a import (used, patched, shown, hidden)\nfrom .b import Alone as Alias\n"
+    sources = {"a.py": "def used():\n    pass\n\ndef hidden():\n    return 1\n",
+               "c.py": "from .a import used\nHOOKS = [('a', 'patched')]\nprint('hidden here')\n"}
+    readme = "Call `shown(x)` as a library.\n\n```python\nfrom pkg import Alias\n```\n"
+    assert unused_exports(init, sources, readme) == ["hidden"]
+    assert unused_exports(init, sources, "") == ["shown", "hidden", "Alias"]
+
+
+def test_every_export_has_a_caller_or_a_readme_mention():
+    sources = {str(p): p.read_text() for p in sorted(SRC.glob("*.py"))
+               + sorted((ROOT / "perfbench").glob("*.py")) if p.name != "__init__.py"}
+    init = (SRC / "__init__.py").read_text()
+    assert unused_exports(init, sources, (ROOT / "README.md").read_text()) == []

@@ -19,14 +19,19 @@ import pytest
 
 from mucofix import (InstanceGenSpec, MutualPair, NotMonotoneError, PairPoint,
                      Verdict, chain, check_mutual_coinduction,
-                     check_mutual_induction, corpus, corpus_lattice, diamond,
+                     check_mutual_induction, corpus, diamond,
                      dual_pair, ensure_monotone, gen_lattice, gen_monotone_pair,
                      gsfp_direct, gsfp_product, gsfp_tarski_oracle, is_monotone,
                      is_sim_fixed, is_sim_postfixed, is_sim_prefixed,
                      kleene_implicit, lsfp_direct, lsfp_product,
-                     lsfp_tarski_oracle, product, split_seed, standard_embed)
+                     lsfp_tarski_oracle, n5, product, split_seed, standard_embed)
+from mucofix.verifier import _check_l1
 
-from oracles import gfp_scan, lfp_scan, longest_chain_edges, sim_kleene_oracle
+from oracles import (gfp_scan, lfp_scan, longest_chain_edges, monotone_witness_oracle,
+                     sim_kleene_oracle)
+
+SOLVERS = (lsfp_direct, gsfp_direct, lsfp_product, gsfp_product,
+           lsfp_tarski_oracle, gsfp_tarski_oracle)
 
 
 def all_monotone_pairs(lat_o, lat_p):
@@ -145,6 +150,37 @@ def test_greatest_is_the_least_of_the_dual_on_large_pairs(seed):
         assert nu != PairPoint(lat_o.top, lat_p.top)
 
 
+def test_every_solver_and_l1_name_the_first_broken_side_and_pair():
+    # all six solvers and the L1 runner read one verdict per pair: F before
+    # G, each side's first broken comparable pair in row-major order
+    rng = random.Random(4)
+    broken = set()
+    for lat_o, lat_p in iproduct((chain(3), diamond(), n5()), repeat=2):
+        for _ in range(6):
+            f = tuple(rng.randrange(lat_p.size) for _ in range(lat_o.size))
+            g = tuple(rng.randrange(lat_o.size) for _ in range(lat_p.size))
+            want = next(((side, w, dom) for side, w, dom in (
+                ("F", monotone_witness_oracle(f, lat_o.poset.leq, lat_p.poset.leq), lat_o),
+                ("G", monotone_witness_oracle(g, lat_p.poset.leq, lat_o.poset.leq), lat_p))
+                if w is not None), None)
+            mp = MutualPair(lat_o, lat_p, f, g)
+            if want is None:
+                assert _check_l1(mp, None) is None
+                for solve in SOLVERS:
+                    solve(mp)
+                continue
+            side, (a, b), dom = want
+            broken.add(side)
+            assert _check_l1(mp, None) == f"{side} breaks the order at {(a, b)}"
+            for solve in SOLVERS:
+                with pytest.raises(NotMonotoneError) as err:
+                    solve(mp)
+                assert str(err.value) == (f"NotMonotone: {side} breaks the order at "
+                                          f"({dom.label(a)},{dom.label(b)})")
+                assert (err.value.side, err.value.witness) == (side, (a, b))
+    assert broken == {"F", "G"}
+
+
 def test_greatest_solvers_name_the_witness_in_the_given_order():
     # on the dual the same table breaks the order at (1,0) instead
     mp = MutualPair(chain(3), chain(3), (2, 1, 0), (0, 1, 2))
@@ -169,7 +205,7 @@ def test_standard_embedding_matches_scan_oracle():
     c2, c3 = chain(2), chain(3)
     assert lsfp_direct(standard_embed(c2, (1, 1))).mu_f == 1
     assert lsfp_direct(standard_embed(c3, (1, 1, 2))).mu_f == 1
-    for lat in (c3, diamond(), corpus_lattice("N5")):
+    for lat in (c3, diamond(), dict(corpus())["N5"]):
         leq = lat.poset.leq.tolist()
         for t in iproduct(range(lat.size), repeat=lat.size):
             mp = standard_embed(lat, t)
@@ -183,8 +219,10 @@ def test_standard_embed_validates_fn(c2, d4):
     from mucofix import LatticeFn
     with pytest.raises(ValueError):
         standard_embed(c2, LatticeFn(d4, d4, (0, 1, 2, 3)))
-    mp = standard_embed(c2, LatticeFn.endo(c2, (1, 1)))
+    mp = standard_embed(c2, LatticeFn(c2, c2, (1, 1)))
     assert mp.g == (0, 1)
+    with pytest.raises(TypeError):
+        standard_embed(c2, (0.5, 1))
 
 
 def test_implicit_engine_matches_explicit(k1, swap):

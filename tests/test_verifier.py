@@ -107,11 +107,12 @@ def test_gen_monotone_pair_is_monotone_and_varied():
     assert len(tables) > 5
 
 
-def test_gen_continuous_pair_and_fallbacks():
+def test_gen_continuous_pair_and_fallbacks(monkeypatch):
     mp = gen_continuous_pair(spec(3), chain(3), diamond())
     assert is_continuous_pair(mp, BINARY)
-    # retries=0 forces the curated family; equal carriers get the identity
-    mp = gen_continuous_pair(spec(3), diamond(), diamond(), BINARY, retries=0)
+    # no draws forces the curated family; equal carriers get the identity
+    monkeypatch.setattr(verifier, "CONTINUOUS_RETRIES", 0)
+    mp = gen_continuous_pair(spec(3), diamond(), diamond(), BINARY)
     assert mp.f == (0, 1, 2, 3) and mp.g == (0, 1, 2, 3)
 
 
@@ -119,7 +120,7 @@ def test_generation_exhausted_when_no_pair_exists():
     # no with-empty continuous map sends the three atoms of M3 into a
     # two-chain: two atoms must share an image, breaking a bound law
     with pytest.raises(GenerationExhausted):
-        gen_continuous_pair(spec(0), chain(2), m3(), WITH_EMPTY, retries=6)
+        gen_continuous_pair(spec(0), chain(2), m3(), WITH_EMPTY)
 
 
 @pytest.mark.parametrize("lemma_id", list(LEMMAS))
@@ -130,6 +131,13 @@ def test_lemmas_pass_on_generated_instances(lemma_id):
     assert report.instances_tried == 30
     assert report.failures == []
     assert report.lemma_id == lemma_id
+
+
+def test_sfp_scans_monotonicity_at_most_twice_per_instance(monotone_scans):
+    # generation, the premise and all six solvers share each pair's verdict
+    report = check_lemma("SFP", spec(4, count=20))
+    assert report.passed and report.instances_tried == 20
+    assert len(monotone_scans) <= 2 * 20
 
 
 def test_check_lemma_rejects_unknown_id():
@@ -210,8 +218,8 @@ def test_miner_is_deterministic():
 
 WITNESSES = json.loads((Path(__file__).parent / "data" / "lemma_witnesses.json").read_text())
 RUNNERS = {"L3": verifier._check_l3, "L4": verifier._check_l4, "L5": verifier._check_l5,
-           "L7": verifier._check_l7, "SFP": verifier._check_sfp, "Q1": verifier._q1,
-           "Q2": verifier._q2}
+           "L6": verifier._check_l6, "L7": verifier._check_l7, "SFP": verifier._check_sfp,
+           "Q1": verifier._q1, "Q2": verifier._q2, "Q3": verifier._q3}
 
 
 def _witness(runner, mp):
