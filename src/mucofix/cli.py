@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import functools
 
+from . import solvers
 from .demos import (StepBudgetExceeded, fixture_tables, parse_class_table_doc,
                     paulson_trio, solve_subtyping)
 from .genfun import monotone_witness, pair_continuity_witness, parse_mode
 from .lattice import CapacityError, NotALatticeError, NotAPosetError
-from .solvers import (NotMonotoneError, gsfp_direct, gsfp_product, gsfp_tarski_oracle,
-                      lsfp_direct, lsfp_product, lsfp_tarski_oracle)
+from .solvers import NotMonotoneError
 from .textio import (DocumentError, load_document, pair_from_lattices, parse_lattice_doc,
                      parse_pair_doc)
 from .verifier import (InstanceGenSpec, L4_SIZE_CAP, LEMMA_IDS, QUESTIONS, check_lemma,
@@ -39,8 +39,11 @@ VERIFY_PLAN = (
     ("SFP", "monotone"),
 )
 
-# the solvers that return a SolveResult, least first, by strategy name
-SOLVERS = {"direct": (lsfp_direct, gsfp_direct), "product": (lsfp_product, gsfp_product)}
+# the solver names of each strategy, least first, looked up in solvers on
+# every call; the Tarski oracle returns a bare point, the others a SolveResult
+SOLVERS = {"direct": ("lsfp_direct", "gsfp_direct"),
+           "product": ("lsfp_product", "gsfp_product"),
+           "tarski": ("lsfp_tarski_oracle", "gsfp_tarski_oracle")}
 
 
 def _subset_text(lat, ids) -> str:
@@ -112,35 +115,24 @@ def _check_pair_doc(obj, mode) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def _print_solution(label_f, label_g, lat_o, lat_p, point, iterations, trace, show_trace):
-    print(f"{label_f}: {lat_o.label(point.o)}")
-    print(f"{label_g}: {lat_p.label(point.p)}")
-    if iterations is not None:
-        print(f"iterations: {iterations}")
-    if show_trace:
-        for i, pt in enumerate(trace):
-            print(f"trace[{i}]: ({lat_o.label(pt.o)},{lat_p.label(pt.p)})")
-
-
 def cmd_solve(args) -> int:
-    obj = load_document(args.path)
-    mp = parse_pair_doc(obj)
+    mp = parse_pair_doc(load_document(args.path))
     least = args.direction == "least"
     lf, lg = ("muF", "muG") if least else ("nuF", "nuG")
     print(f"solve: {args.path}")
     print(f"direction: {args.direction}")
     results = []
-    strategies = ("direct", "product", "tarski") if args.strategy == "all" else (args.strategy,)
+    strategies = tuple(SOLVERS) if args.strategy == "all" else (args.strategy,)
     for strategy in strategies:
         print(f"strategy: {strategy}")
-        if strategy == "tarski":
-            point = (lsfp_tarski_oracle if least else gsfp_tarski_oracle)(mp)
-            _print_solution(lf, lg, mp.dom_o, mp.dom_p, point, None, (), False)
-        else:
-            res = SOLVERS[strategy][0 if least else 1](mp)
-            point = res.mu if least else res.nu
-            _print_solution(lf, lg, mp.dom_o, mp.dom_p, point,
-                            res.iterations, res.trace, args.trace)
+        res = getattr(solvers, SOLVERS[strategy][0 if least else 1])(mp)
+        point = res if strategy == "tarski" else res.mu if least else res.nu
+        print(f"{lf}: {mp.dom_o.label(point.o)}")
+        print(f"{lg}: {mp.dom_p.label(point.p)}")
+        if strategy != "tarski":
+            print(f"iterations: {res.iterations}")
+            for i, pt in enumerate(res.trace if args.trace else ()):
+                print(f"trace[{i}]: ({mp.dom_o.label(pt.o)},{mp.dom_p.label(pt.p)})")
         results.append(point)
     if args.strategy == "all":
         agree = all(r == results[0] for r in results)
@@ -198,10 +190,14 @@ def cmd_demo(args) -> int:
     print(f"direction: {args.direction}")
     print(f"types: {len(state.types)}")
     print(f"intervals: {len(state.intervals)}")
-    print(f"subtypes: {len(state.subtypes)}")
-    for i, (a, b) in enumerate(sorted(state.subtypes, key=lambda ab: (str(ab[0]), str(ab[1])))):
-        print(f"subtype[{i}]: ({a},{b})")
-    print(f"containments: {len(state.containments)}")
+    # the matrix with rows and columns in name order lists its pairs sorted
+    names = [str(t) for t in state.types]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rows, cols = state.sub[order][:, order].nonzero()
+    print(f"subtypes: {len(rows)}")
+    for i, (a, b) in enumerate(zip(rows.tolist(), cols.tolist())):
+        print(f"subtype[{i}]: ({names[order[a]]},{names[order[b]]})")
+    print(f"containments: {state.cont.sum()}")
     return EXIT_OK
 
 

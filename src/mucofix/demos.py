@@ -7,13 +7,14 @@ greatest simultaneous fixed point over a product of relation powersets.
 Each relation is a boolean matrix over the ids of the universe, so one
 generator step is a pair of array gathers, and the matrix pair is
 iterated directly from all-false or all-true; no powerset is built. The
-public answer is turned into frozensets of type pairs once, at the end.
+answer is the two limit matrices; pair sets are built on first read.
 The second is a trio of mutually recursive functions extracted from a
 small imperative program, run as a label state machine over unbounded
 integers.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +73,6 @@ class ClassTable:
                     raise ValueError(f"superclass cycle through {nxt.name}")
                 seen.add(nxt.name)
                 cur = nxt
-
-    def __getitem__(self, name: str) -> ClassDef:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def parse_class_table_doc(obj) -> ClassTable:
@@ -150,15 +145,7 @@ def build_universe(ct: ClassTable,
     return types, intervals
 
 
-def _index(name: str, members) -> dict:
-    ids = {m: i for i, m in enumerate(members)}
-    if len(ids) != len(members):
-        raise ValueError(f"{name} must be distinct")
-    return ids
-
-
-def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...],
-                       intervals: tuple[IntervalType, ...]) -> ImplicitMutualPair:
+def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...]) -> ImplicitMutualPair:
     """The mutual generator pair over relation powersets.
 
     From a subtyping relation S, intervals are related covariantly in the
@@ -166,15 +153,18 @@ def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...],
     relation R, ground types are related along the class hierarchy with
     generic arguments compared through R; Null and Object are below and
     above everything unconditionally. Relations are boolean matrices over
-    the positions in types and intervals, so both generators are gathers
-    through precomputed id arrays; the class order is the closure of the
-    extends matrix over class ids, gathered to types."""
-    tid = _index("types", types)
-    iid = _index("intervals", intervals)
+    the positions in types and in build_universe's intervals, where
+    interval i is [types[i // n], types[i % n]]. Both generators are
+    gathers through precomputed id arrays; the class order is the closure
+    of the extends matrix over class ids, gathered to types."""
+    n = len(types)
+    tid = {t: i for i, t in enumerate(types)}
+    if len(tid) != n:
+        raise ValueError("types must be distinct")
+    lo, up = np.divmod(np.arange(n * n, dtype=np.intp), n)
     try:
-        lo = np.array([tid[iv.lower] for iv in intervals], dtype=np.intp)
-        up = np.array([tid[iv.upper] for iv in intervals], dtype=np.intp)
-        arg = np.array([0 if t.arg is None else iid[t.arg] for t in types], dtype=np.intp)
+        arg = np.array([0 if t.arg is None else tid[t.arg.lower] * n + tid[t.arg.upper]
+                        for t in types], dtype=np.intp)
     except KeyError as exc:
         raise ValueError(f"{exc.args[0]} is outside the given universe") from None
     cid = {c.name: i for i, c in enumerate(ct.classes)}
@@ -204,13 +194,23 @@ def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...],
     return ImplicitMutualPair(f, g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationPairState:
-    'A solved subtyping/containment relation pair over a fixed universe.'
-    subtypes: frozenset
-    containments: frozenset
+    """A solved subtyping/containment pair over a fixed universe, kept as
+    its two read-only limit matrices over the positions in types and in
+    intervals; the pair sets are built on first read. Compared by identity."""
     types: tuple[GroundType, ...]
     intervals: tuple[IntervalType, ...]
+    sub: np.ndarray
+    cont: np.ndarray
+
+    @functools.cached_property
+    def subtypes(self) -> frozenset:
+        return _pairs(self.sub, self.types)
+
+    @functools.cached_property
+    def containments(self) -> frozenset:
+        return _pairs(self.cont, self.intervals)
 
 
 def _check_preorder(name: str, leq: np.ndarray, carrier) -> None:
@@ -236,11 +236,11 @@ def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least") -> Rel
     """Solve both relations at once by iterating the paired step from the
     empty pair upward or the full pair downward, at most one step per
     matrix cell. Either answer is checked to be a preorder in both
-    components before it is returned."""
+    components before it is returned, as its two limit matrices."""
     if direction not in ("least", "greatest"):
         raise ValueError('direction must be "least" or "greatest"')
     types, intervals = build_universe(ct, k)
-    imp = subtype_generators(ct, types, intervals)
+    imp = subtype_generators(ct, types)
     fill = np.zeros if direction == "least" else np.ones
     start = (fill((len(types),) * 2, dtype=bool), fill((len(intervals),) * 2, dtype=bool))
 
@@ -251,25 +251,26 @@ def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least") -> Rel
         return np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
 
     height = len(types) ** 2 + len(intervals) ** 2
-    subtypes, containments = kleene_implicit(start, step, eq, height).limit
-    _check_preorder("subtype", subtypes, types)
-    _check_preorder("containment", containments, intervals)
-    return RelationPairState(_pairs(subtypes, types), _pairs(containments, intervals),
-                             types, intervals)
+    sub, cont = kleene_implicit(start, step, eq, height).limit
+    _check_preorder("subtype", sub, types)
+    _check_preorder("containment", cont, intervals)
+    sub.flags.writeable = cont.flags.writeable = False
+    return RelationPairState(types, intervals, sub, cont)
+
+
+def _related(m: np.ndarray, members, a, b) -> bool:
+    for x in (a, b):
+        if x not in members:
+            raise ValueError(f"{x} is outside the solved universe")
+    return bool(m[members.index(a), members.index(b)])
 
 
 def is_subtype(state: RelationPairState, t1: GroundType, t2: GroundType) -> bool:
-    for t in (t1, t2):
-        if t not in state.types:
-            raise ValueError(f"{t} is outside the solved universe")
-    return (t1, t2) in state.subtypes
+    return _related(state.sub, state.types, t1, t2)
 
 
 def is_contained(state: RelationPairState, i1: IntervalType, i2: IntervalType) -> bool:
-    for i in (i1, i2):
-        if i not in state.intervals:
-            raise ValueError(f"{i} is outside the solved universe")
-    return (i1, i2) in state.containments
+    return _related(state.cont, state.intervals, i1, i2)
 
 
 def paulson_trio(x: int, y: int, z: int, entry: str = "F",

@@ -581,6 +581,9 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
     Any finding is re-validated from scratch before being reported."""
     if question not in QUESTIONS:
         raise ValueError(f"unknown question {question!r}; choose from {', '.join(QUESTIONS)}")
+    for name, value in (("budget", budget), ("max_size", max_size)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
     pred = QUESTIONS[question]
     tried = 0
     randomized = 0

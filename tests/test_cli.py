@@ -1,4 +1,5 @@
 """The command line surface: output bytes, exit codes, error routing."""
+import hashlib
 import json
 import os
 import random
@@ -148,6 +149,27 @@ def test_solve_product_trace(capsys):
     ]
 
 
+def test_solve_runs_the_solvers_bound_at_call_time(capsys, monkeypatch):
+    # wrap each solver in every mucofix module that binds it, the way a
+    # tracer patches module attributes; solve must call each wrapper once
+    calls = []
+    modules = [m for name, m in sys.modules.items()
+               if name == "mucofix" or name.startswith("mucofix.")]
+    for name in ("lsfp_direct", "gsfp_product", "lsfp_tarski_oracle"):
+        real = getattr(mucofix.solvers, name)
+
+        def wrapper(mp, name=name, real=real):
+            calls.append(name)
+            return real(mp)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, wrapper)
+    assert run(capsys, "solve", K1)[0] == EXIT_OK
+    assert run(capsys, "solve", K1, "--direction", "greatest")[0] == EXIT_OK
+    assert calls == ["lsfp_direct", "lsfp_tarski_oracle", "gsfp_product"]
+
+
 def test_solve_greatest_direct(capsys):
     rc, out = run(capsys, "solve", K1, "--direction", "greatest", "--strategy", "direct")
     assert rc == EXIT_OK
@@ -232,6 +254,12 @@ def test_mine_q1_finds(capsys):
     assert "result: found" in out and "revalidated: true" in out
 
 
+@pytest.mark.parametrize("flag, name", [("--budget", "budget"), ("--max-size", "max_size")])
+def test_mine_refuses_negative_limits(capsys, flag, name):
+    rc, out = run(capsys, "mine", "Q2", flag, "-3")
+    assert (rc, out) == (EXIT_INPUT, f"input error: {name} must be nonnegative\n")
+
+
 def test_demo_paulson(capsys):
     rc, out = run(capsys, "demo", "paulson")
     assert (rc, out) == (EXIT_OK, "(1,1,0)\n")
@@ -266,6 +294,41 @@ def test_demo_subtype_from_document(capsys):
                   "--depth", "0")
     assert rc == EXIT_OK
     assert "types: 4" in out and "subtypes: 10" in out
+
+
+# sha256 of `demo subtype --classes generic.json` stdout, run from the data
+# directory so the path line is fixed, per depth and direction
+GENERIC_DEMO_SHA256 = {
+    (0, "least"): "f5cb2d44fb3671d83192e3c0f7fe010d5f66bdf5e49e4380f40dbe01b7a9b06e",
+    (0, "greatest"): "87392709d0115c7ccb4175d285c276161e1eb6a9460f2db9c1c4ba4e4a4d4913",
+    (1, "least"): "39d228ea7fc1ea3b12a37715f7391414f38f3f0fcb5eb17c883319e73f5b8a9d",
+    (1, "greatest"): "2c8faacbfa06650c17fcabe546f8d1c7fc6e950159d87104a166735662f85799",
+    (2, "least"): "c7aef2574b2914534d778f9303c3aea1357e3b847d40fe6d5add1ec54bf0f943",
+    (2, "greatest"): "ae5eea2c7312a054bcfee9718df9b6bb90bdce44bfa3c2aaf8fb6ae06d949bf4",
+}
+
+
+def generic_demo(capsys, monkeypatch, depth, direction):
+    monkeypatch.chdir(DATA)
+    rc, out = run(capsys, "demo", "subtype", "--classes", "generic.json",
+                  "--depth", str(depth), "--direction", direction)
+    return rc, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("depth, direction", sorted(GENERIC_DEMO_SHA256))
+def test_demo_subtype_generic_bytes(capsys, monkeypatch, depth, direction):
+    assert generic_demo(capsys, monkeypatch, depth, direction) == \
+        (EXIT_OK, GENERIC_DEMO_SHA256[depth, direction])
+
+
+def test_demo_subtype_builds_no_pair_set(capsys, monkeypatch):
+    def refuse(m, members):
+        raise AssertionError("a set of pairs was built")
+    monkeypatch.setattr(mucofix.demos, "_pairs", refuse)
+    with pytest.raises(AssertionError, match="set of pairs"):
+        mucofix.demos.solve_subtyping(mucofix.demos.fixture_tables()["two"], 0).subtypes
+    assert generic_demo(capsys, monkeypatch, 2, "greatest") == \
+        (EXIT_OK, GENERIC_DEMO_SHA256[2, "greatest"])
 
 
 def test_cap_refusal_flows_through(capsys, monkeypatch):
