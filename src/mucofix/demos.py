@@ -134,7 +134,8 @@ def build_universe(ct: ClassTable,
     base = tuple(GroundType(c.name) for c in ct.classes if not c.is_generic)
     generics = tuple(c.name for c in ct.classes if c.is_generic)
     types = base
-    for depth in range(k + 1):
+    # only generic classes add types, so a table without one is closed at once
+    for depth in range(k + 1 if generics else 1):
         if depth:
             intervals = tuple(IntervalType(lo, up) for lo in types for up in types)
             types = base + tuple(GroundType(g, iv) for g in generics for iv in intervals)
@@ -283,7 +284,9 @@ def paulson_trio(x: int, y: int, z: int, entry: str = "F",
     otherwise returns the state."""
     if entry not in ("F", "G", "H"):
         raise ValueError('entry must be "F", "G", or "H"')
-    label = entry
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    label, start = entry, f"({x},{y},{z})"
     for _ in range(budget):
         if label == "F":
             x, label = x + 1, "G"
@@ -297,7 +300,7 @@ def paulson_trio(x: int, y: int, z: int, entry: str = "F",
                 z, label = z - x, "F"
             else:
                 return (x, y, z)
-    raise StepBudgetExceeded(f"no return within {budget} steps from ({x},{y},{z})")
+    raise StepBudgetExceeded(f"no return within {budget} steps from {start}")
 
 
 def fixture_tables() -> dict[str, ClassTable]:

@@ -371,11 +371,18 @@ def powerset_lattice(n: int) -> FiniteLattice:
     for mask in range(1 << n):
         members = [ground[i] for i in range(n) if mask >> i & 1]
         labels.append("{" + ",".join(members) + "}")
-    masks = np.arange(1 << n)
-    leq = (masks[:, None] & ~masks[None, :]) == 0
-    meet = (masks[:, None] & masks[None, :]).astype(np.int32)
-    join = (masks[:, None] | masks[None, :]).astype(np.int32)
-    return FiniteLattice(FinitePoset(tuple(labels), leq), meet, join, 0, (1 << n) - 1)
+    return mask_lattice(range(1 << n), labels)
+
+
+def mask_lattice(masks, labels) -> FiniteLattice:
+    """Bitmasks under inclusion, element i being masks[i]. The family must be closed
+    under & and |, which then give the bounds, and list its least mask first and greatest last."""
+    arr = np.asarray(masks, dtype=np.int32)
+    pos = np.zeros(int(arr.max()) + 1, dtype=np.int32)
+    pos[arr] = np.arange(len(arr))
+    leq = (arr[:, None] & ~arr[None, :]) == 0
+    return FiniteLattice(FinitePoset(tuple(labels), leq), pos[arr[:, None] & arr[None, :]],
+                         pos[arr[:, None] | arr[None, :]], 0, len(arr) - 1)
 
 
 def dual(lat: FiniteLattice) -> FiniteLattice:

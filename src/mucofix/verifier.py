@@ -18,7 +18,7 @@ from .fixtures import chain, corpus, diamond
 from .genfun import (BINARY, ContinuityMode, LatticeFn, MutualPair, compose_fg,
                      compose_gf, is_continuous_pair, join_continuity_witness,
                      meet_continuity_witness, monotone_witness)
-from .lattice import (CapacityError, FiniteLattice, FinitePoset, compose, powerset_lattice,
+from .lattice import (CapacityError, FiniteLattice, compose, mask_lattice, powerset_lattice,
                       product)
 from .simpoints import component_sets, is_sim_fixed, point_masks
 from .solvers import (gsfp_direct, gsfp_product, gsfp_tarski_oracle, lsfp_direct,
@@ -78,32 +78,19 @@ class InstanceGenSpec:
 
 def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
     # draw subsets of a 4-member ground set and close them under binary
-    # intersection/union; the closure is a sublattice, hence a lattice
+    # intersection/union in one meet pass and then one join pass: the
+    # sublattice a family generates is every join of meets of the family
     for _ in range(64):
         want = rng.randint(lo, hi)
-        seeds = rng.sample(range(16), k=min(want, 16))
-        closed = set(seeds)
-        grew = True
-        while grew:
-            grew = False
-            for a in list(closed):
-                for b in list(closed):
-                    for c in (a & b, a | b):
-                        if c not in closed:
-                            closed.add(c)
-                            grew = True
+        meets: set[int] = set()
+        for s in rng.sample(range(16), k=min(want, 16)):
+            meets |= {s & m for m in meets} | {s}
+        closed = set(meets)
+        for m in meets:
+            closed |= {m | c for c in closed}
         if lo <= len(closed) <= hi:
-            masks = sorted(closed, key=lambda m: (bin(m).count("1"), m))
-            labels = tuple("m" + format(m, "04b") for m in masks)
-            # the family is closed under & and |, so the bound tables are
-            # those of the powerset, renumbered; the fewest bits come first
-            # and the most last, which makes 0 the bottom and len-1 the top
-            arr = np.array(masks)
-            pos = np.zeros(16, dtype=np.int32)
-            pos[arr] = np.arange(len(arr))
-            leq = (arr[:, None] & ~arr[None, :]) == 0
-            return FiniteLattice(FinitePoset(labels, leq), pos[arr[:, None] & arr[None, :]],
-                                 pos[arr[:, None] | arr[None, :]], 0, len(arr) - 1)
+            masks = sorted(closed, key=lambda m: (bin(m).count("1"), m))  # bottom first, top last
+            return mask_lattice(masks, tuple("m" + format(m, "04b") for m in masks))
     return chain(rng.randint(lo, hi))
 
 
@@ -220,20 +207,20 @@ def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: Fini
         f"no continuous pair found on {lat_o.size}x{lat_p.size} under {mode.kind}")
 
 
-def _arbitrary_pair(spec: InstanceGenSpec, lat_o: FiniteLattice,
-                    lat_p: FiniteLattice) -> MutualPair:
-    rng = random.Random(split_seed(spec.seed, 0xA7))
-    return MutualPair(lat_o, lat_p,
-                      tuple(rng.randrange(lat_p.size) for _ in range(lat_o.size)),
-                      tuple(rng.randrange(lat_o.size) for _ in range(lat_p.size)))
-
-
-def _gen_pair(spec, lat_o, lat_p, mode):
+def _instance(spec: InstanceGenSpec, index: int, mode: ContinuityMode) -> MutualPair:
+    'Instance index of spec: carriers from slots 1 and 2 of its seed, the pair from slot 3.'
+    child = split_seed(spec.seed, index)
+    lat_o = gen_lattice(replace(spec, seed=split_seed(child, 1)))
+    lat_p = gen_lattice(replace(spec, seed=split_seed(child, 2)))
+    spec = replace(spec, seed=split_seed(child, 3))
     if spec.function_class == "monotone":
         return gen_monotone_pair(spec, lat_o, lat_p)
     if spec.function_class == "continuous":
         return gen_continuous_pair(spec, lat_o, lat_p, mode)
-    return _arbitrary_pair(spec, lat_o, lat_p)
+    rng = random.Random(split_seed(spec.seed, 0xA7))
+    return MutualPair(lat_o, lat_p,
+                      tuple(rng.randrange(lat_p.size) for _ in range(lat_o.size)),
+                      tuple(rng.randrange(lat_o.size) for _ in range(lat_p.size)))
 
 
 # ---------------------------------------------------------------- lemmas
@@ -471,16 +458,14 @@ def check_lemma(lemma_id: str, spec: InstanceGenSpec,
     title, premise, runner = LEMMAS[lemma_id]
     report = LemmaReport(lemma_id, title, mode.kind, spec.function_class)
     for i in range(spec.count):
-        child = split_seed(spec.seed, i)
-        lat_o = gen_lattice(replace(spec, seed=split_seed(child, 1)))
-        lat_p = gen_lattice(replace(spec, seed=split_seed(child, 2)))
         try:
-            mp = _gen_pair(replace(spec, seed=split_seed(child, 3)), lat_o, lat_p, mode)
+            mp = _instance(spec, i, mode)
         except GenerationExhausted:
             report.generation_failures += 1
             continue
         report.instances_tried += 1
-        if not _premise_holds(premise, mp, mode):
+        # a pair of the premise's own class was checked when it was generated
+        if premise != spec.function_class and not _premise_holds(premise, mp, mode):
             report.premise_skipped += 1
             continue
         witness = runner(mp, mode)
@@ -615,11 +600,9 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
                     w = pred(mp, mode)
                     if w is not None:
                         return emit(mp, w)
+    spec = replace(spec, function_class="monotone")
     while tried < budget:
-        child = split_seed(spec.seed, tried)
-        lat_o = gen_lattice(replace(spec, seed=split_seed(child, 1)))
-        lat_p = gen_lattice(replace(spec, seed=split_seed(child, 2)))
-        mp = gen_monotone_pair(replace(spec, seed=split_seed(child, 3)), lat_o, lat_p)
+        mp = _instance(spec, tried, mode)
         tried += 1
         randomized += 1
         w = pred(mp, mode)

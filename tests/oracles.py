@@ -288,6 +288,21 @@ def continuity_witness_oracle(table, dom_leq, cod_leq, law, with_empty=False):
     return None
 
 
+def closed_family_oracle(masks):
+    'The family the bitmasks generate under & and |, grown until a scan of all pairs adds nothing.'
+    closed = set(masks)
+    grew = True
+    while grew:
+        grew = False
+        for a in list(closed):
+            for b in list(closed):
+                for c in (a & b, a | b):
+                    if c not in closed:
+                        closed.add(c)
+                        grew = True
+    return closed
+
+
 def closed_subsets_oracle(leq):
     'Nonempty subsets, in ascending bitmask order, holding the glb and lub of every two members.'
     n = len(leq)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,11 @@ def test_demo_paulson_budget(capsys):
     assert "no return within 40 steps" in out
 
 
+def test_demo_paulson_negative_budget_is_an_input_error(capsys):
+    rc, out = run(capsys, "demo", "paulson", "--budget", "-1")
+    assert (rc, out) == (EXIT_INPUT, "input error: budget must be nonnegative\n")
+
+
 def test_demo_paulson_bad_arity(capsys):
     rc, out = run(capsys, "demo", "paulson", "1", "2")
     assert rc == EXIT_INPUT
@@ -287,6 +293,17 @@ def test_demo_subtype_default(capsys):
     assert "types: 3" in lines and "intervals: 9" in lines
     assert "subtypes: 6" in lines and "containments: 36" in lines
     assert "subtype[0]: (A,A)" in lines
+
+
+def test_demo_subtype_depth_saturates_without_generics(capsys):
+    # only generic classes add types, so any depth prints the depth-0 report
+    _, depth0 = run(capsys, "demo", "subtype", "--depth", "0")
+    start = time.perf_counter()
+    rc, out = run(capsys, "demo", "subtype", "--depth", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_OK
+    assert out == depth0.replace("depth: 0\n", "depth: 1000000000\n")
+    assert "types: 3\n" in out and "intervals: 9\n" in out
 
 
 def test_demo_subtype_from_document(capsys):

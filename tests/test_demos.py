@@ -329,6 +329,13 @@ def test_trio_budget_and_entry_validation():
         paulson_trio(0, 0, 1, budget=50)    # y stays below z forever
     with pytest.raises(ValueError):
         paulson_trio(0, 0, 0, entry="Q")
+    with pytest.raises(ValueError, match="^budget must be nonnegative$"):
+        paulson_trio(0, 0, 0, budget=-1)
+
+
+def test_trio_budget_message_names_the_start_state():
+    with pytest.raises(StepBudgetExceeded, match=r"^no return within 10 steps from \(-5,0,3\)$"):
+        paulson_trio(-5, 0, 3, budget=10)
 
 
 def test_preorder_check_survives_python_O():

@@ -7,12 +7,12 @@ from itertools import product as iproduct
 import pytest
 
 from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, InstanceGenSpec, LatticeFn, MutualPair,
-                     chain, compose_fg, compose_gf, diamond, gen_lattice,
+                     chain, compose_fg, compose_gf, diamond,
                      is_continuous_pair, is_monotone, join_continuity_witness,
                      meet_continuity_witness,
                      monotone_witness, n5, pair_continuity_witness, parse_mode,
                      product, split_seed)
-from mucofix.verifier import GenerationExhausted, _gen_pair
+from mucofix.verifier import GenerationExhausted, _instance
 
 from oracles import (continuity_witness_oracle, monotone_witness_oracle, nonempty_subsets,
                      preserves_joins_oracle, preserves_meets_oracle)
@@ -187,11 +187,8 @@ def _generated_fns(mode):
     for k, function_class in enumerate(("monotone", "continuous", "arbitrary")):
         spec = InstanceGenSpec(seed=split_seed(31, k), function_class=function_class)
         for i in range(25):
-            child = split_seed(spec.seed, i)
-            lat_o = gen_lattice(replace(spec, seed=split_seed(child, 1)))
-            lat_p = gen_lattice(replace(spec, seed=split_seed(child, 2)))
             try:
-                mp = _gen_pair(replace(spec, seed=split_seed(child, 3)), lat_o, lat_p, mode)
+                mp = _instance(spec, i, mode)
             except GenerationExhausted:
                 continue
             fns += [mp.f_fn, mp.g_fn]

@@ -13,13 +13,12 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from mucofix import (BINARY, WITH_EMPTY, InstanceGenSpec, gen_lattice,
-                     pair_continuity_witness, pair_to_json, split_seed)
+from mucofix import (BINARY, WITH_EMPTY, InstanceGenSpec, pair_continuity_witness,
+                     pair_to_json, split_seed)
 from mucofix.cli import main
-from mucofix.verifier import FAMILIES, FUNCTION_CLASSES, GenerationExhausted, _gen_pair
+from mucofix.verifier import FAMILIES, FUNCTION_CLASSES, GenerationExhausted, _instance
 
 PINS = json.loads((Path(__file__).parent / "data" / "stream_pins.json").read_text())
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -45,11 +44,8 @@ def _stream_digest(spec, mode) -> str:
     'Hash each instance check_lemma would generate for spec, with its continuity witness.'
     h = hashlib.sha256()
     for i in range(spec.count):
-        child = split_seed(spec.seed, i)
-        lat_o = gen_lattice(replace(spec, seed=split_seed(child, 1)))
-        lat_p = gen_lattice(replace(spec, seed=split_seed(child, 2)))
         try:
-            mp = _gen_pair(replace(spec, seed=split_seed(child, 3)), lat_o, lat_p, mode)
+            mp = _instance(spec, i, mode)
         except GenerationExhausted as exc:
             h.update(f"exhausted: {exc}\n".encode())
             continue

@@ -1,6 +1,7 @@
 """Seeded generation, lemma runners, and the counterexample miner."""
 import json
-from dataclasses import replace
+import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,12 @@ from mucofix import (BINARY, WITH_EMPTY, CapacityError, InstanceGenSpec, MutualP
                      is_continuous_pair, is_monotone, m3, mine_counterexample,
                      pair_from_json, product, split_seed, validate_lattice)
 import mucofix.verifier as verifier
+from mucofix.lattice import mask_lattice
 from mucofix.verifier import (GenerationExhausted, LEMMAS, _check_l1, _check_l5,
                               render_finding_report, render_lemma_report)
 
-from oracles import closed_subsets_oracle, glb_scan, is_lattice_oracle, lub_scan
+from oracles import (closed_family_oracle, closed_subsets_oracle, glb_scan, is_lattice_oracle,
+                     lub_scan)
 
 
 def spec(seed=0, **kw):
@@ -72,10 +75,12 @@ def test_gen_lattice_is_deterministic():
 
 
 def test_random_closed_tables_match_validation_and_scans():
-    # random-closed lattices get their tables straight from the masks;
-    # the order search and the candidate scans must agree with them
-    for seed in range(40):
-        lat = gen_lattice(spec(seed, family="random-closed", size_lo=2, size_hi=8))
+    # random-closed lattices and powersets get their tables straight from
+    # the masks; the order search and the candidate scans must agree with them
+    lattices = [gen_lattice(spec(seed, family="random-closed", size_lo=2, size_hi=8))
+                for seed in range(40)]
+    lattices += [mask_lattice(range(1 << g), [str(m) for m in range(1 << g)]) for g in range(5)]
+    for lat in lattices:
         ref = validate_lattice(lat.poset)
         assert (lat.meet == ref.meet).all() and (lat.join == ref.join).all()
         assert (lat.bottom, lat.top) == (ref.bottom, ref.top)
@@ -84,6 +89,27 @@ def test_random_closed_tables_match_validation_and_scans():
             for j in range(lat.size):
                 assert lat.meet[i, j] == glb_scan(leq, [i, j])
                 assert lat.join[i, j] == lub_scan(leq, [i, j])
+
+
+def test_random_closed_family_matches_the_grow_until_fixed_loop():
+    # replay the draws of _random_closed with the plain closure loop: the
+    # family, its order and the draws consumed must all be the same
+    for seed in range(10_000):
+        lo = 2 + seed % 4
+        hi = lo + 2 + seed // 4 % 7
+        rng = random.Random(seed)
+        got = verifier._random_closed(rng, lo, hi)
+        replay = random.Random(seed)
+        for _ in range(64):
+            want = replay.randint(lo, hi)
+            closed = closed_family_oracle(replay.sample(range(16), k=min(want, 16)))
+            if lo <= len(closed) <= hi:
+                masks = sorted(closed, key=lambda m: (bin(m).count("1"), m))
+                assert got.labels == tuple("m" + format(m, "04b") for m in masks), seed
+                break
+        else:
+            assert got.labels == chain(replay.randint(lo, hi)).labels, seed
+        assert rng.getstate() == replay.getstate(), seed
 
 
 def test_gen_lattice_range_fallbacks():
@@ -300,10 +326,7 @@ def test_l4_scan_matches_the_plain_loop_oracle():
     for function_class in ("monotone", "arbitrary"):
         s = spec(17, function_class=function_class, size_hi=8)
         for i in range(30):
-            child = split_seed(s.seed, i)
-            lat_o = gen_lattice(replace(s, seed=split_seed(child, 1)))
-            lat_p = gen_lattice(replace(s, seed=split_seed(child, 2)))
-            mp = verifier._gen_pair(replace(s, seed=split_seed(child, 3)), lat_o, lat_p, BINARY)
+            mp = verifier._instance(s, i, BINARY)
             want = _l4_oracle(mp)
             got = verifier._check_l4(mp, BINARY)
             if want is None:
@@ -313,6 +336,21 @@ def test_l4_scan_matches_the_plain_loop_oracle():
                 side, s_ids, violation = want
                 assert got == f"{side} image of sublattice {s_ids} is not closed: {violation}"
     assert found >= 10
+
+
+def test_continuous_rows_decide_continuity_once_per_pair(monkeypatch):
+    # gen_continuous_pair accepts a pair by deciding its continuity, so the
+    # continuous premise of L5 must not decide it again
+    decided = []
+    real = verifier.is_continuous_pair
+
+    def counted(mp, mode):
+        decided.append(mp)    # holding the pair keeps its id unique
+        return real(mp, mode)
+    monkeypatch.setattr(verifier, "is_continuous_pair", counted)
+    report = check_lemma("L5", spec(4, function_class="continuous", count=40))
+    assert report.instances_tried == 40
+    assert max(Counter(map(id, decided)).values()) == 1
 
 
 def test_l4_refuses_carriers_above_sixteen():
