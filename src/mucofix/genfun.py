@@ -84,6 +84,18 @@ class MutualPair:
                 return side, w
         return None
 
+    @cached_property
+    def _continuity_failures(self) -> dict:
+        return {}
+
+    def continuity_failure(self, mode: ContinuityMode):
+        """pair_continuity_witness(self, mode), scanned at most once per
+        pair and mode, on first use, like monotone_failure."""
+        failures = self._continuity_failures
+        if mode not in failures:
+            failures[mode] = pair_continuity_witness(self, mode)
+        return failures[mode]
+
 
 def dual_pair(mp: MutualPair) -> MutualPair:
     'The same tables between both order-duals; its least pair is the greatest of mp.'
@@ -156,5 +168,5 @@ def pair_continuity_witness(mp: MutualPair, mode: ContinuityMode = BINARY):
 
 
 def is_continuous_pair(mp: MutualPair, mode: ContinuityMode = BINARY) -> bool:
-    'Both generators preserve meets and joins under the given mode.'
-    return pair_continuity_witness(mp, mode) is None
+    'Both generators preserve meets and joins under mode, decided once per pair and mode.'
+    return mp.continuity_failure(mode) is None

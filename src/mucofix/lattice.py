@@ -5,11 +5,16 @@ read-only boolean matrix whose rows are up-sets and whose columns are
 down-sets, so bound searches are row intersections. Every finite bounded
 lattice is complete, which is why subset meets and joins reduce to folds
 over the binary tables. All values here are immutable after construction
-and safe to share between threads.
+and safe to share between threads. That holds for the draw lists too:
+they are derived from the tables on first use, kept with the lattice,
+and are tuples, so they can neither change nor drift from the tables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +132,16 @@ def poset_violation(p: FinitePoset):
     return None if gap is None else ("transitivity", gap)
 
 
+class DrawLists(NamedTuple):
+    """A lattice's order and join as plain tuples, for drawing monotone
+    tables element by element. extension is a linear extension: ids by
+    strict down-set size ascending, ties by id."""
+    extension: tuple[int, ...]
+    below: tuple[tuple[int, ...], ...]    # below[i]: the strict down-set of i
+    up_sets: tuple[tuple[int, ...], ...]  # up_sets[i]: the up-set of i, i included
+    join: tuple[tuple[int, ...], ...]     # join[i][j]: the join of i and j
+
+
 @dataclass(frozen=True)
 class FiniteLattice:
     """A valid finite poset plus binary meet/join tables and both bounds.
@@ -161,6 +176,20 @@ class FiniteLattice:
 
     def index(self, label: str) -> int:
         return self.poset.index(label)
+
+    @cached_property
+    def draw_lists(self) -> DrawLists:
+        """The draw lists, built on first use and kept with the lattice.
+        Only instance generation reads them, on carriers of at most 64
+        elements, so they stay a few thousand ints."""
+        ids = range(self.size)
+        strict = self.poset.leq.T.tolist()    # column i of the order: the down-set of i
+        for i, col in enumerate(strict):
+            col[i] = False
+        below = tuple([tuple(compress(ids, col)) for col in strict])
+        return DrawLists(tuple(sorted(ids, key=lambda i: len(below[i]))), below,
+                         tuple([tuple(compress(ids, row)) for row in self.poset.leq.tolist()]),
+                         tuple(map(tuple, self.join.tolist())))
 
     def _check_id(self, a: int):
         if not 0 <= int(a) < self.size:
@@ -381,8 +410,11 @@ def mask_lattice(masks, labels) -> FiniteLattice:
     pos = np.zeros(int(arr.max()) + 1, dtype=np.int32)
     pos[arr] = np.arange(len(arr))
     leq = (arr[:, None] & ~arr[None, :]) == 0
-    return FiniteLattice(FinitePoset(tuple(labels), leq), pos[arr[:, None] & arr[None, :]],
-                         pos[arr[:, None] | arr[None, :]], 0, len(arr) - 1)
+    meet = pos[arr[:, None] & arr[None, :]]
+    join = pos[arr[:, None] | arr[None, :]]
+    for table in (leq, meet, join):
+        table.flags.writeable = False
+    return FiniteLattice(FinitePoset(tuple(labels), leq), meet, join, 0, len(arr) - 1)
 
 
 def dual(lat: FiniteLattice) -> FiniteLattice:

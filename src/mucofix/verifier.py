@@ -74,6 +74,17 @@ class InstanceGenSpec:
             raise ValueError(f"unknown function class {self.function_class!r}")
         if self.count < 0:
             raise ValueError("count must be nonnegative")
+        # refused here, not at the first corpus draw, which may come after reports
+        if self.family in ("corpus", "mixed") and not any(
+                self.size_lo <= lat.size <= self.size_hi for _, lat in corpus()):
+            raise ValueError(f"no corpus lattice has size in [{self.size_lo}, {self.size_hi}]")
+
+    def _reseeded(self, seed: int) -> InstanceGenSpec:
+        """replace(self, seed=seed) without rerunning the checks: every
+        checked field is copied as it is, and the seed has no check."""
+        child = object.__new__(type(self))
+        vars(child).update(vars(self), seed=seed)
+        return child
 
 
 def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
@@ -87,10 +98,12 @@ def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
             meets |= {s & m for m in meets} | {s}
         closed = set(meets)
         for m in meets:
+            if len(closed) > hi:    # the family only grows, so it is rejected already
+                break
             closed |= {m | c for c in closed}
         if lo <= len(closed) <= hi:
-            masks = sorted(closed, key=lambda m: (bin(m).count("1"), m))  # bottom first, top last
-            return mask_lattice(masks, tuple("m" + format(m, "04b") for m in masks))
+            masks = sorted(closed, key=lambda m: (m.bit_count(), m))  # bottom first, top last
+            return mask_lattice(masks, tuple(f"m{m:04b}" for m in masks))
     return chain(rng.randint(lo, hi))
 
 
@@ -137,24 +150,18 @@ def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
     if fam == "random-closed":
         return _random_closed(rng, lo, hi)
     if fam == "corpus":
-        pool = [lat for _, lat in corpus() if lo <= lat.size <= hi]
-        if not pool:
-            raise ValueError(f"no corpus lattice has size in [{lo}, {hi}]")
-        return rng.choice(pool)
+        return rng.choice([lat for _, lat in corpus() if lo <= lat.size <= hi])
     raise AssertionError(fam)
 
 
 def _monotone_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:
-    # scan a linear extension (down-set sizes ascending, ties in id order,
-    # as a stable sort gives); each image is drawn from the up-set of the
+    # scan a linear extension; each image is drawn from the up-set of the
     # join of the images of the strict down-set, so the table is monotone
     # by construction
-    below = [[j for j, le in enumerate(col) if le and j != i]
-             for i, col in enumerate(dom.poset.leq.T.tolist())]
-    up_sets = [[q for q, le in enumerate(row) if le] for row in cod.poset.leq.tolist()]
-    join = cod.join.tolist()
+    below = dom.draw_lists.below
+    up_sets, join = cod.draw_lists.up_sets, cod.draw_lists.join
     images = [0] * dom.size
-    for i in sorted(range(dom.size), key=lambda i: len(below[i])):
+    for i in dom.draw_lists.extension:
         forced = cod.bottom
         for j in below[i]:
             forced = join[forced][images[j]]
@@ -197,7 +204,7 @@ def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: Fini
                         mode: ContinuityMode = BINARY) -> MutualPair:
     'Rejection-sample monotone pairs, then fall back to a curated family.'
     for k in range(CONTINUOUS_RETRIES):
-        mp = gen_monotone_pair(replace(spec, seed=split_seed(spec.seed, k)), lat_o, lat_p)
+        mp = gen_monotone_pair(spec._reseeded(split_seed(spec.seed, k)), lat_o, lat_p)
         if is_continuous_pair(mp, mode):
             return mp
     for mp in _curated_pairs(lat_o, lat_p):
@@ -210,9 +217,9 @@ def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: Fini
 def _instance(spec: InstanceGenSpec, index: int, mode: ContinuityMode) -> MutualPair:
     'Instance index of spec: carriers from slots 1 and 2 of its seed, the pair from slot 3.'
     child = split_seed(spec.seed, index)
-    lat_o = gen_lattice(replace(spec, seed=split_seed(child, 1)))
-    lat_p = gen_lattice(replace(spec, seed=split_seed(child, 2)))
-    spec = replace(spec, seed=split_seed(child, 3))
+    lat_o = gen_lattice(spec._reseeded(split_seed(child, 1)))
+    lat_p = gen_lattice(spec._reseeded(split_seed(child, 2)))
+    spec = spec._reseeded(split_seed(child, 3))
     if spec.function_class == "monotone":
         return gen_monotone_pair(spec, lat_o, lat_p)
     if spec.function_class == "continuous":
@@ -511,12 +518,13 @@ def _q1(mp, mode):
 
 def _q2(mp, mode):
     'A composition pre-fixed element belonging to no simultaneous pre-fixed pair.'
-    pre, _ = point_masks(mp)
-    for side, lat, comp, covered, name, which in (
-            ("O", mp.dom_o, compose_gf(mp), pre.any(axis=1), "G.F", "first"),
-            ("P", mp.dom_p, compose_fg(mp), pre.any(axis=0), "F.G", "second")):
-        ids = np.arange(lat.size)
-        outside = lat.poset.leq[np.asarray(comp.table), ids] & ~covered
+    leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
+    f, g = np.asarray(mp.f), np.asarray(mp.g)
+    pre = leq_p[f, :] & leq_o[g, :].T    # the pre mask of point_masks
+    for side, leq, round_trip, covered, name, which in (
+            ("O", leq_o, g[f], pre.any(axis=1), "G.F", "first"),
+            ("P", leq_p, f[g], pre.any(axis=0), "F.G", "second")):
+        outside = leq[round_trip, np.arange(len(round_trip))] & ~covered
         if outside.any():
             return (f"{side}={int(outside.argmax())} is pre-fixed for {name} "
                     f"but outside the {which} component set")

@@ -310,3 +310,13 @@ def closed_subsets_oracle(leq):
     lub = [[lub_scan(leq, [a, b]) for b in range(n)] for a in range(n)]
     return [s for s in nonempty_subsets(n)
             if all(glb[a][b] in s and lub[a][b] in s for a in s for b in s)]
+
+
+def draw_lists_oracle(leq):
+    """The order half of a lattice's draw lists, straight from the order
+    matrix: ids sorted by strict down-set size then id, each strict
+    down-set and each up-set, members in id order."""
+    n = len(leq)
+    below = [[j for j in range(n) if j != i and leq[j][i]] for i in range(n)]
+    up_sets = [[j for j in range(n) if leq[i][j]] for i in range(n)]
+    return sorted(range(n), key=lambda i: (len(below[i]), i)), below, up_sets

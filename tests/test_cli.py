@@ -228,6 +228,18 @@ def test_verify_size_bound(capsys):
     assert "instances: 1" in out and out.endswith("verify: PASS\n")
 
 
+def test_verify_refuses_a_range_without_corpus_lattices_before_any_report(capsys):
+    # mixed draws from the corpus, which has no one-element lattice; the
+    # first corpus draw used to come after some reports were printed
+    for seed in ("0", "3"):
+        rc, out = run(capsys, "verify", "--size-lo", "1", "--size-hi", "1",
+                      "--count", "1", "--seed", seed)
+        assert (rc, out) == (EXIT_INPUT, "input error: no corpus lattice has size in [1, 1]\n")
+    rc, out = run(capsys, "verify", "--family", "chains", "--size-lo", "1", "--size-hi", "1",
+                  "--count", "1")
+    assert rc == EXIT_OK and out.endswith("verify: PASS\n")
+
+
 def test_verify_refuses_l4_above_its_subset_limit_before_any_report(capsys):
     argv = ("verify", "--family", "chains", "--size-lo", "17", "--size-hi", "17", "--count", "1")
     rc, out = run(capsys, *argv)

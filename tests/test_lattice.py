@@ -21,10 +21,13 @@ import mucofix
 from mucofix import (CapacityError, FiniteLattice, FinitePoset, NotALatticeError,
                      NotAPosetError, chain, corpus, cover_edges, diamond, dual, m3,
                      n5, powerset_lattice, product, validate_lattice)
-from mucofix.lattice import closure, poset_violation
+import mucofix.lattice as lattice
+import mucofix.verifier as verifier
+from mucofix.lattice import closure, mask_lattice, poset_violation
 
-from oracles import (first_missing_bound_oracle, glb_scan, is_lattice_oracle,
-                     is_poset_oracle, longest_chain_edges, lub_scan, nonempty_subsets)
+from oracles import (draw_lists_oracle, first_missing_bound_oracle, glb_scan,
+                     is_lattice_oracle, is_poset_oracle, longest_chain_edges, lub_scan,
+                     nonempty_subsets)
 
 
 def test_poset_rejects_bad_construction():
@@ -302,7 +305,7 @@ def test_dual_swaps_everything():
         assert d.meet_set(s) == lat.join_set(s)
 
 
-def test_constructors_keep_arrays_of_the_right_dtype():
+def test_constructors_keep_arrays_of_the_right_dtype(monkeypatch):
     # a dual shares its arrays with the lattice, so building one copies no table
     lat = n5()
     d = dual(lat)
@@ -321,6 +324,44 @@ def test_constructors_keep_arrays_of_the_right_dtype():
     wide = np.maximum.outer(r, r)
     assert FiniteLattice(built.poset, meet, wide, 0, 2).join.dtype == np.int32
     assert wide.flags.writeable
+    # mask_lattice builds its three tables itself, so the constructors keep them
+    kept = []
+    real = lattice._frozen
+
+    def recording(arr, dtype):
+        out = real(arr, dtype)
+        kept.append(out is arr)
+        return out
+    monkeypatch.setattr(lattice, "_frozen", recording)
+    lat = mask_lattice([0, 1, 2, 3], ("0", "a", "b", "ab"))
+    assert kept == [True, True, True]
+    assert not any(t.flags.writeable for t in (lat.poset.leq, lat.meet, lat.join))
+
+
+def test_draw_lists_match_the_plain_loop_oracle():
+    # every lattice generation draws from: corpus, powersets, the product
+    # pool, chains up to the instance cap, random-closed lattices, and the
+    # duals of the random-closed ones
+    lattices = [lat for _, lat in corpus()]
+    lattices += [powerset_lattice(g) for g in range(5)] + list(verifier._product_pool())
+    lattices += [chain(n) for n in range(1, verifier.INSTANCE_SIZE_CAP + 1)]
+    closed = [verifier._random_closed(random.Random(seed), 2, 8) for seed in range(200)]
+    lattices += closed + [dual(lat) for lat in closed]
+    for lat in lattices:
+        lists = lat.draw_lists
+        assert lat.draw_lists is lists    # built once per lattice object
+        leq = lat.poset.leq.tolist()
+        extension, below, up_sets = draw_lists_oracle(leq)
+        assert list(lists.extension) == extension
+        assert [list(x) for x in lists.below] == below
+        assert [list(x) for x in lists.up_sets] == up_sets
+        assert [list(row) for row in lists.join] == lat.join.tolist()
+        # a linear extension lists every strict down-set before its element
+        seen = set()
+        for i in lists.extension:
+            assert set(below[i]) <= seen
+            seen.add(i)
+        assert seen == set(range(lat.size))
 
 
 def test_lattices_do_not_alias_writable_caller_memory():

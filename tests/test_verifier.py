@@ -2,6 +2,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from mucofix import (BINARY, WITH_EMPTY, CapacityError, InstanceGenSpec, MutualP
                      gen_continuous_pair, gen_lattice, gen_monotone_pair,
                      is_continuous_pair, is_monotone, m3, mine_counterexample,
                      pair_from_json, product, split_seed, validate_lattice)
+import mucofix.genfun as genfun
 import mucofix.verifier as verifier
 from mucofix.lattice import mask_lattice
 from mucofix.verifier import (GenerationExhausted, LEMMAS, _check_l1, _check_l5,
@@ -50,6 +52,26 @@ def test_spec_validation():
     assert InstanceGenSpec(seed=0, size_hi=64).size_hi == 64
     with pytest.raises(ValueError, match=r"^size_hi 65 exceeds the cap 64$"):
         InstanceGenSpec(seed=0, size_hi=65)
+    # the corpus has no lattice of 1, 7 or 9-15 elements; a family that
+    # may draw from it is refused at construction, the others are not
+    for family in ("corpus", "mixed"):
+        for lo, hi in ((1, 1), (7, 7), (9, 15)):
+            refusal = rf"^no corpus lattice has size in \[{lo}, {hi}\]$"
+            with pytest.raises(ValueError, match=refusal):
+                InstanceGenSpec(seed=0, family=family, size_lo=lo, size_hi=hi)
+        assert InstanceGenSpec(seed=0, family=family, size_lo=7, size_hi=8).size_hi == 8
+    assert InstanceGenSpec(seed=0, family="chains", size_lo=1, size_hi=1).size_lo == 1
+
+
+def test_reseeded_spec_is_the_replaced_spec():
+    for base in (InstanceGenSpec(seed=3), spec(9, family="chains", function_class="arbitrary"),
+                 spec(1, family="corpus", size_lo=16, size_hi=16, count=0)):
+        before = repr(base)
+        for seed in (0, 5, split_seed(base.seed, 3)):
+            got = base._reseeded(seed)
+            want = replace(base, seed=seed)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert repr(base) == before
 
 
 @pytest.mark.parametrize("family", ["chains", "powersets", "products",
@@ -339,18 +361,20 @@ def test_l4_scan_matches_the_plain_loop_oracle():
 
 
 def test_continuous_rows_decide_continuity_once_per_pair(monkeypatch):
-    # gen_continuous_pair accepts a pair by deciding its continuity, so the
-    # continuous premise of L5 must not decide it again
-    decided = []
-    real = verifier.is_continuous_pair
+    # gen_continuous_pair accepts a pair by deciding its continuity, so
+    # neither the continuous premise of L5 nor the continuity half of the
+    # L2 check may scan it again
+    real = genfun.pair_continuity_witness
+    for lemma_id in ("L2", "L5"):
+        decided = []
 
-    def counted(mp, mode):
-        decided.append(mp)    # holding the pair keeps its id unique
-        return real(mp, mode)
-    monkeypatch.setattr(verifier, "is_continuous_pair", counted)
-    report = check_lemma("L5", spec(4, function_class="continuous", count=40))
-    assert report.instances_tried == 40
-    assert max(Counter(map(id, decided)).values()) == 1
+        def counted(mp, mode):
+            decided.append(mp)    # holding the pair keeps its id unique
+            return real(mp, mode)
+        monkeypatch.setattr(genfun, "pair_continuity_witness", counted)
+        report = check_lemma(lemma_id, spec(4, function_class="continuous", count=40))
+        assert report.instances_tried == 40 and report.passed
+        assert max(Counter(map(id, decided)).values()) == 1, lemma_id
 
 
 def test_l4_refuses_carriers_above_sixteen():
