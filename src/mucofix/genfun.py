@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import FiniteLattice, dual
+from .lattice import FiniteLattice, _prechecked, dual
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,13 @@ class MutualPair:
 
 
 def dual_pair(mp: MutualPair) -> MutualPair:
-    'The same tables between both order-duals; its least pair is the greatest of mp.'
-    return MutualPair(dual(mp.dom_o), dual(mp.dom_p), mp.f, mp.g)
+    """The same tables between both order-duals; its least pair is the
+    greatest of mp. The tables were checked when mp was built and a dual
+    has the carrier of its lattice, so nothing is checked again."""
+    dom_o, dom_p = dual(mp.dom_o), dual(mp.dom_p)
+    return _prechecked(MutualPair, dom_o=dom_o, dom_p=dom_p, f=mp.f, g=mp.g,
+                       f_fn=_prechecked(LatticeFn, dom=dom_o, cod=dom_p, table=mp.f),
+                       g_fn=_prechecked(LatticeFn, dom=dom_p, cod=dom_o, table=mp.g))
 
 
 def compose_gf(mp: MutualPair) -> LatticeFn:

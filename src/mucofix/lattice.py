@@ -48,12 +48,10 @@ class CapacityError(LatticeError):
 
 def _frozen(arr, dtype) -> np.ndarray:
     """arr as a read-only dtype array. One of that dtype is kept only when
-    it and its bases are read-only (dual's views, builders' frozen arrays);
+    it is read-only and owns its memory, as builders' frozen tables do;
     anything else is copied once, so no caller's array is aliased or frozen."""
-    base = arr
-    while isinstance(base, np.ndarray) and not base.flags.writeable and base.base is not None:
-        base = base.base
-    if isinstance(base, np.ndarray) and not base.flags.writeable and arr.dtype == dtype:
+    if (isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.base is None
+            and arr.dtype == dtype):
         return arr
     arr = np.array(arr, dtype=dtype)
     arr.flags.writeable = False
@@ -417,10 +415,22 @@ def mask_lattice(masks, labels) -> FiniteLattice:
     return FiniteLattice(FinitePoset(tuple(labels), leq), meet, join, 0, len(arr) - 1)
 
 
+def _prechecked(cls, **attrs):
+    """An instance of the frozen dataclass cls with attrs set as given and
+    __post_init__ not run. Every value must be read off instances that
+    the public constructors built, so their checks already hold."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
+
+
 def dual(lat: FiniteLattice) -> FiniteLattice:
-    'Order-dual lattice: transpose the order, swap the tables and bounds; no array is copied.'
-    poset = FinitePoset(lat.labels, lat.poset.leq.T)
-    return FiniteLattice(poset, lat.join, lat.meet, lat.top, lat.bottom)
+    """Order-dual lattice: transpose the order, swap the tables and bounds.
+    No array is copied and nothing is re-checked: labels, read-only
+    tables and bounds all come from lat, which its constructor checked."""
+    poset = _prechecked(FinitePoset, labels=lat.labels, leq=lat.poset.leq.T, size=lat.size)
+    return _prechecked(FiniteLattice, poset=poset, meet=lat.join, join=lat.meet,
+                       bottom=lat.top, top=lat.bottom, size=lat.size)
 
 
 def cover_edges(lat: FiniteLattice) -> list[tuple[int, int]]:

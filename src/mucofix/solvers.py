@@ -4,9 +4,11 @@ Three strategies are kept deliberately separate so they can check each
 other: direct (meets of the pre-fixed component sets), product (Kleene
 iteration of the paired step on the product lattice), and a brute-force
 meet over every pre-fixed pair of the product lattice, which serves as
-the oracle for the other two. Monotonicity of both generators is
-required and checked, through the verdict each pair caches; continuity
-never is.
+the oracle for the other two. The oracle is a plain double loop over
+every pair that reads, per element of O, one order row and one order
+column as Python lists; it takes nothing from simpoints but PairPoint.
+Monotonicity of both generators is required and checked, through the
+verdict each pair caches; continuity never is.
 
 Direct and the oracle solve the greatest pair as the least pair of
 genfun.dual_pair, once monotonicity holds on the given pair; product
@@ -128,17 +130,28 @@ def gsfp_product(mp: MutualPair) -> SolveResult:
 
 
 def _tarski_meet(mp: MutualPair) -> PairPoint:
-    'Fold the component-wise meet over every simultaneous pre-fixed pair.'
+    """Fold the component-wise meet over every simultaneous pre-fixed pair.
+
+    A plain double loop over all of O x P. For each o it reads two lists
+    once: the up-set row of f[o] in P and the down-set column of o in O,
+    so (o, p) is pre-fixed iff above[p] and below[g[p]]. The meet on O is
+    taken once per o that has any pre-fixed partner; meet is idempotent,
+    so that is the same fold."""
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
     meet_o, meet_p = mp.dom_o.meet, mp.dom_p.meet
     f, g = mp.f, mp.g
     mo, mpp = mp.dom_o.top, mp.dom_p.top
+    ps = range(mp.dom_p.size)
     for o in range(mp.dom_o.size):
-        fo = f[o]
-        for p in range(mp.dom_p.size):
-            if leq_p[fo, p] and leq_o[g[p], o]:
-                mo = meet_o[mo, o]
+        above = leq_p[f[o]].tolist()
+        below = leq_o[:, o].tolist()
+        hit = False
+        for p in ps:
+            if above[p] and below[g[p]]:
                 mpp = meet_p[mpp, p]
+                hit = True
+        if hit:
+            mo = meet_o[mo, o]
     # the top pair is always pre-fixed, so the fold never stays empty
     return PairPoint(int(mo), int(mpp))
 

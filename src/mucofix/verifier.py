@@ -116,6 +116,12 @@ def _memo_chain(n: int) -> FiniteLattice:
     return chain(n)
 
 
+@lru_cache(maxsize=16)
+def _memo_flat_product(hi: int) -> FiniteLattice:
+    'product(chain(1), chain(hi)): a chain of hi elements with pair labels.'
+    return product(chain(1), chain(hi))
+
+
 @lru_cache(maxsize=5)
 def _memo_powerset(ground: int) -> FiniteLattice:
     return powerset_lattice(ground)
@@ -129,7 +135,11 @@ def _product_pool() -> tuple[FiniteLattice, ...]:
 
 
 def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
-    'One lattice, deterministic in spec.seed, size within the range where the family allows.'
+    """One lattice, deterministic in spec.seed, size within the range where
+    the family allows. products draws from the 16 two-factor products of
+    C2, C3, C4 and the diamond whose size is in range; when none is, it
+    returns product(chain(1), chain(hi)), which is a chain of hi elements
+    with pair labels "(0,0)" to "(0,hi-1)"."""
     rng = random.Random(spec.seed)
     fam = spec.family
     if fam == "mixed":
@@ -145,7 +155,7 @@ def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
     if fam == "products":
         pool = [lat for lat in _product_pool() if lo <= lat.size <= hi]
         if not pool:
-            return product(chain(1), chain(max(1, hi)))
+            return _memo_flat_product(max(1, hi))
         return rng.choice(pool)
     if fam == "random-closed":
         return _random_closed(rng, lo, hi)

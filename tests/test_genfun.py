@@ -1,13 +1,19 @@
 """Generator tables, composition, monotonicity, continuity modes."""
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
-from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, InstanceGenSpec, LatticeFn, MutualPair,
-                     chain, compose_fg, compose_gf, diamond,
+import mucofix
+from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, FiniteLattice, FinitePoset,
+                     InstanceGenSpec, LatticeFn, MutualPair,
+                     chain, compose_fg, compose_gf, diamond, dual_pair,
                      is_continuous_pair, is_monotone, join_continuity_witness,
                      meet_continuity_witness,
                      monotone_witness, n5, pair_continuity_witness, parse_mode,
@@ -58,6 +64,64 @@ def test_pair_construction(c2, d4):
         MutualPair(c2, d4, (0, 9), (0, 0, 1, 1))
     with pytest.raises(ValueError, match=r"^element id -1 out of range 0\.\.1$"):
         MutualPair(c2, d4, (0, 3), (0, -1, 2, 1))
+
+
+# each public constructor fed a value that dual or dual_pair built, with one
+# field broken; dual and dual_pair skip the checks, and these must not
+CONSTRUCTOR_FAILURES = """
+from mucofix import FiniteLattice, FinitePoset, LatticeFn, MutualPair, chain, dual, dual_pair
+c3 = dual(chain(3))
+mp = dual_pair(MutualPair(chain(3), chain(2), (0, 1, 1), (0, 2)))
+cases = [
+    lambda: FinitePoset(("0", "1", "0"), c3.poset.leq),
+    lambda: FinitePoset(c3.labels, c3.poset.leq[:2]),
+    lambda: FiniteLattice(c3.poset, c3.meet, c3.join[:, :2], c3.bottom, c3.top),
+    lambda: LatticeFn(c3, mp.dom_p, (0, 2, 1)),
+    lambda: MutualPair(mp.dom_o, mp.dom_p, mp.f, (0, 3)),
+]
+for build in cases:
+    try:
+        build()
+        print("accepted")
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_public_constructors_still_check_values_the_duals_built(flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(mucofix.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c", CONSTRUCTOR_FAILURES],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["labels must be distinct", "order matrix must be 3x3",
+                                        "bound tables must match the carrier",
+                                        "element id 2 out of range 0..1",
+                                        "element id 3 out of range 0..2"]
+
+
+def checked_dual(lat):
+    'The order-dual through the public constructors, every check run.'
+    return FiniteLattice(FinitePoset(lat.labels, lat.poset.leq.T), lat.join, lat.meet,
+                         lat.top, lat.bottom)
+
+
+def test_dual_pair_equals_the_checked_construction(d4):
+    for lat_o, lat_p, f, g in ((d4, chain(3), (0, 1, 1, 2), (0, 1, 3)),
+                               (n5(), d4, (0, 0, 1, 2, 3), (4, 1, 3, 0))):
+        mp = MutualPair(lat_o, lat_p, f, g)
+        got, want = dual_pair(mp), MutualPair(checked_dual(lat_o), checked_dual(lat_p), f, g)
+        for a, b in ((got.dom_o, want.dom_o), (got.dom_p, want.dom_p)):
+            assert vars(a).keys() == vars(b).keys()
+            assert vars(a.poset).keys() == vars(b.poset).keys()
+            assert (a.labels, a.size, a.bottom, a.top) == (b.labels, b.size, b.bottom, b.top)
+            for x, y in ((a.poset.leq, b.poset.leq), (a.meet, b.meet), (a.join, b.join)):
+                assert x.dtype == y.dtype and not x.flags.writeable and (x == y).all()
+        assert (got.f, got.g) == (want.f, want.g) == (mp.f, mp.g)
+        assert got.f_fn.dom is got.dom_o and got.f_fn.cod is got.dom_p
+        assert got.g_fn.dom is got.dom_p and got.g_fn.cod is got.dom_o
+        assert (got.f_fn.table, got.g_fn.table) == (mp.f, mp.g)
+        assert got.monotone_failure == want.monotone_failure
 
 
 def test_pair_functions_are_built_once(c2, d4):

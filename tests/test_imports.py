@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every
 module-level private name is used somewhere in the package, every
-exception class the package defines can be raised, and no module reads
-the process environment.
+exception class the package defines can be raised, no module reads
+the process environment, and the Tarski oracle folds take nothing from
+the point-classification kernels or numpy that they are meant to check.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
 `__init__.py` is skipped for imports: they are the package's public
@@ -213,3 +214,73 @@ def test_every_export_has_a_caller_or_a_readme_mention():
                + sorted((ROOT / "perfbench").glob("*.py")) if p.name != "__init__.py"}
     init = (SRC / "__init__.py").read_text()
     assert unused_exports(init, sources, (ROOT / "README.md").read_text()) == []
+
+
+ORACLE_FOLDS = ("_tarski_meet", "lsfp_tarski_oracle", "gsfp_tarski_oracle")
+
+
+def oracle_leaks(source: str, roots=ORACLE_FOLDS) -> list[str]:
+    """What the Tarski folds take from the code they check: any name
+    imported from simpoints but PairPoint, and any call of a numpy
+    function. The roots are checked together with every module-level
+    function or class they name, at any depth, so a helper cannot carry
+    a kernel in. Methods of arrays, such as tolist, are not numpy calls."""
+    tree = ast.parse(source)
+    # names bound to simpoints members, to the simpoints module, and to numpy
+    # or its members (for numpy the two kinds are flagged alike)
+    simpoints, modules, numpy = set(), set(), {"np", "numpy"}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        origin = (node.module or "").split(".")[-1] if isinstance(node, ast.ImportFrom) else ""
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[-1]
+            if origin == "simpoints":
+                simpoints.add(bound)
+            elif "numpy" in (origin, alias.name):
+                numpy.add(bound)
+            elif alias.name.split(".")[-1] == "simpoints":
+                modules.add(bound)
+    simpoints.discard("PairPoint")
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    todo, seen, found = list(roots), set(), []
+    while todo:
+        name = todo.pop(0)
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+            if isinstance(node, ast.Name) and node.id in simpoints:
+                found.append(f"{name}: {node.id} (line {node.lineno})")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr != "PairPoint"):
+                found.append(f"{name}: {node.value.id}.{node.attr} (line {node.lineno})")
+            elif isinstance(node, ast.Call):
+                root = node.func
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in numpy:
+                    found.append(f"{name}: call of {ast.unparse(node.func)} (line {node.lineno})")
+    return found
+
+
+def test_the_check_sees_an_oracle_leak():
+    source = ("import numpy as np\nfrom . import simpoints as sp\n"
+              "from .simpoints import PairPoint, component_sets\n"
+              "def _fold(mp):\n    rows = mp.leq[0].tolist()\n    return PairPoint(0, 0)\n"
+              "def _helper(mp):\n    return component_sets(mp)\n"
+              "def oracle(mp):\n    _fold(mp)\n    np.asarray(mp.f)\n    _helper(mp)\n"
+              "    return sp.PairPoint(0, sp.fibers(mp))\n"
+              "def unchecked(mp):\n    return np.linalg.norm(component_sets(mp))\n")
+    assert oracle_leaks(source, ("oracle",)) == [
+        "oracle: call of np.asarray (line 11)", "oracle: sp.fibers (line 13)",
+        "_helper: component_sets (line 8)"]
+    assert oracle_leaks(source, ("unchecked",)) == [
+        "unchecked: call of np.linalg.norm (line 15)", "unchecked: component_sets (line 15)"]
+
+
+def test_the_tarski_folds_share_no_code_with_simpoints():
+    assert oracle_leaks((SRC / "solvers.py").read_text()) == []

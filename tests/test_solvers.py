@@ -24,7 +24,7 @@ from mucofix import (InstanceGenSpec, MutualPair, NotMonotoneError, PairPoint,
                      gsfp_direct, gsfp_product, gsfp_tarski_oracle, is_monotone,
                      is_sim_fixed, is_sim_postfixed, is_sim_prefixed,
                      kleene_implicit, lsfp_direct, lsfp_product,
-                     lsfp_tarski_oracle, n5, product, split_seed, standard_embed)
+                     lsfp_tarski_oracle, m3, n5, product, split_seed, standard_embed)
 from mucofix.verifier import _check_l1
 
 from oracles import (gfp_scan, lfp_scan, longest_chain_edges, monotone_witness_oracle,
@@ -148,6 +148,35 @@ def test_greatest_is_the_least_of_the_dual_on_large_pairs(seed):
         nu, *others = greatest_by_every_route(mp)
         assert others == [nu] * 3
         assert nu != PairPoint(lat_o.top, lat_p.top)
+
+
+def clamped_table(rng, dom, cod):
+    """seeded_monotone_table joined with an element c above bottom, then
+    met with a d >= c below top. That keeps it monotone, and puts every
+    image in [c, d], so neither extremal pair is the bound it starts from."""
+    inner = [x for x in range(cod.size) if x not in (cod.bottom, cod.top)]
+    c = rng.choice(inner)
+    d = rng.choice([x for x in inner if cod.poset.leq[c, x]])
+    return cod.meet[cod.join[seeded_monotone_table(rng, dom, cod), c], d].tolist()
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_tarski_folds_match_plain_kleene_on_large_and_non_distributive_pairs(seed):
+    # both folds against iteration from the bottom and the top pair; the
+    # greatest fold reads the transposed order and swapped tables of the dual
+    rng = random.Random(seed)
+    line, grid = chain(300), product(chain(17), chain(20))
+    m3n5, n5m3 = product(m3(), n5()), product(n5(), m3())
+    shapes = [(line, grid), (grid, line), (line, line), (grid, grid), (m3n5, n5m3),
+              (n5m3, m3n5), (m3n5, line), (grid, n5m3)]
+    for lat_o, lat_p in shapes:
+        mp = MutualPair(lat_o, lat_p, clamped_table(rng, lat_o, lat_p),
+                        clamped_table(rng, lat_p, lat_o))
+        assert is_monotone(mp.f_fn) and is_monotone(mp.g_fn)
+        bottom, top = (lat_o.bottom, lat_p.bottom), (lat_o.top, lat_p.top)
+        mu, nu = lsfp_tarski_oracle(mp), gsfp_tarski_oracle(mp)
+        assert mu == PairPoint(*sim_kleene_oracle(mp.f, mp.g, bottom)) != PairPoint(*bottom)
+        assert nu == PairPoint(*sim_kleene_oracle(mp.f, mp.g, top)) != PairPoint(*top)
 
 
 def test_every_solver_and_l1_name_the_first_broken_side_and_pair():

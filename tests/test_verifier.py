@@ -88,6 +88,18 @@ def test_gen_lattice_families(family):
             assert lat.size in (2, 4, 8)
 
 
+def test_products_fallback_is_built_once_per_size():
+    # no pool product has 17 elements, so every draw takes the fallback
+    a, b = (gen_lattice(spec(seed, family="products", size_lo=17, size_hi=17))
+            for seed in (0, 1))
+    assert a is b
+    ref = product(chain(1), chain(17))
+    assert a.labels == ref.labels == tuple(f"(0,{i})" for i in range(17))
+    for x, y in ((a.poset.leq, ref.poset.leq), (a.meet, ref.meet), (a.join, ref.join)):
+        assert (x == y).all()
+    assert (a.poset.leq | a.poset.leq.T).all()     # a chain, as the docstring says
+
+
 def test_gen_lattice_is_deterministic():
     for family in ("mixed", "random-closed"):
         a = gen_lattice(spec(7, family=family))
