@@ -81,10 +81,15 @@ class FinitePoset:
             raise ValueError(f"order matrix must be {n}x{n}")
         object.__setattr__(self, "size", n)
 
+    @cached_property
+    def label_ids(self) -> dict[str, int]:
+        'Label to id, built on first use and kept with the poset.'
+        return {x: i for i, x in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self.label_ids[label]
+        except (KeyError, TypeError):    # TypeError: an unhashable label is unknown too
             raise ValueError(f"unknown element label {label!r}") from None
 
 
@@ -95,8 +100,47 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
+def _walk_closure(rel: np.ndarray) -> np.ndarray | None:
+    """Reflexive-transitive closure of an acyclic relation, or None when
+    rel has a cycle. Kahn's algorithm orders the off-diagonal edges, then
+    each node's reach, kept as a Python-int bitset, is its own bit ORed
+    with its successors' reach, sinks first. Row i of the result is the
+    reach of i."""
+    n = len(rel)
+    succ = [[] for _ in range(n)]
+    indegree = [0] * n
+    for v, x in zip(*(a.tolist() for a in np.nonzero(rel))):
+        if v != x:
+            succ[v].append(x)
+            indegree[x] += 1
+    order = [v for v in range(n) if not indegree[v]]
+    for v in order:    # order grows while it is walked
+        for x in succ[v]:
+            indegree[x] -= 1
+            if not indegree[x]:
+                order.append(x)
+    if len(order) < n:
+        return None
+    reach = [0] * n
+    for v in reversed(order):
+        r = 1 << v
+        for x in succ[v]:
+            r |= reach[x]
+        reach[v] = r
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in reach]), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n,
+                         bitorder="little").astype(bool)
+
+
 def closure(rel: np.ndarray) -> np.ndarray:
-    'Reflexive-transitive closure of a square boolean matrix, by repeated squaring.'
+    """Reflexive-transitive closure of a square boolean matrix. An acyclic
+    relation (self-loops aside) is closed by a reverse topological walk;
+    a cyclic one has no topological order and is closed by repeated
+    squaring."""
+    walked = _walk_closure(rel)
+    if walked is not None:
+        return walked
     rel = rel | np.eye(len(rel), dtype=bool)
     while True:
         closed = rel | compose(rel, rel)
@@ -115,17 +159,25 @@ def transitivity_gap(leq: np.ndarray):
     return i, int(np.argmax(leq[i] & leq[:, k])), k
 
 
+def antisymmetry_gap(leq: np.ndarray):
+    """First (i, j) with i != j, i <= j and j <= i, or None. It is the
+    row-major first such pair, so i < j."""
+    both = leq & leq.T
+    if np.count_nonzero(both) == np.count_nonzero(np.diagonal(both)):
+        return None
+    i, j = divmod(int(np.argmax(np.triu(both, 1))), leq.shape[1])
+    return i, j
+
+
 def poset_violation(p: FinitePoset):
     'First order-axiom violation as (axiom, witness ids), or None.'
     leq = p.leq
-    n = p.size
     diag = np.diagonal(leq)
     if not diag.all():
         return ("reflexivity", (int(np.argmin(diag)),))
-    anti = leq & leq.T & ~np.eye(n, dtype=bool)
-    if anti.any():
-        i, j = np.argwhere(anti)[0]
-        return ("antisymmetry", (int(i), int(j)))
+    gap = antisymmetry_gap(leq)
+    if gap is not None:
+        return ("antisymmetry", gap)
     gap = transitivity_gap(leq)
     return None if gap is None else ("transitivity", gap)
 
@@ -309,7 +361,25 @@ def _bound_proposer(rows: np.ndarray, u: np.ndarray, w: np.ndarray):
 
 
 def validate_lattice(p: FinitePoset) -> FiniteLattice:
-    """Check the order axioms and fill the bound tables.
+    """Check the order axioms, then fill the bound tables by bound_tables.
+
+    Raises NotAPosetError or NotALatticeError carrying the first failing
+    witness, and CapacityError above DEFAULT_CAP elements, before any
+    order check. This accepts exactly the posets accepted by brute-force
+    bound existence, which the test suite checks against directly.
+    """
+    if p.size > DEFAULT_CAP:
+        raise CapacityError(f"{p.size} elements exceeds the explicit cap {DEFAULT_CAP}")
+    bad = poset_violation(p)
+    if bad is not None:
+        raise NotAPosetError(bad[0], bad[1], p.labels)
+    return bound_tables(p)
+
+
+def bound_tables(p: FinitePoset) -> FiniteLattice:
+    """The lattice of a partial order p, whose axioms the caller has
+    already checked or holds by construction; validate_lattice checks
+    them first.
 
     An element is recoverable from its up-set (or down-set) row, so the
     least upper bound of i, j exists iff their up-set intersection is the
@@ -319,19 +389,9 @@ def validate_lattice(p: FinitePoset) -> FiniteLattice:
     candidate is then checked exactly, so the tables never depend on the
     hash. A pair whose candidate fails the check is re-decided by a
     dictionary lookup of its intersection, in scan order: row-major over
-    i <= j, lub before glb.
-
-    Raises NotAPosetError or NotALatticeError carrying the first failing
-    witness in that scan order, and CapacityError above DEFAULT_CAP
-    elements, before any order check.
-    This search accepts exactly the posets accepted by brute-force bound
-    existence, which the test suite checks against directly.
+    i <= j, lub before glb. Raises NotALatticeError at the first pair in
+    that order that has no bound.
     """
-    if p.size > DEFAULT_CAP:
-        raise CapacityError(f"{p.size} elements exceeds the explicit cap {DEFAULT_CAP}")
-    bad = poset_violation(p)
-    if bad is not None:
-        raise NotAPosetError(bad[0], bad[1], p.labels)
     n = p.size
     leq = p.leq
     u = leq.astype(np.float32)
@@ -371,15 +431,30 @@ def validate_lattice(p: FinitePoset) -> FiniteLattice:
     return FiniteLattice(p, meet, join, bottom, top)
 
 
+def _componentwise(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    'Product bound table: pairs (i*|B| + j, k*|B| + l) map to ta[i, k]*|B| + tb[j, l].'
+    na, nb = len(ta), len(tb)
+    out = np.empty((na * nb, na * nb), dtype=np.int32)
+    np.add((ta * nb)[:, None, :, None], tb[None, :, None, :], out=out.reshape(na, nb, na, nb))
+    out.flags.writeable = False
+    return out
+
+
 def product(lat_a: FiniteLattice, lat_b: FiniteLattice) -> FiniteLattice:
-    'Component-wise product lattice; pair (i, j) gets id i*|B| + j.'
-    n = lat_a.size * lat_b.size
+    """Component-wise product lattice; pair (i, j) gets id i*|B| + j. Bounds
+    and bound tables are taken componentwise from the factors, which their
+    constructors checked, so the product order is not re-validated."""
+    nb = lat_b.size
+    n = lat_a.size * nb
     if n > DEFAULT_CAP:
         raise CapacityError(f"product size {n} exceeds the explicit cap {DEFAULT_CAP}")
     labels = tuple(f"({x},{y})" for x in lat_a.labels for y in lat_b.labels)
     leq = np.kron(lat_a.poset.leq.astype(np.uint8), lat_b.poset.leq.astype(np.uint8)).astype(bool)
     leq.flags.writeable = False
-    return validate_lattice(FinitePoset(labels, leq))
+    return FiniteLattice(FinitePoset(labels, leq),
+                         _componentwise(lat_a.meet, lat_b.meet),
+                         _componentwise(lat_a.join, lat_b.join),
+                         lat_a.bottom * nb + lat_b.bottom, lat_a.top * nb + lat_b.top)
 
 
 POWERSET_GROUND_CAP = 5

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import lattice
 from .genfun import MutualPair
-from .lattice import (CapacityError, FiniteLattice, FinitePoset, closure, cover_edges,
-                      validate_lattice)
+from .lattice import (CapacityError, FiniteLattice, FinitePoset, antisymmetry_gap,
+                      bound_tables, closure, cover_edges, validate_lattice)
 
 
 class DocumentError(Exception):
@@ -78,7 +78,12 @@ def parse_lattice_doc(obj) -> FiniteLattice:
         rel[idx[e[0]], idx[e[1]]] = True
     leq = closure(rel)
     leq.flags.writeable = False
-    return validate_lattice(FinitePoset(tuple(names), leq))
+    poset = FinitePoset(tuple(names), leq)
+    # a closure is reflexive and transitive, so it is a partial order
+    # exactly when rel has no cycle; a cyclic one gets validate_lattice's witness
+    if antisymmetry_gap(leq) is None:
+        return bound_tables(poset)
+    return validate_lattice(poset)
 
 
 def _parse_table(obj, what: str, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:

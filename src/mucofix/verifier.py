@@ -104,13 +104,13 @@ def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
         if lo <= len(closed) <= hi:
             masks = sorted(closed, key=lambda m: (m.bit_count(), m))  # bottom first, top last
             return mask_lattice(masks, tuple(f"m{m:04b}" for m in masks))
-    return chain(rng.randint(lo, hi))
+    return _memo_chain(rng.randint(lo, hi))
 
 
 # Generation draws the same few small lattices over and over, so they are
 # built once. Lattices are immutable, which makes sharing them safe. The
-# public constructors stay uncached, and so does _random_closed, whose
-# family is too varied to pay for the memory it would hold.
+# public constructors stay uncached, and so do _random_closed's own
+# lattices, whose family is too varied to pay for the memory it would hold.
 @lru_cache(maxsize=16)
 def _memo_chain(n: int) -> FiniteLattice:
     return chain(n)

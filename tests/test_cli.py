@@ -57,13 +57,13 @@ def test_check_pair_ok(capsys):
 
 def test_check_pair_validates_each_lattice_once(monkeypatch, capsys):
     import mucofix.textio as textio
-    validate, calls = textio.validate_lattice, []
+    search, calls = textio.bound_tables, []
 
     def counting(poset):
         calls.append(poset.labels)
-        return validate(poset)
+        return search(poset)
 
-    monkeypatch.setattr(textio, "validate_lattice", counting)
+    monkeypatch.setattr(textio, "bound_tables", counting)
     rc, out = run(capsys, "check", K1)
     assert rc == EXIT_OK and len(calls) == 2
     assert out == (f"check: {K1}\nO.poset: ok\nO.lattice: ok\nP.poset: ok\n"

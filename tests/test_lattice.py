@@ -23,7 +23,7 @@ from mucofix import (CapacityError, FiniteLattice, FinitePoset, NotALatticeError
                      n5, powerset_lattice, product, validate_lattice)
 import mucofix.lattice as lattice
 import mucofix.verifier as verifier
-from mucofix.lattice import closure, mask_lattice, poset_violation
+from mucofix.lattice import antisymmetry_gap, closure, mask_lattice, poset_violation
 
 from oracles import (draw_lists_oracle, first_missing_bound_oracle, glb_scan,
                      is_lattice_oracle, is_poset_oracle, longest_chain_edges, lub_scan,
@@ -407,6 +407,88 @@ def test_transitivity_gap_under_many_two_step_paths_is_caught(n):
     leq[1:n - 1, n - 1] = True
     labels = tuple(str(i) for i in range(n))
     assert poset_violation(FinitePoset(labels, leq)) == ("transitivity", (0, 1, n - 1))
+
+
+def _squaring_closure(rel):
+    'Reflexive-transitive closure by repeated boolean squaring, the plain reference.'
+    rel = rel | np.eye(len(rel), dtype=bool)
+    while True:
+        closed = rel | (rel.astype(np.int64) @ rel.astype(np.int64) > 0)
+        if (closed == rel).all():
+            return rel
+        rel = closed
+
+
+def _no_squaring(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an acyclic order went through squaring or a transitivity check")
+    monkeypatch.setattr(lattice, "compose", refuse)
+    monkeypatch.setattr(lattice, "transitivity_gap", refuse)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_closure_walk_matches_squaring_on_relabelled_dags(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 301))
+    # edges go up a hidden total order, then the ids are shuffled
+    rel = np.triu(rng.random((n, n)) < rng.choice([0.5, 4, 30]) / n, 1)
+    rel |= np.diag(rng.random(n) < 0.2)    # self-loops keep the relation acyclic
+    perm = rng.permutation(n)
+    rel = rel[np.ix_(perm, perm)]
+    want = _squaring_closure(rel)
+    _no_squaring(monkeypatch)
+    got = closure(rel)
+    assert got.dtype == bool and got.shape == (n, n)
+    assert (got == want).all()
+    assert antisymmetry_gap(got) is None
+
+
+def test_closure_of_a_4096_chain_is_the_upper_triangle(monkeypatch):
+    n = 4096
+    rel = np.zeros((n, n), dtype=bool)
+    rel[np.arange(n - 1), np.arange(1, n)] = True
+    _no_squaring(monkeypatch)
+    assert (closure(rel) == np.triu(np.ones((n, n), dtype=bool))).all()
+
+
+def test_cyclic_closure_keeps_the_squaring_witness():
+    rel = np.zeros((3, 3), dtype=bool)
+    rel[0, 1] = rel[1, 2] = rel[2, 0] = True
+    assert lattice._walk_closure(rel) is None
+    leq = closure(rel)
+    assert leq.all()
+    with pytest.raises(NotAPosetError) as exc:
+        validate_lattice(FinitePoset(("a", "b", "c"), leq))
+    assert str(exc.value) == "NotAPoset: antisymmetry fails at ('a', 'b')"
+    assert exc.value.witness == (0, 1)
+    assert antisymmetry_gap(leq) == (0, 1)
+
+
+def test_product_tables_equal_validation_of_the_kronecker_order(monkeypatch):
+    validate = validate_lattice
+
+    def refuse(p):
+        raise AssertionError("product re-validated its order")
+    monkeypatch.setattr(lattice, "validate_lattice", refuse)
+    lats = [lat for _, lat in corpus()]
+    for a, b in iproduct(lats, lats):
+        prod = product(a, b)
+        ref = validate(FinitePoset(prod.labels, np.kron(a.poset.leq, b.poset.leq)))
+        assert (prod.poset.leq == ref.poset.leq).all()
+        assert (prod.meet == ref.meet).all() and (prod.join == ref.join).all()
+        assert (prod.bottom, prod.top) == (ref.bottom, ref.top)
+        for table in (prod.poset.leq, prod.meet, prod.join):
+            assert not table.flags.writeable and table.base is None
+
+
+def test_label_lookup_is_one_dict_per_poset():
+    p = diamond().poset
+    assert p.label_ids is p.label_ids
+    assert [p.index(x) for x in p.labels] == list(range(p.size))
+    for bad in ("zz", ["a"], 0):
+        with pytest.raises(ValueError) as exc:
+            p.index(bad)
+        assert str(exc.value) == f"unknown element label {bad!r}"
 
 
 def test_chain_height_matches_dp():

@@ -9,7 +9,7 @@ from mucofix import (CapacityError, DocumentError, NotALatticeError, NotAPosetEr
                      PairPoint, chain, diamond, emit_lattice_doc, emit_pair_doc,
                      gsfp_direct, gsfp_product, load_document, lsfp_direct,
                      lsfp_product, pair_from_json, pair_to_json,
-                     parse_lattice_doc, parse_pair_doc)
+                     parse_lattice_doc, parse_pair_doc, product)
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,6 +78,57 @@ def test_duplicate_edges_are_harmless():
     assert parse_lattice_doc(obj).size == 2
 
 
+def _acyclic_path_only(monkeypatch):
+    'Fail if a document order goes through squaring, a transitivity check or validate_lattice.'
+    def refuse(*args):
+        raise AssertionError("an acyclic document took the checking path")
+    for name in ("compose", "transitivity_gap"):
+        monkeypatch.setattr(mucofix.lattice, name, refuse)
+    monkeypatch.setattr(mucofix.textio, "validate_lattice", refuse)
+
+
+def test_acyclic_pair_documents_are_never_squared_or_rechecked(monkeypatch, k1):
+    _acyclic_path_only(monkeypatch)
+    mp = parse_pair_doc(load_document(DATA / "k1.json"))
+    assert mp.f == k1.f and mp.g == k1.g
+    grid = {"elements": [f"{i}.{j}" for i in range(3) for j in range(4)],
+            "leq": [[f"{i}.{j}", f"{i + di}.{j + dj}"] for i in range(3) for j in range(4)
+                    for di, dj in ((1, 0), (0, 1)) if i + di < 3 and j + dj < 4]}
+    lat, ref = parse_lattice_doc(grid), product(chain(3), chain(4))
+    for x, y in ((lat.poset.leq, ref.poset.leq), (lat.meet, ref.meet), (lat.join, ref.join)):
+        assert (x == y).all()
+
+
+def test_self_loops_and_duplicate_edges_stay_on_the_acyclic_path(monkeypatch):
+    _acyclic_path_only(monkeypatch)
+    obj = {"elements": ["x", "y"], "leq": [["x", "x"], ["x", "y"], ["x", "y"], ["y", "y"]]}
+    lat = parse_lattice_doc(obj)
+    assert lat.leq(0, 1) and not lat.leq(1, 0)
+
+
+def test_dense_document_of_every_order_pair_parses_to_the_chain(monkeypatch):
+    names = [str(i) for i in range(64)]
+    doc = {"elements": names, "leq": [[a, b] for i, a in enumerate(names) for b in names[i:]]}
+    _acyclic_path_only(monkeypatch)
+    lat = parse_lattice_doc(doc)
+    ref = chain(64)
+    for x, y in ((lat.poset.leq, ref.poset.leq), (lat.meet, ref.meet), (lat.join, ref.join)):
+        assert (x == y).all()
+
+
+def test_cyclic_documents_keep_their_witness():
+    with pytest.raises(NotAPosetError) as exc:
+        parse_lattice_doc(load_document(DATA / "cycle.json"))
+    assert str(exc.value) == "NotAPoset: antisymmetry fails at ('x', 'y')"
+    # a 3-cycle a < b < c < a between a bottom and a top
+    doc = {"elements": ["bot", "a", "b", "c", "top"],
+           "leq": [["bot", "a"], ["a", "b"], ["b", "c"], ["c", "a"], ["c", "top"]]}
+    with pytest.raises(NotAPosetError) as exc:
+        parse_lattice_doc(doc)
+    assert str(exc.value) == "NotAPoset: antisymmetry fails at ('a', 'b')"
+    assert exc.value.witness == (1, 2)
+
+
 @pytest.mark.parametrize("n", [257, 258])
 def test_long_chain_pair_document_solves(n):
     # closing a chain of 258 once wrapped a uint8 path count at 256 and
@@ -107,8 +158,9 @@ def test_parse_pair_table_errors():
         parse_pair_doc(doc)
     doc = json.loads(json.dumps(base))
     doc["F"]["0"] = "9"
-    with pytest.raises(DocumentError, match="unknown element '9'"):
+    with pytest.raises(DocumentError) as exc:
         parse_pair_doc(doc)
+    assert str(exc.value) == "'F' maps '0' to unknown element '9'"
     doc = json.loads(json.dumps(base))
     doc["G"]["extra"] = "0"
     with pytest.raises(DocumentError, match="unknown elements"):

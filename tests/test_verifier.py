@@ -100,6 +100,17 @@ def test_products_fallback_is_built_once_per_size():
     assert (a.poset.leq | a.poset.leq.T).all()     # a chain, as the docstring says
 
 
+def test_random_closed_fallback_is_the_shared_chain():
+    # a 4-member ground set closes to at most 16 subsets, so above 16
+    # every draw falls back to a chain; its sizes are the ones drawn before
+    for lo, hi, sizes in ((17, 17, [17] * 8), (40, 64, [40, 40, 43, 41, 45, 51, 58, 57])):
+        for seed, n in enumerate(sizes):
+            lat = gen_lattice(spec(seed, family="random-closed", size_lo=lo, size_hi=hi))
+            again = gen_lattice(spec(seed, family="random-closed", size_lo=lo, size_hi=hi))
+            assert lat is again is verifier._memo_chain(n)
+            assert lat.labels == chain(n).labels
+
+
 def test_gen_lattice_is_deterministic():
     for family in ("mixed", "random-closed"):
         a = gen_lattice(spec(7, family=family))
