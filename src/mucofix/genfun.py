@@ -52,26 +52,38 @@ class LatticeFn:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(map(operator.index, self.table)))
-        if len(self.table) != self.dom.size:
-            raise ValueError("table must cover every domain element")
-        self.cod._check_ids(self.table)
+        object.__setattr__(self, "table", _checked_table(self.table, self.dom, self.cod))
+
+
+def _checked_table(table, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:
+    'table as a tuple of ints, one per element of dom, each an element of cod.'
+    table = tuple(map(operator.index, table))
+    if len(table) != dom.size:
+        raise ValueError("table must cover every domain element")
+    cod._check_ids(table)
+    return table
 
 
 @dataclass(frozen=True)
 class MutualPair:
     """Two mutual generators as tables: f maps O into P and g maps P into O.
-    f_fn and g_fn are the same tables as LatticeFn values."""
+    f_fn and g_fn are the same tables as LatticeFn values, built on first use."""
     dom_o: FiniteLattice
     dom_p: FiniteLattice
     f: tuple[int, ...]
     g: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "f_fn", LatticeFn(self.dom_o, self.dom_p, self.f))
-        object.__setattr__(self, "g_fn", LatticeFn(self.dom_p, self.dom_o, self.g))
-        object.__setattr__(self, "f", self.f_fn.table)
-        object.__setattr__(self, "g", self.g_fn.table)
+        object.__setattr__(self, "f", _checked_table(self.f, self.dom_o, self.dom_p))
+        object.__setattr__(self, "g", _checked_table(self.g, self.dom_p, self.dom_o))
+
+    @cached_property
+    def f_fn(self) -> LatticeFn:
+        return _prechecked(LatticeFn, dom=self.dom_o, cod=self.dom_p, table=self.f)
+
+    @cached_property
+    def g_fn(self) -> LatticeFn:
+        return _prechecked(LatticeFn, dom=self.dom_p, cod=self.dom_o, table=self.g)
 
     @cached_property
     def monotone_failure(self):
@@ -101,10 +113,7 @@ def dual_pair(mp: MutualPair) -> MutualPair:
     """The same tables between both order-duals; its least pair is the
     greatest of mp. The tables were checked when mp was built and a dual
     has the carrier of its lattice, so nothing is checked again."""
-    dom_o, dom_p = dual(mp.dom_o), dual(mp.dom_p)
-    return _prechecked(MutualPair, dom_o=dom_o, dom_p=dom_p, f=mp.f, g=mp.g,
-                       f_fn=_prechecked(LatticeFn, dom=dom_o, cod=dom_p, table=mp.f),
-                       g_fn=_prechecked(LatticeFn, dom=dom_p, cod=dom_o, table=mp.g))
+    return _prechecked(MutualPair, dom_o=dual(mp.dom_o), dom_p=dual(mp.dom_p), f=mp.f, g=mp.g)
 
 
 def compose_gf(mp: MutualPair) -> LatticeFn:

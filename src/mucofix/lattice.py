@@ -5,9 +5,10 @@ read-only boolean matrix whose rows are up-sets and whose columns are
 down-sets, so bound searches are row intersections. Every finite bounded
 lattice is complete, which is why subset meets and joins reduce to folds
 over the binary tables. All values here are immutable after construction
-and safe to share between threads. That holds for the draw lists too:
-they are derived from the tables on first use, kept with the lattice,
-and are tuples, so they can neither change nor drift from the tables.
+and safe to share between threads. That holds for the draw and search
+lists too: they are derived from the tables on first use, kept with the
+lattice, and are tuples, so they can neither change nor drift from the
+tables.
 """
 from __future__ import annotations
 
@@ -192,6 +193,15 @@ class DrawLists(NamedTuple):
     join: tuple[tuple[int, ...], ...]     # join[i][j]: the join of i and j
 
 
+class SearchLists(NamedTuple):
+    """What a search for bound-preserving tables reads besides the draw
+    lists, per element i. Every pair named is of incomparable elements,
+    and every element named comes before i in the draw lists' extension."""
+    joins: tuple[tuple[tuple[int, int], ...], ...]  # joins[i]: pairs (a, b) whose join is i
+    meets: tuple[tuple[tuple[int, int], ...], ...]  # meets[i]: (j, meet of i and j) per earlier j
+    meet: tuple[tuple[int, ...], ...]     # meet[i][j]: the meet of i and j
+
+
 @dataclass(frozen=True)
 class FiniteLattice:
     """A valid finite poset plus binary meet/join tables and both bounds.
@@ -240,6 +250,25 @@ class FiniteLattice:
         return DrawLists(tuple(sorted(ids, key=lambda i: len(below[i]))), below,
                          tuple([tuple(compress(ids, row)) for row in self.poset.leq.tolist()]),
                          tuple(map(tuple, self.join.tolist())))
+
+    @cached_property
+    def search_lists(self) -> SearchLists:
+        'The search lists, built on first use and kept with the lattice like the draw lists.'
+        n = self.size
+        leq, join = self.poset.leq.tolist(), self.draw_lists.join
+        meet = tuple(map(tuple, self.meet.tolist()))
+        place = [0] * n
+        for k, i in enumerate(self.draw_lists.extension):
+            place[i] = k
+        joins = [[] for _ in range(n)]
+        meets = [[] for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                if not (leq[a][b] or leq[b][a]):
+                    joins[join[a][b]].append((a, b))
+                    early, late = (a, b) if place[a] < place[b] else (b, a)
+                    meets[late].append((early, meet[a][b]))
+        return SearchLists(tuple(map(tuple, joins)), tuple(map(tuple, meets)), meet)
 
     def _check_id(self, a: int):
         if not 0 <= int(a) < self.size:

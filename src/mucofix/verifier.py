@@ -36,12 +36,10 @@ EXHAUST_COMBO_CAP = 200_000
 INSTANCE_SIZE_CAP = 64
 # L4 enumerates every nonempty subset of a carrier, 2^16 - 1 at this size
 L4_SIZE_CAP = 16
-# monotone draws per continuous pair before the curated fallbacks
-CONTINUOUS_RETRIES = 64
 
 
 class GenerationExhausted(Exception):
-    """The retry cap passed without a continuous pair; reported, not fatal."""
+    """No continuous map exists on one side of a pair; reported, not fatal."""
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -90,7 +88,10 @@ class InstanceGenSpec:
 def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
     # draw subsets of a 4-member ground set and close them under binary
     # intersection/union in one meet pass and then one join pass: the
-    # sublattice a family generates is every join of meets of the family
+    # sublattice a family generates is every join of meets of the family;
+    # 16 subsets is the most it can close to, so larger sizes get a chain
+    if lo > 16:
+        return _memo_chain(rng.randint(lo, hi))
     for _ in range(64):
         want = rng.randint(lo, hi)
         meets: set[int] = set()
@@ -191,37 +192,75 @@ def gen_monotone_pair(spec: InstanceGenSpec, lat_o: FiniteLattice,
     return mp
 
 
-def _curated_pairs(lat_o: FiniteLattice, lat_p: FiniteLattice):
-    # fallbacks for rejection-sampling droughts: identity-like when the
-    # carriers coincide, constant maps, and pinned chain homomorphisms
-    if lat_o.size == lat_p.size and bool((lat_o.poset.leq == lat_p.poset.leq).all()):
-        ident = tuple(range(lat_o.size))
-        yield MutualPair(lat_o, lat_p, ident, ident)
-    yield MutualPair(lat_o, lat_p,
-                     (lat_p.top,) * lat_o.size, (lat_o.top,) * lat_p.size)
-    yield MutualPair(lat_o, lat_p,
-                     (lat_p.bottom,) * lat_o.size, (lat_o.bottom,) * lat_p.size)
-    chain_like_o = bool((lat_o.poset.leq | lat_o.poset.leq.T).all())
-    chain_like_p = bool((lat_p.poset.leq | lat_p.poset.leq.T).all())
-    if chain_like_o and chain_like_p:
-        def pinned(n, m):
-            return tuple(round(i * (m - 1) / (n - 1)) if n > 1 else m - 1 for i in range(n))
-        yield MutualPair(lat_o, lat_p,
-                         pinned(lat_o.size, lat_p.size), pinned(lat_p.size, lat_o.size))
+def _continuous_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice,
+                      pinned: bool) -> tuple[int, ...] | None:
+    """The first table preserving binary meets and joins that a backtracking
+    search meets, trying candidates in rng's order, or None if none exists.
+    pinned also sends bottom to bottom and top to top.
+
+    The search assigns images along a linear extension. An image lies in
+    the up-set of the join of the images below it, and it is that join
+    where the element is the join of two incomparable elements. Each
+    choice is checked against every join and meet of incomparable
+    elements that it completes, so every binary bound is checked once."""
+    order, below = dom.draw_lists.extension, dom.draw_lists.below
+    joins, meets, _ = dom.search_lists
+    up_sets, cod_join = cod.draw_lists.up_sets, cod.draw_lists.join
+    cod_meet = cod.search_lists.meet
+    images = [0] * dom.size
+    options: list[list[int] | None] = [None] * dom.size
+    depth = 0
+    while 0 <= depth < dom.size:
+        i = order[depth]
+        todo = options[depth]
+        if todo is None:
+            low = cod.bottom
+            for j in below[i]:
+                low = cod_join[low][images[j]]
+            if joins[i]:
+                todo = [low] if all(cod_join[images[a]][images[b]] == low
+                                    for a, b in joins[i]) else []
+            else:
+                todo = list(up_sets[low])
+            if pinned and i in (dom.bottom, dom.top):
+                todo = [v for v in todo if (i != dom.bottom or v == cod.bottom)
+                        and (i != dom.top or v == cod.top)]
+            options[depth] = todo
+        while todo:
+            k = rng.randrange(len(todo)) if len(todo) > 1 else 0
+            v = todo[k]
+            todo[k] = todo[-1]
+            todo.pop()
+            row = cod_meet[v]
+            for j, m in meets[i]:
+                if row[images[j]] != images[m]:
+                    break
+            else:
+                images[i] = v
+                depth += 1
+                break
+        else:
+            options[depth] = None
+            depth -= 1
+    return tuple(images) if depth == dom.size else None
 
 
 def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: FiniteLattice,
                         mode: ContinuityMode = BINARY) -> MutualPair:
-    'Rejection-sample monotone pairs, then fall back to a curated family.'
-    for k in range(CONTINUOUS_RETRIES):
-        mp = gen_monotone_pair(spec._reseeded(split_seed(spec.seed, k)), lat_o, lat_p)
-        if is_continuous_pair(mp, mode):
-            return mp
-    for mp in _curated_pairs(lat_o, lat_p):
-        if is_continuous_pair(mp, mode):
-            return mp
-    raise GenerationExhausted(
-        f"no continuous pair found on {lat_o.size}x{lat_p.size} under {mode.kind}")
+    """The first continuous table for F and then for G in a search seeded
+    from spec.seed; GenerationExhausted when no continuous map exists on
+    one side. Self-checked for monotonicity and continuity."""
+    rng = random.Random(split_seed(spec.seed, 0xC0))
+    pinned = mode.kind == "with-empty"
+    f = _continuous_table(rng, lat_o, lat_p, pinned)
+    g = None if f is None else _continuous_table(rng, lat_p, lat_o, pinned)
+    if g is None:
+        raise GenerationExhausted(
+            f"no continuous pair exists on {lat_o.size}x{lat_p.size} under {mode.kind}")
+    mp = MutualPair(lat_o, lat_p, f, g)
+    if mp.monotone_failure is not None or not is_continuous_pair(mp, mode):
+        raise AssertionError
+    return mp
 
 
 def _instance(spec: InstanceGenSpec, index: int, mode: ContinuityMode) -> MutualPair:

@@ -320,3 +320,35 @@ def draw_lists_oracle(leq):
     below = [[j for j in range(n) if j != i and leq[j][i]] for i in range(n)]
     up_sets = [[j for j in range(n) if leq[i][j]] for i in range(n)]
     return sorted(range(n), key=lambda i: (len(below[i]), i)), below, up_sets
+
+
+def continuous_table_oracle(dom_leq, cod_leq, with_empty=False):
+    """First raw table, in lexicographic order, preserving every binary
+    meet and join (and with_empty the empty ones, top and bottom), or None
+    when no table does. Every bound is found by scan up front."""
+    n, m = len(dom_leq), len(cod_leq)
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    dom_glb = {(a, b): glb_scan(dom_leq, [a, b]) for a, b in pairs}
+    dom_lub = {(a, b): lub_scan(dom_leq, [a, b]) for a, b in pairs}
+    cod_glb = [[glb_scan(cod_leq, [x, y]) for y in range(m)] for x in range(m)]
+    cod_lub = [[lub_scan(cod_leq, [x, y]) for y in range(m)] for x in range(m)]
+    ends = [(glb_scan(dom_leq, []), glb_scan(cod_leq, [])),
+            (lub_scan(dom_leq, []), lub_scan(cod_leq, []))] if with_empty else []
+    table = [0] * n
+    while True:
+        ok = all(table[d] == c for d, c in ends)
+        for a, b in pairs:
+            if not ok:
+                break
+            ok = (table[dom_glb[a, b]] == cod_glb[table[a]][table[b]]
+                  and table[dom_lub[a, b]] == cod_lub[table[a]][table[b]])
+        if ok:
+            return tuple(table)
+        # the next table in lexicographic order, counting in base m
+        k = n - 1
+        while k >= 0 and table[k] == m - 1:
+            table[k] = 0
+            k -= 1
+        if k < 0:
+            return None
+        table[k] += 1

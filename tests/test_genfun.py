@@ -124,6 +124,17 @@ def test_dual_pair_equals_the_checked_construction(d4):
         assert got.monotone_failure == want.monotone_failure
 
 
+def test_building_a_pair_builds_no_function(monkeypatch, c2, d4):
+    built = []
+    real = LatticeFn.__post_init__
+    monkeypatch.setattr(LatticeFn, "__post_init__", lambda fn: built.append(real(fn)))
+    mp = MutualPair(c2, d4, (0, 3), (0, 0, 1, 1))
+    assert built == [] and not {"f_fn", "g_fn"} & vars(mp).keys()
+    assert mp.f_fn.table == (0, 3) and mp.g_fn.cod is c2 and built == []
+    assert {"f_fn", "g_fn"} <= vars(mp).keys()
+    assert mp.monotone_failure is None and dual_pair(mp).f_fn.table == (0, 3)
+
+
 def test_pair_functions_are_built_once(c2, d4):
     mp = MutualPair(c2, d4, (0, 3), (0, 0, 1, 1))
     assert mp.f_fn is mp.f_fn and mp.g_fn is mp.g_fn

@@ -13,15 +13,16 @@ from mucofix import (BINARY, WITH_EMPTY, CapacityError, InstanceGenSpec, MutualP
                      NotMonotoneError, SolveResult, chain, check_lemma, corpus, diamond,
                      gen_continuous_pair, gen_lattice, gen_monotone_pair,
                      is_continuous_pair, is_monotone, m3, mine_counterexample,
-                     pair_from_json, product, split_seed, validate_lattice)
+                     pair_continuity_witness, pair_from_json, product, split_seed,
+                     validate_lattice)
 import mucofix.genfun as genfun
 import mucofix.verifier as verifier
 from mucofix.lattice import mask_lattice
 from mucofix.verifier import (GenerationExhausted, LEMMAS, _check_l1, _check_l5,
                               render_finding_report, render_lemma_report)
 
-from oracles import (closed_family_oracle, closed_subsets_oracle, glb_scan, is_lattice_oracle,
-                     lub_scan)
+from oracles import (closed_family_oracle, closed_subsets_oracle, continuous_table_oracle,
+                     glb_scan, is_lattice_oracle, lub_scan)
 
 
 def spec(seed=0, **kw):
@@ -102,13 +103,22 @@ def test_products_fallback_is_built_once_per_size():
 
 def test_random_closed_fallback_is_the_shared_chain():
     # a 4-member ground set closes to at most 16 subsets, so above 16
-    # every draw falls back to a chain; its sizes are the ones drawn before
-    for lo, hi, sizes in ((17, 17, [17] * 8), (40, 64, [40, 40, 43, 41, 45, 51, 58, 57])):
+    # every draw falls back to a chain, whose size is the first draw
+    for lo, hi, sizes in ((17, 17, [17] * 8), (40, 64, [52, 44, 41, 47, 47, 59, 58, 50])):
         for seed, n in enumerate(sizes):
             lat = gen_lattice(spec(seed, family="random-closed", size_lo=lo, size_hi=hi))
             again = gen_lattice(spec(seed, family="random-closed", size_lo=lo, size_hi=hi))
             assert lat is again is verifier._memo_chain(n)
             assert lat.labels == chain(n).labels
+
+
+def test_random_closed_above_sixteen_draws_no_family():
+    # the chain's size is the first and only draw: no subset is sampled
+    for seed in range(20):
+        rng, replay = random.Random(seed), random.Random(seed)
+        lat = verifier._random_closed(rng, 17, 40)
+        assert lat is verifier._memo_chain(replay.randint(17, 40))
+        assert rng.getstate() == replay.getstate()
 
 
 def test_gen_lattice_is_deterministic():
@@ -178,13 +188,48 @@ def test_gen_monotone_pair_is_monotone_and_varied():
     assert len(tables) > 5
 
 
-def test_gen_continuous_pair_and_fallbacks(monkeypatch):
-    mp = gen_continuous_pair(spec(3), chain(3), diamond())
-    assert is_continuous_pair(mp, BINARY)
-    # no draws forces the curated family; equal carriers get the identity
-    monkeypatch.setattr(verifier, "CONTINUOUS_RETRIES", 0)
-    mp = gen_continuous_pair(spec(3), diamond(), diamond(), BINARY)
-    assert mp.f == (0, 1, 2, 3) and mp.g == (0, 1, 2, 3)
+def test_gen_continuous_pair_is_seeded_and_continuous():
+    for mode in (BINARY, WITH_EMPTY):
+        tables = set()
+        for seed in range(20):
+            mp = gen_continuous_pair(spec(seed), chain(3), diamond(), mode)
+            again = gen_continuous_pair(spec(seed), chain(3), diamond(), mode)
+            assert (mp.f, mp.g) == (again.f, again.g)
+            assert is_continuous_pair(mp, mode) and mp.monotone_failure is None
+            tables.add((mp.f, mp.g))
+        assert len(tables) > 5
+    # with-empty sends bottom to bottom and top to top on both sides
+    mp = gen_continuous_pair(spec(3), diamond(), diamond(), WITH_EMPTY)
+    assert (mp.f[0], mp.f[3], mp.g[0], mp.g[3]) == (0, 3, 0, 3)
+
+
+def _search_cases():
+    'Every ordered pair of corpus lattices of at most 5 elements, and 40 random-closed pairs.'
+    small = [lat for _, lat in corpus() if lat.size <= 5]
+    closed = [verifier._random_closed(random.Random(seed), 2, 6) for seed in range(40)]
+    return ([(a, b) for a in small for b in small]
+            + [(closed[k], closed[(k + 1) % 40]) for k in range(40)])
+
+
+@pytest.mark.parametrize("mode", [BINARY, WITH_EMPTY], ids=lambda m: m.kind)
+def test_continuous_search_finds_a_table_exactly_when_one_exists(mode):
+    pinned = mode is WITH_EMPTY
+    found = missing = 0
+    for k, (dom, cod) in enumerate(_search_cases()):
+        got = verifier._continuous_table(random.Random(k), dom, cod, pinned)
+        want = continuous_table_oracle(dom.poset.leq.tolist(), cod.poset.leq.tolist(), pinned)
+        assert (got is None) == (want is None), (dom.labels, cod.labels)
+        found += got is not None
+        missing += got is None
+        back = continuous_table_oracle(cod.poset.leq.tolist(), dom.poset.leq.tolist(), pinned)
+        if want is None or back is None:
+            with pytest.raises(GenerationExhausted, match="^no continuous pair exists on "):
+                gen_continuous_pair(spec(k), dom, cod, mode)
+        else:
+            mp = gen_continuous_pair(spec(k), dom, cod, mode)
+            assert pair_continuity_witness(mp, mode) is None
+    # binary mode always has the constant maps; with-empty meets both outcomes
+    assert missing == 0 if mode is BINARY else 0 < missing < found
 
 
 def test_generation_exhausted_when_no_pair_exists():
