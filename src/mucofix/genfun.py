@@ -90,11 +90,7 @@ class MutualPair:
         """The first (side, witness) at which f, then g, breaks the order,
         or None. A pair's tables and lattices cannot change, so both are
         scanned at most once per pair, on first use."""
-        for side, fn in (("F", self.f_fn), ("G", self.g_fn)):
-            w = monotone_witness(fn)
-            if w is not None:
-                return side, w
-        return None
+        return _first_monotone_failure((("F", self.f_fn), ("G", self.g_fn)))
 
     @cached_property
     def _continuity_failures(self) -> dict:
@@ -140,6 +136,16 @@ def is_monotone(fn: LatticeFn) -> bool:
     return monotone_witness(fn) is None
 
 
+def _first_monotone_failure(named):
+    'First (name, witness) at which a (name, LatticeFn) of named breaks the order, or None.'
+    # the scan stops at the first failure: later functions are never scanned
+    for name, fn in named:
+        w = monotone_witness(fn)
+        if w is not None:
+            return name, w
+    return None
+
+
 def _continuity_witness(fn: LatticeFn, mode: ContinuityMode, law: str):
     'Smallest subset (size, then lex) whose meet or join fn does not preserve, or None.'
     dom, cod, t = fn.dom, fn.cod, fn.table
@@ -169,16 +175,19 @@ def join_continuity_witness(fn: LatticeFn, mode: ContinuityMode = BINARY):
     return _continuity_witness(fn, mode, "join")
 
 
+def _first_continuity_failure(named, mode: ContinuityMode):
+    'First (name, law, subset) at which a function of named breaks meets, then joins, or None.'
+    for name, fn in named:
+        for law, witness in (("meet", meet_continuity_witness), ("join", join_continuity_witness)):
+            w = witness(fn, mode)
+            if w is not None:
+                return name, law, w
+    return None
+
+
 def pair_continuity_witness(mp: MutualPair, mode: ContinuityMode = BINARY):
     'First (side, law, subset) continuity failure over f then g, or None.'
-    for side, fn in (("F", mp.f_fn), ("G", mp.g_fn)):
-        w = meet_continuity_witness(fn, mode)
-        if w is not None:
-            return (side, "meet", w)
-        w = join_continuity_witness(fn, mode)
-        if w is not None:
-            return (side, "join", w)
-    return None
+    return _first_continuity_failure((("F", mp.f_fn), ("G", mp.g_fn)), mode)
 
 
 def is_continuous_pair(mp: MutualPair, mode: ContinuityMode = BINARY) -> bool:

@@ -77,6 +77,11 @@ def _check_side(side: str):
         raise ValueError(f"side must be 'O' or 'P', got {side!r}")
 
 
+def pre_mask(leq_o: np.ndarray, leq_p: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    'The |O| x |P| boolean array of pairs (o, p) with F(o) below p and G(p) below o.'
+    return leq_p[f, :] & leq_o[g, :].T
+
+
 def point_masks(mp: MutualPair) -> tuple[np.ndarray, np.ndarray]:
     """Classify every pair of the product carrier at once.
 
@@ -87,9 +92,7 @@ def point_masks(mp: MutualPair) -> tuple[np.ndarray, np.ndarray]:
     """
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
     f, g = np.asarray(mp.f), np.asarray(mp.g)
-    pre = leq_p[f, :] & leq_o[g, :].T
-    post = leq_p[:, f].T & leq_o[:, g]
-    return pre, post
+    return pre_mask(leq_o, leq_p, f, g), leq_p[:, f].T & leq_o[:, g]
 
 
 def _members(line: np.ndarray) -> frozenset[int]:

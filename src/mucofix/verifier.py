@@ -15,12 +15,12 @@ from itertools import product as iproduct
 
 from . import textio
 from .fixtures import chain, corpus, diamond
-from .genfun import (BINARY, ContinuityMode, LatticeFn, MutualPair, compose_fg,
-                     compose_gf, is_continuous_pair, join_continuity_witness,
-                     meet_continuity_witness, monotone_witness)
+from .genfun import (BINARY, ContinuityMode, LatticeFn, MutualPair, _first_continuity_failure,
+                     _first_monotone_failure, compose_fg, compose_gf, is_continuous_pair,
+                     monotone_witness)
 from .lattice import (CapacityError, FiniteLattice, compose, mask_lattice, powerset_lattice,
                       product)
-from .simpoints import component_sets, is_sim_fixed, point_masks
+from .simpoints import component_sets, is_sim_fixed, point_masks, pre_mask
 from .solvers import (gsfp_direct, gsfp_product, gsfp_tarski_oracle, lsfp_direct,
                       lsfp_product, lsfp_tarski_oracle)
 
@@ -123,24 +123,23 @@ def _memo_flat_product(hi: int) -> FiniteLattice:
     return product(chain(1), chain(hi))
 
 
-@lru_cache(maxsize=5)
-def _memo_powerset(ground: int) -> FiniteLattice:
-    return powerset_lattice(ground)
-
-
 @lru_cache(maxsize=1)
-def _product_pool() -> tuple[FiniteLattice, ...]:
-    'The 16 products of two factors from C2, C3, C4 and the diamond, in draw order.'
+def _pools() -> dict[str, tuple[FiniteLattice, ...]]:
+    """The lattices of each pooled family in draw order: the powersets of 0
+    to 4 members, the 16 products of two factors from C2, C3, C4 and the
+    diamond, and the corpus."""
     factors = [chain(2), chain(3), chain(4), diamond()]
-    return tuple(product(a, b) for a in factors for b in factors)
+    return {"powersets": tuple(powerset_lattice(g) for g in range(5)),
+            "products": tuple(product(a, b) for a in factors for b in factors),
+            "corpus": tuple(lat for _, lat in corpus())}
 
 
 def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
     """One lattice, deterministic in spec.seed, size within the range where
-    the family allows. products draws from the 16 two-factor products of
-    C2, C3, C4 and the diamond whose size is in range; when none is, it
-    returns product(chain(1), chain(hi)), which is a chain of hi elements
-    with pair labels "(0,0)" to "(0,hi-1)"."""
+    the family allows. A pooled family draws from its pool lattices whose
+    size is in range. When none is, powersets returns the largest powerset
+    not above hi, and products returns product(chain(1), chain(hi)), which
+    is a chain of hi elements with pair labels "(0,0)" to "(0,hi-1)"."""
     rng = random.Random(spec.seed)
     fam = spec.family
     if fam == "mixed":
@@ -148,21 +147,16 @@ def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
     lo, hi = spec.size_lo, spec.size_hi
     if fam == "chains":
         return _memo_chain(rng.randint(lo, hi))
-    if fam == "powersets":
-        feasible = [g for g in range(5) if lo <= 1 << g <= hi]
-        if not feasible:
-            feasible = [max(g for g in range(5) if 1 << g <= hi)]
-        return _memo_powerset(rng.choice(feasible))
-    if fam == "products":
-        pool = [lat for lat in _product_pool() if lo <= lat.size <= hi]
-        if not pool:
-            return _memo_flat_product(max(1, hi))
-        return rng.choice(pool)
     if fam == "random-closed":
         return _random_closed(rng, lo, hi)
-    if fam == "corpus":
-        return rng.choice([lat for _, lat in corpus() if lo <= lat.size <= hi])
-    raise AssertionError(fam)
+    pool = _pools()[fam]
+    in_range = [lat for lat in pool if lo <= lat.size <= hi]
+    if in_range:
+        return rng.choice(in_range)
+    if fam == "products":
+        return _memo_flat_product(max(1, hi))
+    # the spec refuses a corpus range that no corpus lattice meets
+    return [lat for lat in pool if lat.size <= hi][-1]
 
 
 def _monotone_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:
@@ -313,20 +307,12 @@ def _check_l1(mp, mode):
 
 
 def _check_l2(mp, mode):
-    gf, fg = compose_gf(mp), compose_fg(mp)
-    for name, fn in (("G.F", gf), ("F.G", fg)):
-        w = monotone_witness(fn)
-        if w is not None:
-            return f"{name} not monotone at {w}"
-    if is_continuous_pair(mp, mode):
-        for name, fn in (("G.F", gf), ("F.G", fg)):
-            w = meet_continuity_witness(fn, mode)
-            if w is not None:
-                return f"{name} breaks meet preservation at {w}"
-            w = join_continuity_witness(fn, mode)
-            if w is not None:
-                return f"{name} breaks join preservation at {w}"
-    return None
+    named = (("G.F", compose_gf(mp)), ("F.G", compose_fg(mp)))
+    failure = _first_monotone_failure(named)
+    if failure is not None:
+        return "{} not monotone at {}".format(*failure)
+    failure = _first_continuity_failure(named, mode) if is_continuous_pair(mp, mode) else None
+    return None if failure is None else "{} breaks {} preservation at {}".format(*failure)
 
 
 def _first_hit(*masks):
@@ -569,7 +555,7 @@ def _q2(mp, mode):
     'A composition pre-fixed element belonging to no simultaneous pre-fixed pair.'
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
     f, g = np.asarray(mp.f), np.asarray(mp.g)
-    pre = leq_p[f, :] & leq_o[g, :].T    # the pre mask of point_masks
+    pre = pre_mask(leq_o, leq_p, f, g)
     for side, leq, round_trip, covered, name, which in (
             ("O", leq_o, g[f], pre.any(axis=1), "G.F", "first"),
             ("P", leq_p, f[g], pre.any(axis=0), "F.G", "second")):
@@ -598,16 +584,20 @@ def _revalidate(question: str, serialized: str, witness: str, mode: ContinuityMo
     return QUESTIONS[question](mp, mode) == witness
 
 
-def _dedup_shapes(max_size: int):
-    seen = set()
-    shapes = []
+def _dedup_shapes(max_size: int) -> list[FiniteLattice]:
+    'The first corpus lattice of each distinct order of at most max_size elements.'
+    shapes = {}
     for _, lat in corpus():
         if lat.size <= max_size:
-            key = lat.poset.leq.tobytes()
-            if key not in seen:
-                seen.add(key)
-                shapes.append(lat)
-    return shapes
+            shapes.setdefault(lat.poset.leq.tobytes(), lat)
+    return list(shapes.values())
+
+
+def _shape_pairs(max_size: int):
+    'Each ordered pair of shapes, and whether its raw tables fit EXHAUST_COMBO_CAP.'
+    shapes = _dedup_shapes(max_size)
+    return [(lat_o, lat_p, lat_p.size ** lat_o.size * lat_o.size ** lat_p.size <= EXHAUST_COMBO_CAP)
+            for lat_o in shapes for lat_p in shapes]
 
 
 def _monotone_tables(dom: FiniteLattice, cod: FiniteLattice) -> list[tuple[int, ...]]:
@@ -616,58 +606,50 @@ def _monotone_tables(dom: FiniteLattice, cod: FiniteLattice) -> list[tuple[int, 
             if monotone_witness(LatticeFn(dom, cod, t)) is None]
 
 
+def _sweep(max_size: int):
+    'Every monotone pair on each shape pair that fits the cap, f outer and g inner.'
+    for lat_o, lat_p, fits in _shape_pairs(max_size):
+        if fits:
+            gs = _monotone_tables(lat_p, lat_o)
+            for f in _monotone_tables(lat_o, lat_p):
+                for g in gs:
+                    yield MutualPair(lat_o, lat_p, f, g)
+
+
 def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
                         max_size: int = 3, mode: ContinuityMode = BINARY) -> FindingReport:
     """Search for a counterexample: exhaustively over every monotone pair
     on small corpus shapes, then randomized within the remaining budget.
-    Any finding is re-validated from scratch before being reported."""
+    Any finding is re-validated from scratch before being reported.
+
+    exhaustive_size is None when the budget ran out inside the sweep, and
+    otherwise the largest size N such that the sweep covered every shape
+    pair of at most N elements."""
     if question not in QUESTIONS:
         raise ValueError(f"unknown question {question!r}; choose from {', '.join(QUESTIONS)}")
     for name, value in (("budget", budget), ("max_size", max_size)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative")
     pred = QUESTIONS[question]
-    tried = 0
-    randomized = 0
-    exhaustive_complete = True
-
-    def emit(mp, witness):
-        serialized = textio.pair_to_json(mp)
-        ok = _revalidate(question, serialized, witness, mode)
-        return FindingReport(question, mode.kind, tried,
-                             max_size if exhaustive_complete else None,
-                             randomized, Finding(serialized, witness), ok)
-
-    shapes = _dedup_shapes(max_size)
-    for lat_o in shapes:
-        for lat_p in shapes:
-            combos = (lat_p.size ** lat_o.size) * (lat_o.size ** lat_p.size)
-            if combos > EXHAUST_COMBO_CAP:
-                exhaustive_complete = False
-                continue
-            gs = _monotone_tables(lat_p, lat_o)
-            for f in _monotone_tables(lat_o, lat_p):
-                for g in gs:
-                    mp = MutualPair(lat_o, lat_p, f, g)
-                    if tried >= budget:
-                        exhaustive_complete = False
-                        return FindingReport(question, mode.kind, tried, None,
-                                             randomized, None, None)
-                    tried += 1
-                    w = pred(mp, mode)
-                    if w is not None:
-                        return emit(mp, w)
     spec = replace(spec, function_class="monotone")
-    while tried < budget:
-        mp = _instance(spec, tried, mode)
+    sweep = _sweep(max_size)
+    tried = randomized = 0
+    finding = revalidated = None
+    while finding is None and tried < budget:
+        mp = next(sweep, None)
+        if mp is None:
+            mp = _instance(spec, tried, mode)
+            randomized += 1
         tried += 1
-        randomized += 1
-        w = pred(mp, mode)
-        if w is not None:
-            return emit(mp, w)
-    return FindingReport(question, mode.kind, tried,
-                         max_size if exhaustive_complete else None,
-                         randomized, None, None)
+        witness = pred(mp, mode)
+        if witness is not None:
+            finding = Finding(textio.pair_to_json(mp), witness)
+            revalidated = _revalidate(question, finding.instance, witness, mode)
+    size = None
+    if finding is not None or randomized or next(sweep, None) is None:
+        size = min((max(lat_o.size, lat_p.size) - 1
+                    for lat_o, lat_p, fits in _shape_pairs(max_size) if not fits), default=max_size)
+    return FindingReport(question, mode.kind, tried, size, randomized, finding, revalidated)
 
 
 # ----------------------------------------------------------------- reports

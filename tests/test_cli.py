@@ -261,6 +261,19 @@ def test_mine_q2_exhausts(capsys):
     assert "result: none found (exhaustive up to size 3)" in out
 
 
+def test_mine_reports_the_sweep_the_cap_allowed(capsys):
+    # the cap skips 12 shape pairs, each with a 5-element side, so a budget
+    # that outlasts the sweep has covered every shape pair of at most 4 elements
+    rc, out = run(capsys, "mine", "Q2", "--seed", "1", "--budget", "12000", "--max-size", "5")
+    assert rc == EXIT_OK
+    assert "randomized: 1186\n" in out
+    assert "result: none found (exhaustive up to size 4)\n" in out
+    rc, out = run(capsys, "mine", "Q2", "--seed", "1", "--budget", "5000", "--max-size", "5")
+    assert rc == EXIT_OK
+    assert "randomized: 0\n" in out
+    assert "result: none found (search truncated by budget)\n" in out
+
+
 def test_mine_q1_finds(capsys):
     rc, out = run(capsys, "mine", "Q1", "--budget", "400")
     assert rc == EXIT_OK

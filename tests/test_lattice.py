@@ -343,7 +343,7 @@ def test_draw_lists_match_the_plain_loop_oracle():
     # pool, chains up to the instance cap, random-closed lattices, and the
     # duals of the random-closed ones
     lattices = [lat for _, lat in corpus()]
-    lattices += [powerset_lattice(g) for g in range(5)] + list(verifier._product_pool())
+    lattices += [powerset_lattice(g) for g in range(5)] + list(verifier._pools()["products"])
     lattices += [chain(n) for n in range(1, verifier.INSTANCE_SIZE_CAP + 1)]
     closed = [verifier._random_closed(random.Random(seed), 2, 8) for seed in range(200)]
     lattices += closed + [dual(lat) for lat in closed]

@@ -321,6 +321,13 @@ def test_miner_budget_truncation():
     assert report.note == "none found (search truncated by budget)"
 
 
+def test_miner_finding_inside_the_sweep_keeps_the_swept_size():
+    report = mine_counterexample("Q1", InstanceGenSpec(seed=0), budget=100, max_size=4)
+    assert (report.tried, report.randomized) == (85, 0)
+    assert report.finding is not None and report.revalidated
+    assert report.exhaustive_size == 4
+
+
 def test_miner_rejects_unknown_question():
     with pytest.raises(ValueError, match="unknown question"):
         mine_counterexample("Q4", spec(0), budget=1)
