@@ -357,16 +357,17 @@ def _set_keys(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 
 
 def _bound_proposer(rows: np.ndarray, u: np.ndarray, w: np.ndarray):
-    """Bulk bound proposals for the pairs of one row block at a time.
+    """Bulk bound proposals for chosen pairs of one row block at a time.
 
     rows is the boolean matrix whose row x is the set a bound of x must
     match: up-sets for joins, down-sets (the transposed order) for meets;
     u is the same matrix as float32. The bound of i and j is the element
-    whose own row equals rows[i] & rows[j]. propose(s, e) returns, for i
-    in s..e-1 and j in s..n-1, a candidate and whether it passed the
-    exact check: it lies in both rows, so by transitivity its own row is
-    inside the intersection, and it counts as many members, so the two
-    are equal. A hash collision or a missing bound fails the check.
+    whose own row equals rows[i] & rows[j]. propose(s, e, pairs) takes
+    flat indices into the block of i in s..e-1 and j in s..n-1 and
+    returns, for each, a candidate and whether it passed the exact check:
+    it lies in both rows, so by transitivity its own row is inside the
+    intersection, and it counts as many members, so the two are equal.
+    A hash collision or a missing bound fails the check.
     """
     n = len(u)
     sizes = u.sum(axis=1)
@@ -375,15 +376,16 @@ def _bound_proposer(rows: np.ndarray, u: np.ndarray, w: np.ndarray):
     order = np.argsort(own, kind="stable")
     sorted_keys = own[order]
 
-    def propose(s: int, e: int):
+    def propose(s: int, e: int, pairs: np.ndarray):
         blk = u[s:e]
-        b = e - s
-        # intersection counts and both intersection hashes, exact in float32
-        out = np.concatenate([blk, blk * w[:, 0], blk * w[:, 1]]) @ u[s:].T
-        pos = np.searchsorted(sorted_keys, _set_keys(out[b:2 * b], out[2 * b:]))
+        # intersection counts and both intersection hashes, exact in float32;
+        # one dense matmul per block, read at the chosen pairs
+        out = (np.concatenate([blk, blk * w[:, 0], blk * w[:, 1]]) @ u[s:].T).reshape(3, -1)
+        counts, h1, h2 = out.take(pairs, axis=1)
+        pos = np.searchsorted(sorted_keys, _set_keys(h1, h2))
         cand = order[np.minimum(pos, n - 1)]
-        ok = (sizes[cand] == out[:b]) & np.take_along_axis(rows[s:e], cand, axis=1)
-        ok &= rows[np.arange(s, n), cand]
+        i, j = np.divmod(pairs, n - s)
+        ok = (sizes[cand] == counts) & rows[s + i, cand] & rows[s + j, cand]
         return cand, ok
 
     return propose
@@ -410,41 +412,59 @@ def bound_tables(p: FinitePoset) -> FiniteLattice:
     already checked or holds by construction; validate_lattice checks
     them first.
 
-    An element is recoverable from its up-set (or down-set) row, so the
-    least upper bound of i, j exists iff their up-set intersection is the
-    up-set of some element. The tables are proposed in bulk, a row block
-    at a time: float32 matmuls count and hash every intersection, and a
-    lookup among the elements' own hashed rows proposes a candidate. Each
-    candidate is then checked exactly, so the tables never depend on the
-    hash. A pair whose candidate fails the check is re-decided by a
-    dictionary lookup of its intersection, in scan order: row-major over
-    i <= j, lub before glb. Raises NotALatticeError at the first pair in
-    that order that has no bound.
+    A comparable pair is its own bound: when i <= j the lub is j and the
+    glb is i, so those entries are filled straight from the order. Only
+    incomparable pairs are searched. An element is recoverable from its
+    up-set (or down-set) row, so the least upper bound of i, j exists iff
+    their up-set intersection is the up-set of some element. The search
+    proposes in bulk, a row block at a time: float32 matmuls count and
+    hash every intersection, and a lookup among the elements' own hashed
+    rows proposes a candidate; a block whose pairs are all comparable
+    runs no matmul. Each candidate is then checked exactly, so the tables
+    never depend on the hash. A pair whose candidate fails the check is
+    re-decided by a dictionary lookup of its intersection, in scan order:
+    row-major over i <= j, lub before glb. Raises NotALatticeError at the
+    first pair in that order that has no bound; in a partial order a
+    comparable pair always has both, so skipping them moves no witness.
     """
     n = p.size
     leq = p.leq
-    u = leq.astype(np.float32)
-    w = _hash_weights(n)
+    ids = np.arange(n, dtype=np.int32)
     meet = np.zeros((n, n), dtype=np.int32)
     join = np.zeros((n, n), dtype=np.int32)
     # up-sets propose joins and down-sets meets; each pair's lub is decided first
-    sides = ((leq, join, "lub", _bound_proposer(leq, u, w)),
-             (leq.T, meet, "glb", _bound_proposer(leq.T, u.T, w)))
-    row_keys = None
+    sides = ((leq, join, "lub"), (leq.T, meet, "glb"))
+    proposers = row_keys = None
     for s in range(0, n, BLOCK_ROWS):
         e = min(s + BLOCK_ROWS, n)
+        up = leq[s:e, s:]
+        lo, hi = ids[s:e, None], ids[s:]
+        bounds = (np.where(up, hi, lo), np.where(up, lo, hi))
+        # the block's incomparable pairs, both triangles of its diagonal square
+        # so the transposed copy below is filled too
+        pairs = np.flatnonzero(~(up | leq[s:, s:e].T))
         rejected = []
-        for _, table, _, propose in sides:
-            cand, ok = propose(s, e)
-            table[s:e, s:] = cand
-            table[s:, s:e] = cand.T
-            rejected.append(np.triu(~ok))
-        # flat index order over (i, j, side) is the scan order
+        if pairs.size:
+            if proposers is None:
+                u = leq.astype(np.float32)
+                w = _hash_weights(n)
+                proposers = (_bound_proposer(leq, u, w), _bound_proposer(leq.T, u.T, w))
+            for propose, blk in zip(proposers, bounds):
+                cand, ok = propose(s, e, pairs)
+                blk.reshape(-1)[pairs] = cand
+                rejected.append(~ok)
+        for (_, table, _), blk in zip(sides, bounds):
+            table[s:e, s:] = blk
+            table[s:, s:e] = blk.T
+        if not rejected:
+            continue
+        # (pair, side) order is the scan order: a pair below the diagonal
+        # comes after its mirror, which has the same bounds
         for flat in np.flatnonzero(np.stack(rejected, axis=-1)):
-            rest, side = divmod(int(flat), 2)
-            b, c = divmod(rest, n - s)
+            k, side = divmod(int(flat), 2)
+            b, c = divmod(int(pairs[k]), n - s)
             i, j = s + b, s + c
-            rows, table, kind, _ = sides[side]
+            rows, table, kind = sides[side]
             if row_keys is None:
                 row_keys = [{r[x].tobytes(): x for x in range(n)} for r, *_ in sides]
             found = row_keys[side].get((rows[i] & rows[j]).tobytes())

@@ -28,9 +28,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
+import numpy as np
+
 from .genfun import LatticeFn, MutualPair, dual_pair
 from .lattice import FiniteLattice
-from .simpoints import PairPoint, component_sets, is_sim_postfixed, is_sim_prefixed
+from .simpoints import PairPoint, is_sim_postfixed, is_sim_prefixed, pre_mask
 
 class NotMonotoneError(Exception):
     def __init__(self, side: str, witness: tuple[int, int], labels):
@@ -78,9 +80,10 @@ def ensure_monotone(mp: MutualPair):
 def _meet_components(mp: MutualPair) -> tuple[int, int]:
     """Meets of the pre-fixed component sets of a monotone pair. That they
     pair up under f and g is a theorem, so a mismatch is an internal error."""
-    cs = component_sets(mp)
-    mf = mp.dom_o.meet_set(cs.c)
-    mg = mp.dom_p.meet_set(cs.d)
+    pre = pre_mask(mp.dom_o.poset.leq, mp.dom_p.poset.leq, np.asarray(mp.f), np.asarray(mp.g))
+    # C is the set of rows with a pre-fixed pair, D the set of columns
+    mf = mp.dom_o.meet_set(np.flatnonzero(pre.any(axis=1)).tolist())
+    mg = mp.dom_p.meet_set(np.flatnonzero(pre.any(axis=0)).tolist())
     if mp.f[mf] != mg or mp.g[mg] != mf:
         raise AssertionError("extremal components fail the fixed-point identities")
     return mf, mg

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import lattice
 from .genfun import MutualPair
-from .lattice import (CapacityError, FiniteLattice, FinitePoset, antisymmetry_gap,
-                      bound_tables, closure, cover_edges, validate_lattice)
+from .lattice import (CapacityError, FiniteLattice, FinitePoset, bound_tables, closure,
+                      cover_edges, validate_lattice)
 
 
 class DocumentError(Exception):
@@ -76,14 +76,15 @@ def parse_lattice_doc(obj) -> FiniteLattice:
             if name not in idx:
                 raise DocumentError(f"order pair names unknown element {name!r}")
         rel[idx[e[0]], idx[e[1]]] = True
-    leq = closure(rel)
+    # the walk closes an acyclic relation, whose closure is a partial order;
+    # a cyclic one is closed by squaring and gets validate_lattice's witness
+    leq = lattice._walk_closure(rel)
+    acyclic = leq is not None
+    if not acyclic:
+        leq = closure(rel)
     leq.flags.writeable = False
     poset = FinitePoset(tuple(names), leq)
-    # a closure is reflexive and transitive, so it is a partial order
-    # exactly when rel has no cycle; a cyclic one gets validate_lattice's witness
-    if antisymmetry_gap(leq) is None:
-        return bound_tables(poset)
-    return validate_lattice(poset)
+    return bound_tables(poset) if acyclic else validate_lattice(poset)
 
 
 def _parse_table(obj, what: str, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:

@@ -188,6 +188,70 @@ def test_witness_of_a_long_chain_split_at_one_end(split, want):
     assert lattice_verdict(leq) == want
 
 
+def _record_proposals(monkeypatch):
+    'Wrap the bound proposer; the returned list collects every (i, j) it is asked about.'
+    asked, real = [], lattice._bound_proposer
+
+    def recording(rows, u, w):
+        propose = real(rows, u, w)
+
+        def recorded(s, e, pairs):
+            b, c = np.divmod(pairs, len(u) - s)
+            asked.extend(zip((s + b).tolist(), (s + c).tolist()))
+            return propose(s, e, pairs)
+        return recorded
+
+    monkeypatch.setattr(lattice, "_bound_proposer", recording)
+    return asked
+
+
+def test_only_incomparable_pairs_reach_the_proposer(monkeypatch):
+    # a comparable pair is its own meet and join, so no chain pair is searched
+    asked = _record_proposals(monkeypatch)
+    assert same_tables(lattice.bound_tables(chain(300).poset), chain(300))
+    assert asked == []
+    ref = grid_lattice(16, 16)
+    assert same_tables(lattice.bound_tables(ref.poset), ref)
+    leq = ref.poset.leq
+    assert asked and not any(leq[i, j] or leq[j, i] for i, j in asked)
+
+
+def test_a_4096_chain_takes_its_tables_from_the_order(monkeypatch):
+    # at the explicit cap no block of a chain runs a search; validate_lattice
+    # would add a float32 transitivity check of about a second, so the
+    # tables are built directly
+    asked = _record_proposals(monkeypatch)
+    ref = chain(4096)
+    assert same_tables(lattice.bound_tables(ref.poset), ref)
+    assert asked == []
+
+
+def test_a_chain_under_a_diamond_matches_the_scans(monkeypatch):
+    # a 200-chain whose top is the bottom of a diamond: the three row blocks
+    # before the diamond hold only comparable pairs, and the two atoms are
+    # the one pair searched
+    n = 203
+    leq = np.triu(np.ones((n, n), dtype=bool))
+    leq[200, 201] = False
+    asked = _record_proposals(monkeypatch)
+    lat = validate_lattice(FinitePoset(tuple(str(i) for i in range(n)), leq))
+    assert set(asked) == {(200, 201), (201, 200)}
+    r = np.arange(n)
+    meet, join = np.minimum.outer(r, r), np.maximum.outer(r, r)
+    meet[200, 201] = meet[201, 200] = 199
+    join[200, 201] = join[201, 200] = 202
+    assert (lat.meet == meet).all() and (lat.join == join).all()
+    assert (lat.bottom, lat.top) == (0, 202)
+    # the scans stop at the first candidate that passes, so lubs are scanned
+    # on this labelling and glbs on the reversed one, where the bound comes
+    # first; the rows are the diamond's and those at the chain's block edges
+    rel, rev = leq.tolist(), leq[::-1, ::-1].tolist()
+    for i in [0, 63, 64, 127, 128, 191, 192, 199, 200, 201, 202]:
+        for j in range(n):
+            assert lat.join[i, j] == lub_scan(rel, [i, j])
+            assert lat.meet[i, j] == n - 1 - glb_scan(rev, [n - 1 - i, n - 1 - j])
+
+
 def test_validation_leaves_numpy_random_unloaded():
     # numpy.random costs several MiB on first import, so bound tables
     # must be built without it

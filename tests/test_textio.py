@@ -116,6 +116,23 @@ def test_dense_document_of_every_order_pair_parses_to_the_chain(monkeypatch):
         assert (x == y).all()
 
 
+def test_a_4096_chain_document_parses_to_the_chain(monkeypatch):
+    # the acyclic walk is the only order check, and no chain pair is searched
+    names = [f"c{i}" for i in range(4096)]
+    doc = {"elements": names, "leq": [[a, b] for a, b in zip(names, names[1:])]}
+    _acyclic_path_only(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("a document order was searched or re-checked")
+    for name in ("antisymmetry_gap", "_bound_proposer"):
+        monkeypatch.setattr(mucofix.lattice, name, refuse)
+    lat = parse_lattice_doc(doc)
+    ref = chain(4096)
+    for x, y in ((lat.poset.leq, ref.poset.leq), (lat.meet, ref.meet), (lat.join, ref.join)):
+        assert (x == y).all()
+    assert (lat.bottom, lat.top) == (0, 4095)
+
+
 def test_cyclic_documents_keep_their_witness():
     with pytest.raises(NotAPosetError) as exc:
         parse_lattice_doc(load_document(DATA / "cycle.json"))
