@@ -4,9 +4,11 @@ Three strategies are kept deliberately separate so they can check each
 other: direct (meets of the pre-fixed component sets), product (Kleene
 iteration of the paired step on the product lattice), and a brute-force
 meet over every pre-fixed pair of the product lattice, which serves as
-the oracle for the other two. The oracle is a plain double loop over
-every pair that reads, per element of O, one order row and one order
-column as Python lists; it takes nothing from simpoints but PairPoint.
+the oracle for the other two. The oracle tests every pair, one byte per
+pair: per element of O, one AND of two integers read from the bytes of
+an order row in P and of a column of O's order rows taken in the order
+of g. It calls no numpy function and takes nothing from simpoints but
+PairPoint.
 Monotonicity of both generators is required and checked, through the
 verdict each pair caches; continuity never is.
 
@@ -135,27 +137,37 @@ def gsfp_product(mp: MutualPair) -> SolveResult:
 def _tarski_meet(mp: MutualPair) -> PairPoint:
     """Fold the component-wise meet over every simultaneous pre-fixed pair.
 
-    A plain double loop over all of O x P. For each o it reads two lists
-    once: the up-set row of f[o] in P and the down-set column of o in O,
-    so (o, p) is pre-fixed iff above[p] and below[g[p]]. The meet on O is
-    taken once per o that has any pre-fixed partner; meet is idempotent,
-    so that is the same fold."""
+    Every pair of O x P is tested, one byte per pair. Row p of the byte
+    matrix by_g is the up-set row of g[p] in O, so its column o, read as
+    one integer of one byte per p, marks "g[p] <= o"; the up-set row of
+    f[o] in P, read the same way, marks "f[o] <= p". Their AND marks the
+    pre-fixed partners of o. C, the set of o with any partner, is folded
+    with the meet on O as the loop goes; D, the OR of all partners, is
+    folded with the meet on P after it. Meet is idempotent, so that is
+    the same fold as one meet per pre-fixed pair."""
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
     meet_o, meet_p = mp.dom_o.meet, mp.dom_p.meet
     f, g = mp.f, mp.g
-    mo, mpp = mp.dom_o.top, mp.dom_p.top
-    ps = range(mp.dom_p.size)
-    for o in range(mp.dom_o.size):
-        above = leq_p[f[o]].tolist()
-        below = leq_o[:, o].tolist()
-        hit = False
-        for p in ps:
-            if above[p] and below[g[p]]:
-                mpp = meet_p[mpp, p]
-                hit = True
-        if hit:
+    n_o, n_p = mp.dom_o.size, mp.dom_p.size
+    # tobytes copies in C order, so a dual's transposed order reads the same way
+    rows_o = memoryview(leq_o.tobytes())
+    by_g = b"".join([rows_o[x * n_o:(x + 1) * n_o] for x in g])
+    above = {}
+    mo, d = mp.dom_o.top, 0
+    for o in range(n_o):
+        x = f[o]
+        up = above.get(x)
+        if up is None:
+            up = above[x] = int.from_bytes(leq_p[x].tobytes(), "little")
+        partners = up & int.from_bytes(by_g[o::n_o], "little")
+        if partners:
             mo = meet_o[mo, o]
-    # the top pair is always pre-fixed, so the fold never stays empty
+            d |= partners
+    # the top pair is always pre-fixed, so neither C nor D is empty
+    mpp = mp.dom_p.top
+    for p, hit in enumerate(d.to_bytes(n_p, "little")):
+        if hit:
+            mpp = meet_p[mpp, p]
     return PairPoint(int(mo), int(mpp))
 
 

@@ -133,6 +133,20 @@ def sim_kleene_oracle(f, g, start):
     return o, p
 
 
+def tarski_meet_oracle(f, g, leq_o, leq_p, meet_o, meet_p):
+    """Meet of every simultaneous pre-fixed pair (o, p), that is f[o] <= p
+    and g[p] <= o, tested one pair at a time and folded with the meet
+    tables as found. On the order-duals (transposed orders, join tables
+    as meets) it gives the join of every post-fixed pair."""
+    mo = mp = None
+    for o in range(len(leq_o)):
+        for p in range(len(leq_p)):
+            if leq_p[f[o]][p] and leq_o[g[p]][o]:
+                mo = o if mo is None else meet_o[mo][o]
+                mp = p if mp is None else meet_p[mp][p]
+    return mo, mp
+
+
 def longest_chain_edges(leq):
     'Length in edges of the longest strictly ascending chain.'
     n = len(leq)

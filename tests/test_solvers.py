@@ -4,7 +4,9 @@ The direct strategy and the Tarski oracle solve the greatest pair as the
 least pair of the dual pair, while the product strategy iterates down
 from the top pair of the given lattices; their agreement on every
 monotone pair is the main correctness check, and a plain Kleene oracle
-checks all three against the given tables. The standard embedding is
+checks all three against the given tables. The Tarski fold must also
+equal a pair-by-pair loop on pairs of up to 340 elements a side, and
+plain Kleene on a pair of chains at the element cap. The standard embedding is
 checked against a plain candidate-scan fixed point oracle. Implicit
 Kleene iteration, given only a start pair, the paired step, equality
 and a height, must reach the product strategy's limits in the same
@@ -25,10 +27,13 @@ from mucofix import (InstanceGenSpec, MutualPair, NotMonotoneError, PairPoint,
                      is_sim_fixed, is_sim_postfixed, is_sim_prefixed,
                      kleene_implicit, lsfp_direct, lsfp_product,
                      lsfp_tarski_oracle, m3, n5, product, split_seed, standard_embed)
-from mucofix.verifier import _check_l1
+from mucofix.genfun import BINARY
+from mucofix.lattice import DEFAULT_CAP
+from mucofix.solvers import _tarski_meet
+from mucofix.verifier import FAMILIES, _check_l1, _instance, _sweep
 
 from oracles import (gfp_scan, lfp_scan, longest_chain_edges, monotone_witness_oracle,
-                     sim_kleene_oracle)
+                     sim_kleene_oracle, tarski_meet_oracle)
 
 SOLVERS = (lsfp_direct, gsfp_direct, lsfp_product, gsfp_product,
            lsfp_tarski_oracle, gsfp_tarski_oracle)
@@ -162,8 +167,9 @@ def clamped_table(rng, dom, cod):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_tarski_folds_match_plain_kleene_on_large_and_non_distributive_pairs(seed):
-    # both folds against iteration from the bottom and the top pair; the
-    # greatest fold reads the transposed order and swapped tables of the dual
+    # both folds against iteration from the bottom and the top pair, and
+    # against the pair-by-pair oracle; the greatest fold reads the
+    # transposed order and swapped tables of the dual
     rng = random.Random(seed)
     line, grid = chain(300), product(chain(17), chain(20))
     m3n5, n5m3 = product(m3(), n5()), product(n5(), m3())
@@ -177,6 +183,68 @@ def test_tarski_folds_match_plain_kleene_on_large_and_non_distributive_pairs(see
         mu, nu = lsfp_tarski_oracle(mp), gsfp_tarski_oracle(mp)
         assert mu == PairPoint(*sim_kleene_oracle(mp.f, mp.g, bottom)) != PairPoint(*bottom)
         assert nu == PairPoint(*sim_kleene_oracle(mp.f, mp.g, top)) != PairPoint(*top)
+        assert_folds_match_oracle(mp)
+
+
+def oracle_meets(mp):
+    """tarski_meet_oracle on the pair's lattices and on their order-duals,
+    built from plain lists: transposed orders, with the joins as meets."""
+    leq_o, leq_p = mp.dom_o.poset.leq.tolist(), mp.dom_p.poset.leq.tolist()
+    least = tarski_meet_oracle(mp.f, mp.g, leq_o, leq_p,
+                               mp.dom_o.meet.tolist(), mp.dom_p.meet.tolist())
+    greatest = tarski_meet_oracle(mp.f, mp.g, [list(c) for c in zip(*leq_o)],
+                                  [list(c) for c in zip(*leq_p)],
+                                  mp.dom_o.join.tolist(), mp.dom_p.join.tolist())
+    return PairPoint(*least), PairPoint(*greatest)
+
+
+def assert_folds_match_oracle(mp):
+    assert (_tarski_meet(mp), _tarski_meet(dual_pair(mp))) == oracle_meets(mp)
+
+
+def test_tarski_fold_matches_the_pair_by_pair_oracle_on_the_sweep_and_seeded_pairs():
+    for mp in _sweep(3):
+        assert_folds_match_oracle(mp)
+    made = set()
+    for family, size in iproduct(FAMILIES, range(1, 17)):
+        try:
+            spec = InstanceGenSpec(seed=size, size_lo=size, size_hi=size, family=family)
+        except ValueError:          # no corpus lattice has this size
+            continue
+        for index in range(4):
+            mp = _instance(spec, index, BINARY)
+            made.add(family)
+            assert_folds_match_oracle(mp)
+    assert made == set(FAMILIES)
+
+
+def test_tarski_fold_matches_the_pair_by_pair_oracle_on_one_element_carriers():
+    # every monotone pair of the one-element lattice with chains and grids,
+    # either way round: with one element in O a column of the fold's byte
+    # matrix is all of it, with one in P each partner set is one byte
+    one = chain(1)
+    for lat in (one, chain(5), product(chain(3), chain(4)), product(chain(2), n5())):
+        zeros = (0,) * lat.size
+        for x in range(lat.size):
+            assert_folds_match_oracle(MutualPair(one, lat, (x,), zeros))
+            assert_folds_match_oracle(MutualPair(lat, one, zeros, (x,)))
+
+
+def test_tarski_folds_at_the_element_cap_match_plain_kleene():
+    # 4096 x 4096 chains: 16.8 M pairs per fold, and the dual fold reads
+    # the transposed 16 MiB order
+    lat = chain(DEFAULT_CAP)
+    rng = random.Random(5)
+
+    def table():
+        lo, hi = rng.randrange(1, 1024), rng.randrange(3072, DEFAULT_CAP - 1)
+        return sorted(rng.randrange(lo, hi) for _ in range(DEFAULT_CAP))
+
+    mp = MutualPair(lat, lat, table(), table())
+    bottom, top = (0, 0), (DEFAULT_CAP - 1, DEFAULT_CAP - 1)
+    mu, nu = lsfp_tarski_oracle(mp), gsfp_tarski_oracle(mp)
+    assert mu == PairPoint(*sim_kleene_oracle(mp.f, mp.g, bottom)) != PairPoint(*bottom)
+    assert nu == PairPoint(*sim_kleene_oracle(mp.f, mp.g, top)) != PairPoint(*top)
 
 
 def test_every_solver_and_l1_name_the_first_broken_side_and_pair():
