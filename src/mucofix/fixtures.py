@@ -10,7 +10,7 @@ from .lattice import FiniteLattice, FinitePoset, powerset_lattice, product, vali
 
 
 def chain(n: int) -> FiniteLattice:
-    'Total order 0 < 1 < ... < n-1.'
+    'Total order 0 < 1 < ... < n-1, generated by the edges i -> i+1.'
     if n < 1:
         raise ValueError("a chain needs at least one element")
     r = np.arange(n)
@@ -19,7 +19,8 @@ def chain(n: int) -> FiniteLattice:
     join = np.maximum.outer(r, r).astype(np.int32)
     for table in (leq, meet, join):
         table.flags.writeable = False
-    return FiniteLattice(FinitePoset(tuple(str(i) for i in r), leq), meet, join, 0, n - 1)
+    return FiniteLattice(FinitePoset(tuple(str(i) for i in r), leq), meet, join, 0, n - 1,
+                         (r[:-1], r[1:]))
 
 
 def _from_strict(labels, pairs) -> FiniteLattice:

@@ -123,8 +123,14 @@ def compose_fg(mp: MutualPair) -> LatticeFn:
 
 
 def monotone_witness(fn: LatticeFn):
-    'First comparable pair, in row-major order, whose images break the order, or None.'
+    """First comparable pair, in row-major order, whose images break the
+    order, or None. When the domain keeps edges that generate its order,
+    a map that keeps every edge is monotone and no pair is scanned; any
+    other map is scanned in full, so the witness is the scan's."""
     t = np.asarray(fn.table)
+    edges = fn.dom.edges
+    if edges is not None and fn.cod.poset.leq[t[edges[0]], t[edges[1]]].all():
+        return None
     # gathering rows then columns is several times faster than one 2-D gather
     bad = (fn.dom.poset.leq & ~fn.cod.poset.leq[t][:, t]).ravel()
     # argmax of a boolean array is its first True in row-major order

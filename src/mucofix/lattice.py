@@ -5,14 +5,21 @@ read-only boolean matrix whose rows are up-sets and whose columns are
 down-sets, so bound searches are row intersections. Every finite bounded
 lattice is complete, which is why subset meets and joins reduce to folds
 over the binary tables. All values here are immutable after construction
-and safe to share between threads. That holds for the draw and search
-lists too: they are derived from the tables on first use, kept with the
-lattice, and are tuples, so they can neither change nor drift from the
-tables.
+and safe to share between threads.
+
+Besides its order and tables, a lattice keeps its order in the forms its
+readers need, each read-only:
+- edges, given by the constructors that have them: pairs whose
+  reflexive-transitive closure is the order, so a map is monotone iff it
+  keeps every edge;
+- down_rows, the transposed order in C order, made on first use; a dual
+  reads it as its own order, so both sides read contiguous rows;
+- the draw and search lists, tuples derived from the tables on first
+  use, so they can neither change nor drift from the tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
@@ -208,13 +215,16 @@ class FiniteLattice:
 
     Built by validate_lattice or by the direct constructors below; the
     direct routes are cross-checked against validate_lattice in the test
-    suite. Treat instances as immutable.
+    suite. Treat instances as immutable. edges, when given, are two id
+    arrays (src, dst) whose reflexive-transitive closure is the order;
+    the caller vouches for that, as the constructors' tests check.
     """
     poset: FinitePoset
     meet: np.ndarray
     join: np.ndarray
     bottom: int
     top: int
+    edges: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = self.poset.size
@@ -222,6 +232,14 @@ class FiniteLattice:
         object.__setattr__(self, "join", _frozen(self.join, np.int32))
         if self.meet.shape != (n, n) or self.join.shape != (n, n):
             raise ValueError("bound tables must match the carrier")
+        if self.edges is not None:
+            src, dst = (_frozen(x, np.int32) for x in self.edges)
+            if src.ndim != 1 or src.shape != dst.shape:
+                raise ValueError("edges must be two id arrays of one length")
+            if src.size and not (0 <= min(src.min(), dst.min())
+                                 and max(src.max(), dst.max()) < n):
+                raise ValueError("edges must name elements of the carrier")
+            object.__setattr__(self, "edges", (src, dst))
         object.__setattr__(self, "bottom", int(self.bottom))
         object.__setattr__(self, "top", int(self.top))
         object.__setattr__(self, "size", n)
@@ -236,6 +254,16 @@ class FiniteLattice:
 
     def index(self, label: str) -> int:
         return self.poset.index(label)
+
+    @cached_property
+    def down_rows(self) -> np.ndarray:
+        """The transposed order as a read-only C-order array, so row i is
+        the down-set of i. Made on first use and kept. dual reads it as
+        its order and point_masks for the post-fixed mask; the least-side
+        solvers never read it."""
+        rows = np.ascontiguousarray(self.poset.leq.T)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def draw_lists(self) -> DrawLists:
@@ -500,10 +528,16 @@ def product(lat_a: FiniteLattice, lat_b: FiniteLattice) -> FiniteLattice:
     labels = tuple(f"({x},{y})" for x in lat_a.labels for y in lat_b.labels)
     leq = np.kron(lat_a.poset.leq.astype(np.uint8), lat_b.poset.leq.astype(np.uint8)).astype(bool)
     leq.flags.writeable = False
+    edges = None
+    if lat_a.edges is not None and lat_b.edges is not None:
+        # an edge of A beside every element of B, then every element of A beside an edge of B
+        a, b = np.arange(lat_a.size)[:, None] * nb, np.arange(nb)
+        edges = tuple(np.concatenate([(ea[:, None] * nb + b).ravel(), (a + eb).ravel()])
+                      for ea, eb in zip(lat_a.edges, lat_b.edges))
     return FiniteLattice(FinitePoset(labels, leq),
                          _componentwise(lat_a.meet, lat_b.meet),
                          _componentwise(lat_a.join, lat_b.join),
-                         lat_a.bottom * nb + lat_b.bottom, lat_a.top * nb + lat_b.top)
+                         lat_a.bottom * nb + lat_b.bottom, lat_a.top * nb + lat_b.top, edges)
 
 
 POWERSET_GROUND_CAP = 5
@@ -522,7 +556,10 @@ def powerset_lattice(n: int) -> FiniteLattice:
     for mask in range(1 << n):
         members = [ground[i] for i in range(n) if mask >> i & 1]
         labels.append("{" + ",".join(members) + "}")
-    return mask_lattice(range(1 << n), labels)
+    # the covers add one member: mask -> mask | bit for each bit not in mask
+    covers = [(m, m | 1 << i) for i in range(n) for m in range(1 << n) if not m >> i & 1]
+    return replace(mask_lattice(range(1 << n), labels),
+                   edges=tuple(np.array(covers, np.int32).reshape(-1, 2).T))
 
 
 def mask_lattice(masks, labels) -> FiniteLattice:
@@ -549,12 +586,17 @@ def _prechecked(cls, **attrs):
 
 
 def dual(lat: FiniteLattice) -> FiniteLattice:
-    """Order-dual lattice: transpose the order, swap the tables and bounds.
-    No array is copied and nothing is re-checked: labels, read-only
-    tables and bounds all come from lat, which its constructor checked."""
-    poset = _prechecked(FinitePoset, labels=lat.labels, leq=lat.poset.leq.T, size=lat.size)
+    """Order-dual lattice: lat's down-set rows are its order and lat's
+    order its down-set rows, the tables and bounds swap and the edges
+    turn round. Only lat.down_rows is ever copied, once per lattice, so
+    two duals share it and the dual of a dual reads lat's own arrays.
+    Nothing is re-checked: labels, read-only arrays and bounds all come
+    from lat, which its constructor checked."""
+    poset = _prechecked(FinitePoset, labels=lat.labels, leq=lat.down_rows, size=lat.size)
     return _prechecked(FiniteLattice, poset=poset, meet=lat.join, join=lat.meet,
-                       bottom=lat.top, top=lat.bottom, size=lat.size)
+                       bottom=lat.top, top=lat.bottom, size=lat.size,
+                       edges=None if lat.edges is None else lat.edges[::-1],
+                       down_rows=lat.poset.leq)
 
 
 def cover_edges(lat: FiniteLattice) -> list[tuple[int, int]]:

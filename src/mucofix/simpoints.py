@@ -90,9 +90,10 @@ def point_masks(mp: MutualPair) -> tuple[np.ndarray, np.ndarray]:
     G(p). A pair is simultaneously fixed exactly where both hold. The
     fibers and component sets are read off these masks.
     """
-    leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
+    o, p = mp.dom_o, mp.dom_p
     f, g = np.asarray(mp.f), np.asarray(mp.g)
-    return pre_mask(leq_o, leq_p, f, g), leq_p[:, f].T & leq_o[:, g]
+    # post-fixed is pre-fixed in the dual orders, whose rows are the down-sets
+    return pre_mask(o.poset.leq, p.poset.leq, f, g), pre_mask(o.down_rows, p.down_rows, f, g)
 
 
 def _members(line: np.ndarray) -> frozenset[int]:

@@ -149,7 +149,6 @@ def _tarski_meet(mp: MutualPair) -> PairPoint:
     meet_o, meet_p = mp.dom_o.meet, mp.dom_p.meet
     f, g = mp.f, mp.g
     n_o, n_p = mp.dom_o.size, mp.dom_p.size
-    # tobytes copies in C order, so a dual's transposed order reads the same way
     rows_o = memoryview(leq_o.tobytes())
     by_g = b"".join([rows_o[x * n_o:(x + 1) * n_o] for x in g])
     above = {}

@@ -10,6 +10,8 @@ bound failures surface as the lattice module's own errors (check failures).
 from __future__ import annotations
 
 import json
+from array import array
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,17 +67,22 @@ def parse_lattice_doc(obj) -> FiniteLattice:
     if n > lattice.DEFAULT_CAP:
         raise CapacityError(f"{n} elements exceeds the explicit cap {lattice.DEFAULT_CAP}")
     idx = {name: i for i, name in enumerate(names)}
-    rel = np.zeros((n, n), dtype=bool)
-    edges = obj["leq"]
-    if not isinstance(edges, list):
+    pairs = obj["leq"]
+    if not isinstance(pairs, list):
         raise DocumentError("'leq' must be a list of [lower, upper] pairs")
-    for e in edges:
+    # 4-byte ids, read by numpy without a copy: a dense document lists millions of pairs
+    lower, upper = array("i"), array("i")
+    for e in pairs:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
             raise DocumentError(f"bad order pair {e!r}")
         for name in e:
             if name not in idx:
                 raise DocumentError(f"order pair names unknown element {name!r}")
-        rel[idx[e[0]], idx[e[1]]] = True
+        lower.append(idx[e[0]])
+        upper.append(idx[e[1]])
+    src, dst = np.frombuffer(lower, np.int32), np.frombuffer(upper, np.int32)
+    rel = np.zeros((n, n), dtype=bool)
+    rel[src, dst] = True
     # the walk closes an acyclic relation, whose closure is a partial order;
     # a cyclic one is closed by squaring and gets validate_lattice's witness
     leq = lattice._walk_closure(rel)
@@ -84,7 +91,15 @@ def parse_lattice_doc(obj) -> FiniteLattice:
         leq = closure(rel)
     leq.flags.writeable = False
     poset = FinitePoset(tuple(names), leq)
-    return bound_tables(poset) if acyclic else validate_lattice(poset)
+    if not acyclic:
+        return validate_lattice(poset)
+    # the listed pairs, self-loops dropped, generate the order; frozen here,
+    # so the lattice keeps them without a copy
+    keep = src != dst
+    edges = src[keep], dst[keep]
+    for x in edges:
+        x.flags.writeable = False
+    return replace(bound_tables(poset), edges=edges)
 
 
 def _parse_table(obj, what: str, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:

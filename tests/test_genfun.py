@@ -12,13 +12,15 @@ import pytest
 
 import mucofix
 from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, FiniteLattice, FinitePoset,
-                     InstanceGenSpec, LatticeFn, MutualPair,
+                     InstanceGenSpec, LatticeFn, MutualPair, NotMonotoneError,
                      chain, compose_fg, compose_gf, diamond, dual_pair,
                      is_continuous_pair, is_monotone, join_continuity_witness,
                      meet_continuity_witness,
-                     monotone_witness, n5, pair_continuity_witness, parse_mode,
+                     lsfp_direct, monotone_witness, n5, pair_continuity_witness, parse_mode,
                      product, split_seed)
-from mucofix.verifier import GenerationExhausted, _instance
+from mucofix.lattice import DEFAULT_CAP
+from mucofix.textio import parse_lattice_doc
+from mucofix.verifier import FAMILIES, GenerationExhausted, _instance, _sweep
 
 from oracles import (continuity_witness_oracle, monotone_witness_oracle, nonempty_subsets,
                      preserves_joins_oracle, preserves_meets_oracle)
@@ -76,6 +78,8 @@ cases = [
     lambda: FinitePoset(("0", "1", "0"), c3.poset.leq),
     lambda: FinitePoset(c3.labels, c3.poset.leq[:2]),
     lambda: FiniteLattice(c3.poset, c3.meet, c3.join[:, :2], c3.bottom, c3.top),
+    lambda: FiniteLattice(c3.poset, c3.meet, c3.join, c3.bottom, c3.top,
+                          (c3.edges[0], c3.edges[1] + 2)),
     lambda: LatticeFn(c3, mp.dom_p, (0, 2, 1)),
     lambda: MutualPair(mp.dom_o, mp.dom_p, mp.f, (0, 3)),
 ]
@@ -96,6 +100,7 @@ def test_public_constructors_still_check_values_the_duals_built(flags):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["labels must be distinct", "order matrix must be 3x3",
                                         "bound tables must match the carrier",
+                                        "edges must name elements of the carrier",
                                         "element id 2 out of range 0..1",
                                         "element id 3 out of range 0..2"]
 
@@ -103,7 +108,7 @@ def test_public_constructors_still_check_values_the_duals_built(flags):
 def checked_dual(lat):
     'The order-dual through the public constructors, every check run.'
     return FiniteLattice(FinitePoset(lat.labels, lat.poset.leq.T), lat.join, lat.meet,
-                         lat.top, lat.bottom)
+                         lat.top, lat.bottom, None if lat.edges is None else lat.edges[::-1])
 
 
 def test_dual_pair_equals_the_checked_construction(d4):
@@ -111,11 +116,17 @@ def test_dual_pair_equals_the_checked_construction(d4):
                                (n5(), d4, (0, 0, 1, 2, 3), (4, 1, 3, 0))):
         mp = MutualPair(lat_o, lat_p, f, g)
         got, want = dual_pair(mp), MutualPair(checked_dual(lat_o), checked_dual(lat_p), f, g)
-        for a, b in ((got.dom_o, want.dom_o), (got.dom_p, want.dom_p)):
-            assert vars(a).keys() == vars(b).keys()
+        for lat, a, b in ((lat_o, got.dom_o, want.dom_o), (lat_p, got.dom_p, want.dom_p)):
+            # a dual also keeps its down-set rows, which are the lattice's own order
+            assert vars(a).keys() == vars(b).keys() | {"down_rows"}
+            assert a.down_rows is lat.poset.leq
             assert vars(a.poset).keys() == vars(b.poset).keys()
             assert (a.labels, a.size, a.bottom, a.top) == (b.labels, b.size, b.bottom, b.top)
+            assert a.poset.leq.flags.c_contiguous
             for x, y in ((a.poset.leq, b.poset.leq), (a.meet, b.meet), (a.join, b.join)):
+                assert x.dtype == y.dtype and not x.flags.writeable and (x == y).all()
+            assert (a.edges is None) == (b.edges is None)
+            for x, y in () if a.edges is None else zip(a.edges, b.edges):
                 assert x.dtype == y.dtype and not x.flags.writeable and (x == y).all()
         assert (got.f, got.g) == (want.f, want.g) == (mp.f, mp.g)
         assert got.f_fn.dom is got.dom_o and got.f_fn.cod is got.dom_p
@@ -193,6 +204,93 @@ def test_monotone_witness_matches_the_plain_loop_oracle(dom_name, cod_name):
     for table in tables:
         fn = LatticeFn(dom, cod, table)
         assert monotone_witness(fn) == monotone_witness_oracle(table, dom_leq, cod_leq)
+
+
+def edge_verdict(fn):
+    'Whether fn keeps every edge its domain keeps, read with plain lists.'
+    cod_leq, t = fn.cod.poset.leq.tolist(), fn.table
+    return all(cod_leq[t[a]][t[b]] for a, b in zip(*(x.tolist() for x in fn.dom.edges)))
+
+
+def assert_edge_verdict_is_the_scans(fn, verdicts):
+    'monotone_witness equals the plain scan, and so does the edge verdict where there are edges.'
+    scan = monotone_witness_oracle(fn.table, fn.dom.poset.leq.tolist(), fn.cod.poset.leq.tolist())
+    assert monotone_witness(fn) == scan
+    if fn.dom.edges is not None:
+        assert edge_verdict(fn) == (scan is None)
+        verdicts.add(scan is None)
+
+
+def test_edge_verdict_is_the_scans_on_the_sweep_and_seeded_pairs():
+    verdicts = set()
+    for mp in _sweep(3):
+        for fn in (mp.f_fn, mp.g_fn):
+            assert_edge_verdict_is_the_scans(fn, verdicts)
+    families = set()
+    for family, size, cls in iproduct(FAMILIES, range(1, 17), ("monotone", "arbitrary")):
+        try:
+            spec = InstanceGenSpec(seed=size, size_lo=size, size_hi=size, family=family,
+                                   function_class=cls)
+        except ValueError:          # no corpus lattice has this size
+            continue
+        for index in range(3):
+            mp = _instance(spec, index, BINARY)
+            families.add(family)
+            for fn in (mp.f_fn, mp.g_fn):
+                assert_edge_verdict_is_the_scans(fn, verdicts)
+    assert families == set(FAMILIES) and verdicts == {True, False}
+
+
+def test_edge_verdict_on_a_document_with_non_cover_and_repeated_pairs():
+    # a 5-chain listed with shortcuts, a repeat and a self-loop, and a 2x3
+    # grid with a diagonal shortcut; every table into the 3-chain and the diamond
+    docs = ({"elements": list("abcde"),
+             "leq": [["a", "b"], ["a", "c"], ["b", "c"], ["c", "d"], ["a", "c"],
+                     ["b", "e"], ["d", "e"], ["d", "d"]]},
+            {"elements": ["00", "01", "02", "10", "11", "12"],
+             "leq": [["00", "01"], ["01", "02"], ["10", "11"], ["11", "12"], ["00", "10"],
+                     ["01", "11"], ["02", "12"], ["00", "12"], ["01", "11"]]})
+    verdicts = set()
+    for doc in docs:
+        dom = parse_lattice_doc(doc)
+        assert len(dom.edges[0]) == sum(a != b for a, b in doc["leq"])
+        for cod in (chain(3), diamond()):
+            for table in iproduct(range(cod.size), repeat=dom.size):
+                assert_edge_verdict_is_the_scans(LatticeFn(dom, cod, table), verdicts)
+    assert verdicts == {True, False}
+
+
+def test_a_lattice_without_edges_gets_the_scans_witness():
+    # with no edges every table is scanned, and a chain stripped of its
+    # edges gives the witness its edges give
+    bare = replace(chain(4), edges=None)
+    assert n5().edges is None and bare.edges is None and chain(4).edges is not None
+    for dom in (n5(), bare):
+        for table in iproduct(range(2), repeat=dom.size):
+            fn = LatticeFn(dom, chain(2), table)
+            want = monotone_witness_oracle(table, dom.poset.leq.tolist(), [[1, 1], [0, 1]])
+            assert monotone_witness(fn) == want
+    for table in iproduct(range(3), repeat=4):
+        assert (monotone_witness(LatticeFn(bare, chain(3), table))
+                == monotone_witness(LatticeFn(chain(4), chain(3), table)))
+
+
+def test_a_violated_edge_at_the_cap_gets_the_full_scans_witness():
+    lat = chain(DEFAULT_CAP)
+    bare = replace(lat, edges=None)
+    rng = random.Random(11)
+    f = sorted(rng.randrange(DEFAULT_CAP) for _ in range(DEFAULT_CAP))
+    g = sorted(rng.randrange(DEFAULT_CAP) for _ in range(DEFAULT_CAP))
+    # one edge of G turned round: g drops below its predecessor at 2500
+    g[2500] = g[2499] - 1
+    fn, fn_bare = LatticeFn(lat, lat, g), LatticeFn(bare, lat, g)
+    assert not edge_verdict(fn)
+    want = monotone_witness(fn_bare)
+    assert want is not None and want[1] == 2500
+    with pytest.raises(NotMonotoneError) as err:
+        lsfp_direct(MutualPair(lat, lat, f, g))
+    assert (err.value.side, err.value.witness) == ("G", want)
+    assert str(err.value) == f"NotMonotone: G breaks the order at ({want[0]},{want[1]})"
 
 
 def test_composition_tables(k1, swap):

@@ -24,6 +24,7 @@ from mucofix import (CapacityError, FiniteLattice, FinitePoset, NotALatticeError
 import mucofix.lattice as lattice
 import mucofix.verifier as verifier
 from mucofix.lattice import antisymmetry_gap, closure, mask_lattice, poset_violation
+from mucofix.textio import parse_lattice_doc
 
 from oracles import (draw_lists_oracle, first_missing_bound_oracle, glb_scan,
                      is_lattice_oracle, is_poset_oracle, longest_chain_edges, lub_scan,
@@ -370,11 +371,14 @@ def test_dual_swaps_everything():
 
 
 def test_constructors_keep_arrays_of_the_right_dtype(monkeypatch):
-    # a dual shares its arrays with the lattice, so building one copies no table
+    # a dual shares the lattice's tables and its down-set rows, so after
+    # those rows are first made, building a dual copies nothing
     lat = n5()
     d = dual(lat)
-    assert np.shares_memory(d.poset.leq, lat.poset.leq)
-    assert np.shares_memory(d.meet, lat.join) and np.shares_memory(d.join, lat.meet)
+    assert d.poset.leq is lat.down_rows and d.down_rows is lat.poset.leq
+    assert d.meet is lat.join and d.join is lat.meet
+    again = dual(lat)
+    assert again.poset.leq is d.poset.leq and again.meet is d.meet and again.join is d.join
     r = np.arange(3)
     leq = r[:, None] <= r[None, :]
     meet = np.minimum.outer(r, r).astype(np.int32)
@@ -400,6 +404,74 @@ def test_constructors_keep_arrays_of_the_right_dtype(monkeypatch):
     lat = mask_lattice([0, 1, 2, 3], ("0", "a", "b", "ab"))
     assert kept == [True, True, True]
     assert not any(t.flags.writeable for t in (lat.poset.leq, lat.meet, lat.join))
+
+
+def test_a_dual_reads_the_down_set_rows_made_once():
+    for lat in (n5(), chain(6), powerset_lattice(3), product(chain(3), diamond()),
+                mask_lattice([0, 1, 2, 3], ("0", "a", "b", "ab"))):
+        assert "down_rows" not in vars(lat)
+        d = dual(lat)
+        rows = d.poset.leq
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert rows.dtype == bool and (rows == lat.poset.leq.T).all()
+        assert rows is lat.down_rows
+        # a second dual shares the rows, and the dual of a dual is lat's own order
+        assert dual(lat).poset.leq is rows
+        twice = dual(d)
+        assert twice.poset.leq is lat.poset.leq and twice.down_rows is rows
+        assert twice.meet is lat.meet and twice.join is lat.join
+        assert (twice.bottom, twice.top) == (lat.bottom, lat.top)
+
+
+def edge_closure_oracle(n, src, dst):
+    'Reflexive-transitive closure of the pairs (src[k], dst[k]) on n elements, by Warshall.'
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in zip(src, dst):
+        leq[a][b] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                leq[i] = [x or y for x, y in zip(leq[i], leq[k])]
+    return leq
+
+
+def test_kept_edges_generate_the_order():
+    grid_doc = {"elements": ["a", "b", "c", "d", "e", "f"],
+                "leq": [["a", "b"], ["b", "c"], ["a", "d"], ["d", "e"], ["e", "f"],
+                        ["b", "e"], ["c", "f"], ["a", "f"], ["a", "f"], ["c", "c"]]}
+    with_edges = [chain(n) for n in (1, 2, 3, 17)] + [powerset_lattice(g) for g in range(5)]
+    with_edges += [product(chain(3), chain(4)), product(powerset_lattice(2), chain(3)),
+                   product(chain(1), chain(5)), parse_lattice_doc(grid_doc)]
+    with_edges += [dual(lat) for lat in with_edges]
+    for lat in with_edges:
+        src, dst = lat.edges
+        for x in (src, dst):
+            assert x.dtype == np.int32 and x.ndim == 1 and not x.flags.writeable
+        assert not (src == dst).any()
+        assert edge_closure_oracle(lat.size, src.tolist(), dst.tolist()) == lat.poset.leq.tolist()
+    # a document keeps its listed pairs, repeats included, self-loops dropped
+    doc = parse_lattice_doc(grid_doc)
+    idx = doc.poset.label_ids
+    listed = [(idx[a], idx[b]) for a, b in grid_doc["leq"] if a != b]
+    assert list(zip(*(x.tolist() for x in doc.edges))) == listed
+    assert dual(doc).edges[0] is doc.edges[1] and dual(doc).edges[1] is doc.edges[0]
+    # lattices without a generating list keep none
+    for lat in (diamond(), m3(), n5(), product(diamond(), chain(2)),
+                mask_lattice([0, 1, 2, 3], ("0", "a", "b", "ab")),
+                validate_lattice(chain(4).poset), dual(n5())):
+        assert lat.edges is None
+
+
+def test_edges_are_checked_on_construction():
+    lat = chain(3)
+    for edges, message in ((([0, 1], [1]), "edges must be two id arrays of one length"),
+                           (([[0, 1]], [[1, 2]]), "edges must be two id arrays of one length"),
+                           (([0, 1], [1, 3]), "edges must name elements of the carrier"),
+                           (([-1], [0]), "edges must name elements of the carrier")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteLattice(lat.poset, lat.meet, lat.join, 0, 2, edges)
+    kept = FiniteLattice(lat.poset, lat.meet, lat.join, 0, 2, ([], []))
+    assert [x.size for x in kept.edges] == [0, 0]
 
 
 def test_draw_lists_match_the_plain_loop_oracle():

@@ -230,6 +230,19 @@ def test_tarski_fold_matches_the_pair_by_pair_oracle_on_one_element_carriers():
             assert_folds_match_oracle(MutualPair(lat, one, zeros, (x,)))
 
 
+def test_the_least_side_makes_no_down_set_rows():
+    # only a dual reads down-set rows, so least solves copy no order
+    lat_o, lat_p = chain(40), product(chain(4), n5())
+    mp = gen_monotone_pair(InstanceGenSpec(seed=3), lat_o, lat_p)
+    for solve in (lsfp_direct, lsfp_product, lsfp_tarski_oracle):
+        solve(mp)
+    assert "down_rows" not in vars(lat_o) and "down_rows" not in vars(lat_p)
+    gsfp_product(mp)
+    assert "down_rows" not in vars(lat_o) and "down_rows" not in vars(lat_p)
+    gsfp_direct(mp)
+    assert "down_rows" in vars(lat_o) and "down_rows" in vars(lat_p)
+
+
 def test_tarski_folds_at_the_element_cap_match_plain_kleene():
     # 4096 x 4096 chains: 16.8 M pairs per fold, and the dual fold reads
     # the transposed 16 MiB order
