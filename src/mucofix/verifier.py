@@ -11,16 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import product as iproduct
 
 from . import textio
 from .fixtures import chain, corpus, diamond
-from .genfun import (BINARY, ContinuityMode, LatticeFn, MutualPair, _first_continuity_failure,
-                     _first_monotone_failure, compose_fg, compose_gf, is_continuous_pair,
-                     monotone_witness)
+from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, MutualPair, _first_continuity_failure,
+                     _first_monotone_failure, compose_fg, compose_gf, is_continuous_pair)
 from .lattice import (CapacityError, FiniteLattice, compose, mask_lattice, powerset_lattice,
                       product)
-from .simpoints import component_sets, is_sim_fixed, point_masks, pre_mask
+from .simpoints import is_sim_fixed, point_masks, pre_mask
 from .solvers import (gsfp_direct, gsfp_product, gsfp_tarski_oracle, lsfp_direct,
                       lsfp_product, lsfp_tarski_oracle)
 
@@ -29,6 +27,8 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 FAMILIES = ("chains", "powersets", "products", "random-closed", "corpus", "mixed")
 FUNCTION_CLASSES = ("monotone", "continuous", "arbitrary")
+# counts raw tables, not monotone pairs: it picks the shape pairs swept and the
+# size "exhaustive up to" prints, so counting monotone pairs would move report bytes
 EXHAUST_COMBO_CAP = 200_000
 # the lemma scans grow faster than |O| x |P| (L7 meets every pre-fixed
 # pair with every other), so generated carriers stay small: an L7
@@ -160,9 +160,12 @@ def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
 
 
 def _monotone_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:
-    # scan a linear extension; each image is drawn from the up-set of the
-    # join of the images of the strict down-set, so the table is monotone
-    # by construction
+    """A random monotone table: along a linear extension, each image is
+    drawn from the up-set of the join of the images of its strict down-set.
+    It is kept apart from _maps on purpose. It calls rng once per element,
+    even when one candidate is left, which the search skips; the monotone
+    stream and the miner's randomized tries depend on those draws. It also
+    takes about a third less time per table than the search."""
     below = dom.draw_lists.below
     up_sets, join = cod.draw_lists.up_sets, cod.draw_lists.join
     images = [0] * dom.size
@@ -186,25 +189,29 @@ def gen_monotone_pair(spec: InstanceGenSpec, lat_o: FiniteLattice,
     return mp
 
 
-def _continuous_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice,
-                      pinned: bool) -> tuple[int, ...] | None:
-    """The first table preserving binary meets and joins that a backtracking
-    search meets, trying candidates in rng's order, or None if none exists.
-    pinned also sends bottom to bottom and top to top.
-
-    The search assigns images along a linear extension. An image lies in
-    the up-set of the join of the images below it, and it is that join
-    where the element is the join of two incomparable elements. Each
-    choice is checked against every join and meet of incomparable
-    elements that it completes, so every binary bound is checked once."""
+def _maps(dom: FiniteLattice, cod: FiniteLattice, mode: ContinuityMode | None,
+          rng: random.Random | None = None):
+    """Every table from dom to cod that a backtracking search admits, each
+    once: the monotone ones when mode is None, else those preserving binary
+    meets and joins (WITH_EMPTY also pins bottom and top), in rng's order
+    or, without one, a fixed order. Images go along a linear extension,
+    each in the up-set of the join of the images below it; under a mode an
+    element that joins two incomparable ones takes that join, and each
+    choice is checked against every bound of incomparable elements that it
+    completes, so every binary bound is checked once."""
     order, below = dom.draw_lists.extension, dom.draw_lists.below
-    joins, meets, _ = dom.search_lists
     up_sets, cod_join = cod.draw_lists.up_sets, cod.draw_lists.join
-    cod_meet = cod.search_lists.meet
+    # without a mode no bound is checked, so no search lists are read
+    joins, meets, _ = dom.search_lists if mode is not None else ([()] * dom.size,) * 3
+    cod_meet = cod.search_lists.meet if mode is not None else None
+    pinned = mode == WITH_EMPTY
     images = [0] * dom.size
     options: list[list[int] | None] = [None] * dom.size
     depth = 0
-    while 0 <= depth < dom.size:
+    while depth >= 0:
+        if depth == dom.size:
+            yield tuple(images)
+            depth -= 1    # and go on with the last element's other candidates
         i = order[depth]
         todo = options[depth]
         if todo is None:
@@ -221,13 +228,12 @@ def _continuous_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice
                         and (i != dom.top or v == cod.top)]
             options[depth] = todo
         while todo:
-            k = rng.randrange(len(todo)) if len(todo) > 1 else 0
+            k = len(todo) - 1 if rng is None or len(todo) == 1 else rng.randrange(len(todo))
             v = todo[k]
             todo[k] = todo[-1]
             todo.pop()
-            row = cod_meet[v]
             for j, m in meets[i]:
-                if row[images[j]] != images[m]:
+                if cod_meet[v][images[j]] != images[m]:
                     break
             else:
                 images[i] = v
@@ -236,7 +242,6 @@ def _continuous_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice
         else:
             options[depth] = None
             depth -= 1
-    return tuple(images) if depth == dom.size else None
 
 
 def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: FiniteLattice,
@@ -245,9 +250,8 @@ def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: Fini
     from spec.seed; GenerationExhausted when no continuous map exists on
     one side. Self-checked for monotonicity and continuity."""
     rng = random.Random(split_seed(spec.seed, 0xC0))
-    pinned = mode.kind == "with-empty"
-    f = _continuous_table(rng, lat_o, lat_p, pinned)
-    g = None if f is None else _continuous_table(rng, lat_p, lat_o, pinned)
+    f = next(_maps(lat_o, lat_p, mode, rng), None)
+    g = None if f is None else next(_maps(lat_p, lat_o, mode, rng), None)
     if g is None:
         raise GenerationExhausted(
             f"no continuous pair exists on {lat_o.size}x{lat_p.size} under {mode.kind}")
@@ -338,17 +342,20 @@ def _check_l3(mp, mode):
 
 
 def _unclosed_rows(members: np.ndarray, meet: np.ndarray, join: np.ndarray) -> np.ndarray:
-    """Per row of a boolean membership matrix: whether two members have a
-    meet or join outside the row. meet and join name columns; the id equal
-    to the column count names an element outside every row."""
-    rows, n = members.shape
-    padded = np.concatenate([members, np.zeros((rows, 1), dtype=bool)], axis=1)
-    unclosed = np.zeros(rows, dtype=bool)
-    # one row of the pair tables at a time keeps memory linear in the subsets
-    for a in range(n - 1):
-        both = members[:, a, None] & members[:, a + 1:]
-        kept = padded[:, meet[a, a + 1:]] & padded[:, join[a, a + 1:]]
-        unclosed |= (both & ~kept).any(axis=1)
+    """Per row of a boolean membership matrix: whether two members have a meet
+    or join outside it. meet and join are tables over the first len(meet)
+    columns, and each entry names a column, which may be one past them. In
+    a finite lattice, a nonempty closed row is a complete sublattice."""
+    rows, n = len(members), len(meet)
+    a, b = np.nonzero(np.arange(n)[:, None] < np.arange(n))    # the pairs above the diagonal
+    low, high = meet[a, b], join[a, b]
+    unclosed = np.empty(rows, dtype=bool)
+    # a block of rows per step keeps each step's temporaries near 1 MiB
+    step = max(1, (1 << 20) // max(1, len(a)))
+    for r in range(0, rows, step):
+        block = members[r:r + step]
+        escaped = block[:, a] & block[:, b] & ~(block[:, low] & block[:, high])
+        unclosed[r:r + step] = escaped.any(axis=1)
     return unclosed
 
 
@@ -360,10 +367,10 @@ def _check_l4(mp, mode):
             raise CapacityError(f"subset enumeration needs carriers of size <= {L4_SIZE_CAP}")
         # row r holds the subset with bitmask r + 1, so rows run in mask order
         subsets = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
-        # the image of each subset, over columns of the image elements only;
-        # a bound outside the image maps to the pad column
+        # the image of each subset, over columns of the image elements and
+        # one empty column, to which a bound outside the image maps
         image = np.array(sorted(set(table)))
-        in_image = compose(subsets, np.asarray(table)[:, None] == image)
+        in_image = compose(subsets, np.asarray(table)[:, None] == np.append(image, -1))
         column = np.full(cod.size, len(image))
         column[image] = np.arange(len(image))
         bad = ~_unclosed_rows(subsets, dom.meet, dom.join) & _unclosed_rows(
@@ -376,50 +383,51 @@ def _check_l4(mp, mode):
     return None
 
 
-def _fiber_failures(mp):
-    """Every L5 failure as (kind, closed, message), lazily in scan order:
-    side O then P, anchor, pre then post fiber. closed is False for a
-    nonempty fiber that is not a complete sublattice, True for a closed
-    one whose glb or lub is not the image of the anchor."""
-    pre, post = point_masks(mp)
-    for side, pre_rows, post_rows, partner, image, name in (
-            ("O", pre, post, mp.dom_p, mp.f, "F(o)"),
-            ("P", pre.T, post.T, mp.dom_o, mp.g, "G(p)")):
-        for a in range(len(image)):
-            for kind, rows, bound, law in (("pre", pre_rows, partner.meet_set, "glb"),
-                                           ("post", post_rows, partner.join_set, "lub")):
-                fib = rows[a].nonzero()[0].tolist()
-                if fib:
-                    v = partner.sublattice_violation(fib)
-                    if v is not None:
-                        yield kind, False, (f"{kind} fiber at {side}={a} "
-                                            f"is not a complete sublattice: {v}")
-                    elif bound(fib) != image[a]:
-                        yield kind, True, f"{law} of the {kind} fiber at {side}={a} is not {name}"
+def _check_l5(mp, mode, kinds=("pre", "post"), pinned=True):
+    """The first failing fiber's message, scanning side O then P, anchor,
+    and kinds ("pre", "post") in the order given; or None. A nonempty fiber
+    fails when it is not closed and, when pinned, when its glb (pre) or lub
+    (post) is not the anchor's image: every member of a pre fiber lies above
+    the image and a closed one holds its glb, so the two are equal exactly
+    when the image is a member; post fibers dually. Q1 reads the closure of
+    pre fibers only."""
+    masks = dict(zip(("pre", "post"), point_masks(mp)))
+    for side, partner, image, name in (("O", mp.dom_p, mp.f, "F(o)"),
+                                       ("P", mp.dom_o, mp.g, "G(p)")):
+        # row r is the fiber of kind kinds[r % len(kinds)] at anchor r // len(kinds)
+        rows = np.stack([masks[k] if side == "O" else masks[k].T for k in kinds],
+                        axis=1).reshape(-1, partner.size)
+        bad = _unclosed_rows(rows, partner.meet, partner.join)
+        if pinned:
+            bad |= ~rows[np.arange(len(rows)), np.repeat(image, len(kinds))]
+        bad &= rows.any(axis=1)
+        r = int(bad.argmax())
+        if bad[r]:
+            a, kind = r // len(kinds), kinds[r % len(kinds)]
+            v = partner.sublattice_violation(np.flatnonzero(rows[r]).tolist())
+            if v is not None:
+                return f"{kind} fiber at {side}={a} is not a complete sublattice: {v}"
+            law = "glb" if kind == "pre" else "lub"
+            return f"{law} of the {kind} fiber at {side}={a} is not {name}"
+    return None
 
 
-def _check_l5(mp, mode):
-    return next((message for *_, message in _fiber_failures(mp)), None)
-
-
-def _component_failures(mp):
-    """Every L6 failure as (set name, message), lazily in scan order: sets
-    C, D, E, F, each checked for closure and then for its bound."""
-    cs = component_sets(mp)
-    checks = (("C", mp.dom_o, cs.c, mp.dom_o.top, "top"),
-              ("D", mp.dom_p, cs.d, mp.dom_p.top, "top"),
-              ("E", mp.dom_o, cs.e, mp.dom_o.bottom, "bottom"),
-              ("F", mp.dom_p, cs.fset, mp.dom_p.bottom, "bottom"))
-    for name, lat, ids, bound, where in checks:
-        v = lat.sublattice_violation(sorted(ids))
-        if v is not None:
-            yield name, f"component set {name} is not a complete sublattice: {v}"
-        elif bound not in ids:
-            yield name, f"component set {name} misses the {where}"
-
-
-def _check_l6(mp, mode):
-    return next((message for _, message in _component_failures(mp)), None)
+def _check_l6(mp, mode, names="CDEF"):
+    """The first failing component set of names, in the order C, D, E, F, as
+    its message, or None: not closed, or missing its bound (top for C and D,
+    bottom for E and F). C stacks with E over O, D with F over P. Q3 reads C and D."""
+    masks = np.stack(point_masks(mp))
+    sides = ((mp.dom_o, masks.any(axis=2)), (mp.dom_p, masks.any(axis=1)))
+    unclosed = [_unclosed_rows(rows, lat.meet, lat.join) for lat, rows in sides]
+    for name, s, k in (("C", 0, 0), ("D", 1, 0), ("E", 0, 1), ("F", 1, 1)):
+        if name in names:
+            lat, rows = sides[s]
+            if unclosed[s][k]:
+                v = lat.sublattice_violation(np.flatnonzero(rows[k]).tolist())
+                return f"component set {name} is not a complete sublattice: {v}"
+            if not rows[k][lat.bottom if k else lat.top]:
+                return f"component set {name} misses the {'bottom' if k else 'top'}"
+    return None
 
 
 def _check_l7(mp, mode):
@@ -544,11 +552,10 @@ class FindingReport:
 
 
 def _q1(mp, mode):
-    'A monotone, non-continuous pair with a nonempty fiber that is not a complete sublattice.'
+    'A monotone, non-continuous pair with a nonempty pre-fixed fiber that is not closed.'
     if is_continuous_pair(mp, mode):
         return None
-    return next((message for kind, closed, message in _fiber_failures(mp)
-                 if kind == "pre" and not closed), None)
+    return _check_l5(mp, mode, ("pre",), pinned=False)
 
 
 def _q2(mp, mode):
@@ -568,8 +575,7 @@ def _q2(mp, mode):
 
 def _q3(mp, mode):
     'A monotone pair whose pre-fixed component sets are not complete sublattices.'
-    return next((message for name, message in _component_failures(mp)
-                 if name in ("C", "D")), None)
+    return _check_l6(mp, mode, "CD")
 
 
 QUESTIONS = {"Q1": _q1, "Q2": _q2, "Q3": _q3}
@@ -584,34 +590,23 @@ def _revalidate(question: str, serialized: str, witness: str, mode: ContinuityMo
     return QUESTIONS[question](mp, mode) == witness
 
 
-def _dedup_shapes(max_size: int) -> list[FiniteLattice]:
-    'The first corpus lattice of each distinct order of at most max_size elements.'
+def _shape_pairs(max_size: int):
+    """Each ordered pair of shapes, the first corpus lattice of each distinct
+    order of at most max_size elements, and whether its raw tables fit the cap."""
     shapes = {}
     for _, lat in corpus():
         if lat.size <= max_size:
             shapes.setdefault(lat.poset.leq.tobytes(), lat)
-    return list(shapes.values())
-
-
-def _shape_pairs(max_size: int):
-    'Each ordered pair of shapes, and whether its raw tables fit EXHAUST_COMBO_CAP.'
-    shapes = _dedup_shapes(max_size)
     return [(lat_o, lat_p, lat_p.size ** lat_o.size * lat_o.size ** lat_p.size <= EXHAUST_COMBO_CAP)
-            for lat_o in shapes for lat_p in shapes]
-
-
-def _monotone_tables(dom: FiniteLattice, cod: FiniteLattice) -> list[tuple[int, ...]]:
-    'Every monotone table from dom to cod, in lexicographic table order.'
-    return [t for t in iproduct(range(cod.size), repeat=dom.size)
-            if monotone_witness(LatticeFn(dom, cod, t)) is None]
+            for lat_o in shapes.values() for lat_p in shapes.values()]
 
 
 def _sweep(max_size: int):
-    'Every monotone pair on each shape pair that fits the cap, f outer and g inner.'
+    'Every monotone pair on each shape pair that fits the cap, f outer and g inner, sorted.'
     for lat_o, lat_p, fits in _shape_pairs(max_size):
         if fits:
-            gs = _monotone_tables(lat_p, lat_o)
-            for f in _monotone_tables(lat_o, lat_p):
+            gs = sorted(_maps(lat_p, lat_o, None))
+            for f in sorted(_maps(lat_o, lat_p, None)):
                 for g in gs:
                     yield MutualPair(lat_o, lat_p, f, g)
 

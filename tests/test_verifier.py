@@ -3,16 +3,17 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import product as iproduct
 from pathlib import Path
 
 import numpy as np
 
 import pytest
 
-from mucofix import (BINARY, WITH_EMPTY, CapacityError, InstanceGenSpec, MutualPair,
-                     NotMonotoneError, SolveResult, chain, check_lemma, corpus, diamond,
-                     gen_continuous_pair, gen_lattice, gen_monotone_pair,
-                     is_continuous_pair, is_monotone, m3, mine_counterexample,
+from mucofix import (BINARY, WITH_EMPTY, CapacityError, FiniteLattice, InstanceGenSpec,
+                     MutualPair, NotMonotoneError, SolveResult, chain, check_lemma, corpus,
+                     diamond, gen_continuous_pair, gen_lattice, gen_monotone_pair,
+                     is_continuous_pair, is_monotone, m3, mine_counterexample, n5,
                      pair_continuity_witness, pair_from_json, product, split_seed,
                      validate_lattice)
 import mucofix.genfun as genfun
@@ -21,8 +22,9 @@ from mucofix.lattice import mask_lattice
 from mucofix.verifier import (GenerationExhausted, LEMMAS, _check_l1, _check_l5,
                               render_finding_report, render_lemma_report)
 
-from oracles import (closed_family_oracle, closed_subsets_oracle, continuous_table_oracle,
-                     glb_scan, is_lattice_oracle, lub_scan)
+from oracles import (closed_family_oracle, closed_subsets_oracle, continuity_witness_oracle,
+                     continuous_table_oracle, glb_scan, is_lattice_oracle, lub_scan,
+                     monotone_witness_oracle, point_classes_oracle)
 
 
 def spec(seed=0, **kw):
@@ -216,7 +218,7 @@ def test_continuous_search_finds_a_table_exactly_when_one_exists(mode):
     pinned = mode is WITH_EMPTY
     found = missing = 0
     for k, (dom, cod) in enumerate(_search_cases()):
-        got = verifier._continuous_table(random.Random(k), dom, cod, pinned)
+        got = next(verifier._maps(dom, cod, mode, random.Random(k)), None)
         want = continuous_table_oracle(dom.poset.leq.tolist(), cod.poset.leq.tolist(), pinned)
         assert (got is None) == (want is None), (dom.labels, cod.labels)
         found += got is not None
@@ -230,6 +232,25 @@ def test_continuous_search_finds_a_table_exactly_when_one_exists(mode):
             assert pair_continuity_witness(mp, mode) is None
     # binary mode always has the constant maps; with-empty meets both outcomes
     assert missing == 0 if mode is BINARY else 0 < missing < found
+
+
+def _admitted_oracle(dom, cod, mode):
+    """Every raw table, in lexicographic order, that is monotone and, under
+    a mode, preserves binary meets and joins (and with-empty both bounds)."""
+    dom_leq, cod_leq = dom.poset.leq.tolist(), cod.poset.leq.tolist()
+    return [t for t in iproduct(range(cod.size), repeat=dom.size)
+            if monotone_witness_oracle(t, dom_leq, cod_leq) is None and (mode is None or all(
+                continuity_witness_oracle(t, dom_leq, cod_leq, law, mode is WITH_EMPTY) is None
+                for law in ("meet", "join")))]
+
+
+@pytest.mark.parametrize("mode", [None, BINARY, WITH_EMPTY],
+                         ids=lambda m: "monotone" if m is None else m.kind)
+def test_maps_yields_each_admitted_table_exactly_once(mode):
+    for dom, cod in _search_cases():
+        got = list(verifier._maps(dom, cod, mode))
+        assert len(got) == len(set(got)), (dom.labels, cod.labels)
+        assert sorted(got) == _admitted_oracle(dom, cod, mode), (dom.labels, cod.labels)
 
 
 def test_generation_exhausted_when_no_pair_exists():
@@ -461,3 +482,134 @@ def test_l4_refuses_carriers_above_sixteen():
     big = product(diamond(), chain(5))
     mp = MutualPair(diamond(), big, (5, 10, 5, 10), (0,) * big.size)
     assert verifier._check_l4(mp, BINARY).startswith("F image of sublattice [0, 1] ")
+
+
+# products past the witness pins' sizes: 16 to 25 elements, non-modular
+# factors among them
+CLOSURE_LATTICES = (product(m3(), chain(4)), product(n5(), chain(4)), product(m3(), n5()),
+                    product(n5(), n5()), product(diamond(), diamond()))
+
+
+def _fiber_references(mp, kinds, pinned):
+    'Every failing fiber in _check_l5\'s scan order and words, by plain loops.'
+    pre, post = point_classes_oracle(mp.dom_o.poset.leq.tolist(), mp.dom_p.poset.leq.tolist(),
+                                     mp.f, mp.g)
+    masks = {"pre": pre, "post": post}
+    for side, partner, image, name in (("O", mp.dom_p, mp.f, "F(o)"),
+                                       ("P", mp.dom_o, mp.g, "G(p)")):
+        leq = partner.poset.leq.tolist()
+        for a in range(len(image)):
+            for kind in kinds:
+                fib = [b for b in range(partner.size)
+                       if (masks[kind][a][b] if side == "O" else masks[kind][b][a])]
+                if not fib:
+                    continue
+                v = partner.sublattice_violation(fib)
+                if v is not None:
+                    yield f"{kind} fiber at {side}={a} is not a complete sublattice: {v}"
+                elif pinned and kind == "pre" and glb_scan(leq, fib) != image[a]:
+                    yield f"glb of the pre fiber at {side}={a} is not {name}"
+                elif pinned and kind == "post" and lub_scan(leq, fib) != image[a]:
+                    yield f"lub of the post fiber at {side}={a} is not {name}"
+
+
+def _component_references(mp, names):
+    'Every failing component set in the order C, D, E, F, by plain loops.'
+    pre, post = point_classes_oracle(mp.dom_o.poset.leq.tolist(), mp.dom_p.poset.leq.tolist(),
+                                     mp.f, mp.g)
+    o_ids, p_ids = range(mp.dom_o.size), range(mp.dom_p.size)
+    sets = {"C": (mp.dom_o, [o for o in o_ids if any(pre[o])], "top"),
+            "D": (mp.dom_p, [p for p in p_ids if any(pre[o][p] for o in o_ids)], "top"),
+            "E": (mp.dom_o, [o for o in o_ids if any(post[o])], "bottom"),
+            "F": (mp.dom_p, [p for p in p_ids if any(post[o][p] for o in o_ids)], "bottom")}
+    for name in names:
+        lat, ids, where = sets[name]
+        v = lat.sublattice_violation(ids)
+        if v is not None:
+            yield f"component set {name} is not a complete sublattice: {v}"
+        elif (lat.top if where == "top" else lat.bottom) not in ids:
+            yield f"component set {name} misses the {where}"
+
+
+def _closure_references(mp):
+    'The L5, L6, Q1 and Q3 witnesses of mp by plain loops.'
+    q1 = (None if is_continuous_pair(mp, BINARY)
+          else next(_fiber_references(mp, ("pre",), pinned=False), None))
+    return {"L5": next(_fiber_references(mp, ("pre", "post"), pinned=True), None),
+            "L6": next(_component_references(mp, "CDEF"), None),
+            "Q1": q1, "Q3": next(_component_references(mp, "CD"), None)}
+
+
+def _closure_pairs():
+    """Seeded continuous, monotone and arbitrary pairs on each lattice of
+    CLOSURE_LATTICES with itself and with the next one."""
+    lats = CLOSURE_LATTICES
+    for k in range(len(lats)):
+        for lat_o, lat_p in ((lats[k], lats[k]), (lats[k], lats[(k + 1) % len(lats)])):
+            for seed in range(3):
+                yield gen_continuous_pair(spec(seed), lat_o, lat_p, BINARY)
+                yield gen_monotone_pair(spec(seed), lat_o, lat_p)
+                rng = random.Random(seed)
+                yield MutualPair(lat_o, lat_p,
+                                 tuple(rng.randrange(lat_p.size) for _ in range(lat_o.size)),
+                                 tuple(rng.randrange(lat_o.size) for _ in range(lat_p.size)))
+
+
+def test_closure_runners_match_plain_loops_on_larger_products():
+    runners = {"L5": verifier._check_l5, "L6": verifier._check_l6,
+               "Q1": verifier._q1, "Q3": verifier._q3}
+    found = Counter()
+    for mp in _closure_pairs():
+        want = _closure_references(mp)
+        for name, runner in runners.items():
+            got = runner(mp, BINARY)
+            assert got == want[name], (name, mp.dom_o.labels, mp.dom_p.labels, mp.f, mp.g)
+            found[name, "none" if got is None else got.split(" ")[0]] += 1
+    # every runner meets passing pairs and closure failures; L5 also meets bound failures
+    for name in runners:
+        assert found[name, "none"] > 0, (name, found)
+    for key in (("L5", "pre"), ("L5", "glb"), ("L6", "component"), ("Q1", "pre"),
+                ("Q3", "component")):
+        assert found[key] > 0, (key, found)
+
+
+def test_unclosed_rows_matches_a_plain_pair_loop():
+    rng = random.Random(5)
+    for lat in CLOSURE_LATTICES:
+        n, leq = lat.size, lat.poset.leq
+        meet, join = lat.meet.tolist(), lat.join.tolist()
+        rows = [[False] * n] + [[j == i for j in range(n)] for i in range(n)]
+        # intervals [x, y] are closed, or empty when x is not below y
+        rows += [(leq[x] & leq[:, y]).tolist() for x in range(n) for y in range(n)]
+        # enough random rows that the kernel takes two blocks at 25 elements
+        rows += [[rng.random() < density for _ in range(n)]
+                 for density in (0.05, 0.2, 0.5, 0.9) for _ in range(1000)]
+        got = verifier._unclosed_rows(np.array(rows, dtype=bool), lat.meet, lat.join)
+        want = [any(row[a] and row[b] and not (row[meet[a][b]] and row[join[a][b]])
+                    for a in range(n) for b in range(n)) for row in rows]
+        assert got.tolist() == want, lat.labels
+        assert 0 < sum(want) < len(want)
+
+
+def test_each_runner_names_its_witness_with_one_sublattice_scan(monkeypatch):
+    # an arbitrary pair on D4 x D4 with many failing fibers and both
+    # failing component sets: the kernel decides them all, and only the
+    # first failure is scanned again to name its witness
+    lat = CLOSURE_LATTICES[-1]
+    rng = random.Random(2)
+    mp = MutualPair(lat, lat, tuple(rng.randrange(16) for _ in range(16)),
+                    tuple(rng.randrange(16) for _ in range(16)))
+    assert len(list(_fiber_references(mp, ("pre", "post"), pinned=True))) >= 10
+    assert len(list(_component_references(mp, "CDEF"))) >= 2
+    calls = []
+    real = FiniteLattice.sublattice_violation
+
+    def counted(self, s):
+        calls.append(s)
+        return real(self, s)
+    monkeypatch.setattr(FiniteLattice, "sublattice_violation", counted)
+    for runner in (verifier._check_l4, verifier._check_l5, verifier._check_l6,
+                   verifier._q1, verifier._q3):
+        calls.clear()
+        witness = runner(mp, BINARY)
+        assert witness is not None and len(calls) == 1, (runner.__name__, witness, calls)
