@@ -157,7 +157,7 @@ def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...]) -> Implici
     the positions in types and in build_universe's intervals, where
     interval i is [types[i // n], types[i % n]]. Both generators are
     gathers through precomputed id arrays; the class order is the closure
-    of the extends matrix over class ids, gathered to types."""
+    of the superclass pairs over class ids, gathered to types."""
     n = len(types)
     tid = {t: i for i, t in enumerate(types)}
     if len(tid) != n:
@@ -173,11 +173,8 @@ def subtype_generators(ct: ClassTable, types: tuple[GroundType, ...]) -> Implici
         cls = np.array([cid[t.class_name] for t in types], dtype=np.intp)
     except KeyError as exc:
         raise ValueError(f"class {exc.args[0]} is not in the class table") from None
-    extends = np.zeros((len(cid), len(cid)), dtype=bool)
-    for c in ct.classes:
-        if c.superclass is not None:
-            extends[cid[c.name], cid[c.superclass]] = True
-    subclass = closure(extends)[np.ix_(cls, cls)]
+    sub = [(cid[c.name], cid[c.superclass]) for c in ct.classes if c.superclass is not None]
+    subclass = closure(len(cid), *np.reshape(sub, (-1, 2)).T)[0][np.ix_(cls, cls)]
     generic = np.array([t.arg is not None for t in types], dtype=bool)
     base = (np.array([t.class_name == NULL for t in types], dtype=bool)[:, None]
             | np.array([t.class_name == OBJECT for t in types], dtype=bool)[None, :]

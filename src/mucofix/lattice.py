@@ -108,53 +108,59 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
-def _walk_closure(rel: np.ndarray) -> np.ndarray | None:
-    """Reflexive-transitive closure of an acyclic relation, or None when
-    rel has a cycle. Kahn's algorithm orders the off-diagonal edges, then
-    each node's reach, kept as a Python-int bitset, is its own bit ORed
-    with its successors' reach, sinks first. Row i of the result is the
-    reach of i."""
-    n = len(rel)
+def closure(n: int, src, dst) -> tuple[np.ndarray, bool]:
+    """Reflexive-transitive closure of the pairs (src[k], dst[k]) on ids
+    0..n-1, and whether the pairs are acyclic, self-loops aside.
+
+    One iterative walk finds Tarjan's strongly connected components,
+    which come out sinks first: when a component is popped, the reach of
+    every component its members point to is final. Its own reach, a
+    Python-int bitset, is its members' bits ORed with those, and every
+    member shares it (Nuutila's closure by components), so a cyclic
+    relation is closed exactly in the same linear walk as an acyclic one,
+    which is one whose components are all single. Row i is i's reach."""
     succ = [[] for _ in range(n)]
-    indegree = [0] * n
-    for v, x in zip(*(a.tolist() for a in np.nonzero(rel))):
+    for v, x in zip(np.asarray(src).tolist(), np.asarray(dst).tolist()):
         if v != x:
             succ[v].append(x)
-            indegree[x] += 1
-    order = [v for v in range(n) if not indegree[v]]
-    for v in order:    # order grows while it is walked
-        for x in succ[v]:
-            indegree[x] -= 1
-            if not indegree[x]:
-                order.append(x)
-    if len(order) < n:
-        return None
-    reach = [0] * n
-    for v in reversed(order):
-        r = 1 << v
-        for x in succ[v]:
-            r |= reach[x]
-        reach[v] = r
+    succ.append(range(n))    # a virtual node n whose walk reaches every root
+    num = [0] * n + [1]      # dfs numbers from 1; 0 until a node is reached
+    low = num[:]
+    reach = [0] * (n + 1)    # 0 until a node's component is popped
+    popped = n + 2           # the number of a node whose component is popped
+    stack, work, acyclic, count = [n], [(n, iter(succ[n]))], True, 1
+    while work:
+        v, out = work[-1]
+        for x in out:
+            if not num[x]:
+                count += 1
+                num[x] = low[x] = count
+                stack.append(x)
+                work.append((x, iter(succ[x])))
+                break
+            if num[x] < low[v]:
+                low[v] = num[x]
+        else:
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] < num[v]:
+                continue
+            members, r = [], 0
+            while not members or members[-1] != v:
+                m = stack.pop()
+                members.append(m)
+                r |= 1 << m
+                for x in succ[m]:
+                    r |= reach[x]
+            acyclic = acyclic and len(members) == 1
+            for m in members:
+                reach[m] = r
+                num[m] = popped
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in reach]), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n,
-                         bitorder="little").astype(bool)
-
-
-def closure(rel: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a square boolean matrix. An acyclic
-    relation (self-loops aside) is closed by a reverse topological walk;
-    a cyclic one has no topological order and is closed by repeated
-    squaring."""
-    walked = _walk_closure(rel)
-    if walked is not None:
-        return walked
-    rel = rel | np.eye(len(rel), dtype=bool)
-    while True:
-        closed = rel | compose(rel, rel)
-        if (closed == rel).all():
-            return rel
-        rel = closed
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in reach[:n]]), np.uint8)
+    leq = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    return leq.astype(bool), acyclic
 
 
 def transitivity_gap(leq: np.ndarray):

@@ -1,8 +1,9 @@
 """JSON document formats for lattices, mutual pairs, and class tables.
 
 A lattice document is {"elements": [names], "leq": [[lower, upper], ...]};
-the reflexive-transitive closure is computed on load, duplicate edges are
-harmless, and unknown keys are rejected. A pair document nests two lattice
+the reflexive-transitive closure is computed on load in one linear walk,
+duplicate edges are harmless, a cycle is refused with its antisymmetry
+witness, and unknown keys are rejected. A pair document nests two lattice
 documents under "O" and "P" plus name-to-name tables under "F" and "G".
 Malformed documents raise DocumentError (a usage problem); order-axiom and
 bound failures surface as the lattice module's own errors (check failures).
@@ -63,7 +64,7 @@ def parse_lattice_doc(obj) -> FiniteLattice:
     if len(set(names)) != len(names):
         raise DocumentError("'elements' must be distinct")
     n = len(names)
-    # refuse before the n x n relation is allocated and closed
+    # refuse before the pairs are read and closed
     if n > lattice.DEFAULT_CAP:
         raise CapacityError(f"{n} elements exceeds the explicit cap {lattice.DEFAULT_CAP}")
     idx = {name: i for i, name in enumerate(names)}
@@ -81,14 +82,9 @@ def parse_lattice_doc(obj) -> FiniteLattice:
         lower.append(idx[e[0]])
         upper.append(idx[e[1]])
     src, dst = np.frombuffer(lower, np.int32), np.frombuffer(upper, np.int32)
-    rel = np.zeros((n, n), dtype=bool)
-    rel[src, dst] = True
-    # the walk closes an acyclic relation, whose closure is a partial order;
-    # a cyclic one is closed by squaring and gets validate_lattice's witness
-    leq = lattice._walk_closure(rel)
-    acyclic = leq is not None
-    if not acyclic:
-        leq = closure(rel)
+    # the walk closes any relation; an acyclic one closes to a partial order,
+    # and a cyclic one gets validate_lattice's antisymmetry witness
+    leq, acyclic = closure(n, src, dst)
     leq.flags.writeable = False
     poset = FinitePoset(tuple(names), leq)
     if not acyclic:

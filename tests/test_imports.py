@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module, every
 module-level private name is used somewhere in the package, every
 exception class the package defines can be raised, no module reads
-the process environment, and the Tarski oracle folds take nothing from
-the point-classification kernels or numpy that they are meant to check.
+the process environment, the Tarski oracle folds take nothing from
+the point-classification kernels or numpy that they are meant to check,
+and in lattice.py only the order checks square an order.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
 `__init__.py` is skipped for imports: they are the package's public
@@ -284,3 +285,38 @@ def test_the_check_sees_an_oracle_leak():
 
 def test_the_tarski_folds_share_no_code_with_simpoints():
     assert oracle_leaks((SRC / "solvers.py").read_text()) == []
+
+
+COMPOSE_READERS = ("transitivity_gap", "cover_edges")
+
+
+def compose_uses(source: str, allowed=COMPOSE_READERS) -> list[str]:
+    """Every read of compose outside the module-level functions allowed
+    to square an order. A call, an alias or an attribute of a module all
+    count, so closing an order cannot fall back to squaring: closure is
+    one linear walk for cyclic and acyclic relations alike."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "module")
+        if owner in allowed:
+            continue
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == "compose"
+                 and isinstance(node.ctx, ast.Load))
+                    or (isinstance(node, ast.Attribute) and node.attr == "compose")):
+                found.append(f"{owner}: compose (line {node.lineno})")
+    return found
+
+
+def test_the_check_sees_a_squaring_fallback():
+    source = ("def compose(a, b):\n    return a @ b\n"
+              "def transitivity_gap(leq):\n    return compose(leq, leq)\n"
+              "def closure(rel):\n    while True:\n        rel = rel | compose(rel, rel)\n"
+              "square = compose\n"
+              "class Poset:\n    def close(self, lattice):\n        return lattice.compose(1, 2)\n")
+    assert compose_uses(source) == ["closure: compose (line 7)", "module: compose (line 8)",
+                                    "Poset: compose (line 11)"]
+
+
+def test_only_the_order_checks_compose_in_lattice():
+    assert compose_uses((SRC / "lattice.py").read_text()) == []

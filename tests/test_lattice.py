@@ -96,7 +96,7 @@ def random_dag_closures(seed, count, max_n=12):
             leq[0, :] = leq[:, n - 1] = True
         perm = list(range(n))
         rng.shuffle(perm)
-        yield closure(leq)[np.ix_(perm, perm)]
+        yield closure(n, *np.nonzero(leq))[0][np.ix_(perm, perm)]
 
 
 def oracle_inputs():
@@ -557,7 +557,7 @@ def _squaring_closure(rel):
 
 def _no_squaring(monkeypatch):
     def refuse(*args):
-        raise AssertionError("an acyclic order went through squaring or a transitivity check")
+        raise AssertionError("an order went through squaring or a transitivity check")
     monkeypatch.setattr(lattice, "compose", refuse)
     monkeypatch.setattr(lattice, "transitivity_gap", refuse)
 
@@ -573,10 +573,10 @@ def test_closure_walk_matches_squaring_on_relabelled_dags(monkeypatch, seed):
     rel = rel[np.ix_(perm, perm)]
     want = _squaring_closure(rel)
     _no_squaring(monkeypatch)
-    got = closure(rel)
+    got, acyclic = closure(n, *np.nonzero(rel))
     assert got.dtype == bool and got.shape == (n, n)
     assert (got == want).all()
-    assert antisymmetry_gap(got) is None
+    assert acyclic and antisymmetry_gap(got) is None
 
 
 def test_closure_of_a_4096_chain_is_the_upper_triangle(monkeypatch):
@@ -584,20 +584,65 @@ def test_closure_of_a_4096_chain_is_the_upper_triangle(monkeypatch):
     rel = np.zeros((n, n), dtype=bool)
     rel[np.arange(n - 1), np.arange(1, n)] = True
     _no_squaring(monkeypatch)
-    assert (closure(rel) == np.triu(np.ones((n, n), dtype=bool))).all()
+    leq, acyclic = closure(n, *np.nonzero(rel))
+    assert acyclic and (leq == np.triu(np.ones((n, n), dtype=bool))).all()
 
 
 def test_cyclic_closure_keeps_the_squaring_witness():
     rel = np.zeros((3, 3), dtype=bool)
     rel[0, 1] = rel[1, 2] = rel[2, 0] = True
-    assert lattice._walk_closure(rel) is None
-    leq = closure(rel)
+    leq, acyclic = closure(3, *np.nonzero(rel))
+    assert not acyclic
     assert leq.all()
     with pytest.raises(NotAPosetError) as exc:
         validate_lattice(FinitePoset(("a", "b", "c"), leq))
     assert str(exc.value) == "NotAPoset: antisymmetry fails at ('a', 'b')"
     assert exc.value.witness == (0, 1)
     assert antisymmetry_gap(leq) == (0, 1)
+
+
+def test_closure_matches_squaring_on_cyclic_and_acyclic_pair_lists():
+    # self-loops, repeated pairs in shuffled order and relabelled ids; back
+    # edges against a hidden order make about two in five relations cyclic
+    rng = random.Random(23)
+    cyclic = 0
+    for _ in range(2000):
+        n = rng.randint(1, 70)
+        pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2 * n))
+                 if n > 1]
+        if pairs and rng.random() < 0.4:    # close a cycle through a listed pair
+            pairs.append(rng.choice(pairs)[::-1])
+        if rng.random() < 0.3:    # a pair in either direction, which may close one
+            pairs.append((rng.randrange(n), rng.randrange(n)))
+        pairs += [(x, x) for x in rng.sample(range(n), rng.randint(0, n))]
+        pairs += rng.choices(pairs, k=len(pairs) // 4)
+        rng.shuffle(pairs)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        src, dst = ([perm[p[k]] for p in pairs] for k in (0, 1))
+        rel = np.zeros((n, n), dtype=bool)
+        rel[src, dst] = True
+        leq, acyclic = closure(n, np.array(src, dtype=np.int32), np.array(dst, dtype=np.int32))
+        want = _squaring_closure(rel)
+        assert leq.dtype == bool and (leq == want).all()
+        assert acyclic == (antisymmetry_gap(want) is None)
+        cyclic += not acyclic
+    assert 700 <= cyclic <= 900
+
+
+def test_a_document_with_several_cycles_gets_the_row_major_witness(monkeypatch):
+    # the walk starts at v0 and pops the cycle v5 <-> v6 first; the witness
+    # is still the row-major first pair of the closed order
+    names = [f"v{i}" for i in range(8)]
+    listed = [(0, 5), (5, 6), (6, 5), (7, 3), (3, 4), (4, 3), (1, 2), (2, 1), (6, 7)]
+    rel = np.zeros((8, 8), dtype=bool)
+    rel[tuple(zip(*listed))] = True
+    want = antisymmetry_gap(_squaring_closure(rel))
+    _no_squaring(monkeypatch)
+    with pytest.raises(NotAPosetError) as exc:
+        parse_lattice_doc({"elements": names, "leq": [[names[a], names[b]] for a, b in listed]})
+    assert exc.value.witness == want == (1, 2)
+    assert str(exc.value) == "NotAPoset: antisymmetry fails at ('v1', 'v2')"
 
 
 def test_product_tables_equal_validation_of_the_kronecker_order(monkeypatch):

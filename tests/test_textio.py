@@ -62,7 +62,7 @@ def test_over_cap_document_is_refused_before_closure(monkeypatch):
     monkeypatch.setattr(mucofix.lattice, "DEFAULT_CAP", 7)
     assert parse_lattice_doc(chain_doc).size == 7
 
-    def no_closure(rel):
+    def no_closure(*args):
         raise AssertionError("closure ran on an over-cap document")
     monkeypatch.setattr(mucofix.textio, "closure", no_closure)
     monkeypatch.setattr(mucofix.lattice, "DEFAULT_CAP", 6)
@@ -131,6 +131,30 @@ def test_a_4096_chain_document_parses_to_the_chain(monkeypatch):
     for x, y in ((lat.poset.leq, ref.poset.leq), (lat.meet, ref.meet), (lat.join, ref.join)):
         assert (x == y).all()
     assert (lat.bottom, lat.top) == (0, 4095)
+
+
+def test_a_cyclic_4096_chain_document_is_refused_without_squaring(monkeypatch):
+    # one back edge closes the whole chain into one cycle; the walk closes
+    # it, and validate_lattice names the first antisymmetric pair
+    names = [f"c{i}" for i in range(4096)]
+    doc = {"elements": names,
+           "leq": [[a, b] for a, b in zip(names, names[1:])] + [[names[-1], names[0]]]}
+
+    def refuse(*args):
+        raise AssertionError("a cyclic document went through squaring or a transitivity check")
+    for name in ("compose", "transitivity_gap"):
+        monkeypatch.setattr(mucofix.lattice, name, refuse)
+    checked = []
+    validate = mucofix.textio.validate_lattice
+
+    def counting(poset):
+        checked.append(poset.size)
+        return validate(poset)
+    monkeypatch.setattr(mucofix.textio, "validate_lattice", counting)
+    with pytest.raises(NotAPosetError) as exc:
+        parse_lattice_doc(doc)
+    assert str(exc.value) == "NotAPoset: antisymmetry fails at ('c0', 'c1')"
+    assert exc.value.witness == (0, 1) and checked == [4096]
 
 
 def test_cyclic_documents_keep_their_witness():
