@@ -116,8 +116,10 @@ def _check_pair_doc(obj, mode) -> int:
 
 
 def cmd_solve(args) -> int:
-    mp = parse_pair_doc(load_document(args.path))
     least = args.direction == "least"
+    # a least solve reads only meet tables and a greatest one only joins, so
+    # each lattice is proven on the side the solve reads and never builds the other
+    mp = parse_pair_doc(load_document(args.path), "meet" if least else "join")
     lf, lg = ("muF", "muG") if least else ("nuF", "nuG")
     print(f"solve: {args.path}")
     print(f"direction: {args.direction}")

@@ -7,6 +7,14 @@ lattice is complete, which is why subset meets and joins reduce to folds
 over the binary tables. All values here are immutable after construction
 and safe to share between threads.
 
+One bound table may wait for its first reader. A finite poset in which
+every pair has a join and which has a least element is a lattice, so
+bound_tables proves a lattice by searching one side and reading both
+extremes off the order, and the other table is built by the same search
+on its first read and kept. A least solve reads only meets and a greatest
+one only joins, so a solve builds one table per lattice. Building a table
+twice gives equal arrays, so a value stays immutable and safe to share.
+
 Besides its order and tables, a lattice keeps its order in the forms its
 readers need, each read-only:
 - edges, given by the constructors that have them: pairs whose
@@ -20,7 +28,7 @@ readers need, each read-only:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 from typing import NamedTuple
 
@@ -224,6 +232,14 @@ class FiniteLattice:
     suite. Treat instances as immutable. edges, when given, are two id
     arrays (src, dst) whose reflexive-transitive closure is the order;
     the caller vouches for that, as the constructors' tests check.
+
+    A bound table given as a function of no arguments waits for its first
+    reader: the first read of lat.meet or lat.join calls it, checks the
+    table it returns like an eager one, and keeps it. Until then the
+    function is kept as _pending_meet or _pending_join. bound_tables and
+    dual give one; every lattice is still proven when it is constructed.
+    A value stays immutable and safe to share: two threads that read a
+    pending table at once may both build it, and they get equal tables.
     """
     poset: FinitePoset
     meet: np.ndarray
@@ -234,10 +250,13 @@ class FiniteLattice:
 
     def __post_init__(self):
         n = self.poset.size
-        object.__setattr__(self, "meet", _frozen(self.meet, np.int32))
-        object.__setattr__(self, "join", _frozen(self.join, np.int32))
-        if self.meet.shape != (n, n) or self.join.shape != (n, n):
-            raise ValueError("bound tables must match the carrier")
+        object.__setattr__(self, "size", n)
+        for name in ("meet", "join"):
+            table = self.__dict__.pop(name)
+            if callable(table):
+                self.__dict__["_pending_" + name] = table
+            else:
+                self.__dict__[name] = self._table(table)
         if self.edges is not None:
             src, dst = (_frozen(x, np.int32) for x in self.edges)
             if src.ndim != 1 or src.shape != dst.shape:
@@ -248,7 +267,21 @@ class FiniteLattice:
             object.__setattr__(self, "edges", (src, dst))
         object.__setattr__(self, "bottom", int(self.bottom))
         object.__setattr__(self, "top", int(self.top))
-        object.__setattr__(self, "size", n)
+
+    def _table(self, table) -> np.ndarray:
+        table = _frozen(table, np.int32)
+        if table.shape != (self.size, self.size):
+            raise ValueError("bound tables must match the carrier")
+        return table
+
+    def __getattr__(self, name: str):
+        # reached only when name is not set: a pending table is built here,
+        # once, and kept where an eager one is
+        build = self.__dict__.get("_pending_" + name)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        table = self.__dict__[name] = self._table(build())
+        return table
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -325,19 +358,31 @@ class FiniteLattice:
         self._check_ids(ids)
         return ids
 
+    def _fold(self, table: np.ndarray, unit: int, s) -> int:
+        """The fold of a bound table over the ids s, which may repeat and
+        come in any order: each step halves the ids by one table gather
+        of the even against the odd positions, padded with the unit. The
+        range check takes the min and max, and names the smallest bad id."""
+        ids = (s.astype(np.intp, copy=False) if isinstance(s, np.ndarray)
+               else np.fromiter(map(int, s), np.intp))
+        if not ids.size:
+            return unit
+        lo, hi = int(ids.min()), int(ids.max())
+        if lo < 0 or hi >= self.size:
+            self._check_id(lo if lo < 0 else ids[ids >= self.size].min())
+        while ids.size > 1:
+            if ids.size % 2:
+                ids = np.append(ids, unit)
+            ids = table[ids[0::2], ids[1::2]]
+        return int(ids[0])
+
     def meet_set(self, s) -> int:
         'Greatest lower bound of a subset; the empty meet is top.'
-        out = self.top
-        for x in self._ids(s):
-            out = int(self.meet[out, x])
-        return out
+        return self._fold(self.meet, self.top, s)
 
     def join_set(self, s) -> int:
         'Least upper bound of a subset; the empty join is bottom.'
-        out = self.bottom
-        for x in self._ids(s):
-            out = int(self.join[out, x])
-        return out
+        return self._fold(self.join, self.bottom, s)
 
     def sublattice_violation(self, s):
         'First pair of members whose meet or join escapes, or None.'
@@ -426,7 +471,9 @@ def _bound_proposer(rows: np.ndarray, u: np.ndarray, w: np.ndarray):
 
 
 def validate_lattice(p: FinitePoset) -> FiniteLattice:
-    """Check the order axioms, then fill the bound tables by bound_tables.
+    """Check the order axioms, then prove the lattice by bound_tables,
+    which builds the join table and leaves the meet table to its first
+    reader.
 
     Raises NotAPosetError or NotALatticeError carrying the first failing
     witness, and CapacityError above DEFAULT_CAP elements, before any
@@ -441,10 +488,58 @@ def validate_lattice(p: FinitePoset) -> FiniteLattice:
     return bound_tables(p)
 
 
-def bound_tables(p: FinitePoset) -> FiniteLattice:
+# the bound each side's table holds, as NotALatticeError names it; at one
+# pair the lub is decided before the glb
+_KINDS = {"join": "lub", "meet": "glb"}
+
+
+def bound_tables(p: FinitePoset, first: str = "join", edges=None) -> FiniteLattice:
     """The lattice of a partial order p, whose axioms the caller has
     already checked or holds by construction; validate_lattice checks
-    them first.
+    them first. edges go to the constructor as they are.
+
+    A finite poset in which every pair has a join and which has a least
+    element is a lattice, and dually for meets and a greatest element. So
+    only the first side's table ("join" or "meet") is searched here, and
+    bottom and top are read off the order: the element whose up-set row,
+    and the one whose down-set column, is all true. When the first side
+    has every bound and the opposite extreme exists, the other table is
+    left to be built by the same search on its first read. Otherwise the
+    other side is searched too, and NotALatticeError names the earlier of
+    the two sides' first missing bounds in scan order: row-major over
+    i <= j, lub before glb, the order in which a search of both sides
+    would meet them. So the posets accepted and the witnesses named do
+    not depend on first.
+    """
+    if first not in _KINDS:
+        raise ValueError(f"first must be 'join' or 'meet', not {first!r}")
+    other = "meet" if first == "join" else "join"
+    leq = p.leq
+    table, miss = _bound_search(leq, first)
+    bottom, top = np.flatnonzero(leq.all(axis=1)), np.flatnonzero(leq.all(axis=0))
+    if miss is None and bottom.size and top.size:
+        tables = {first: table, other: partial(_pending_table, leq, other)}
+        return FiniteLattice(p, tables["meet"], tables["join"], bottom[0], top[0], edges)
+    # a poset with both tables has both extremes, so one side misses a bound
+    misses = [(*m, side == "meet", side) for side, m in
+              ((first, miss), (other, _bound_search(leq, other)[1])) if m is not None]
+    i, j, _, side = min(misses)
+    raise NotALatticeError(_KINDS[side], (i, j), p.labels)
+
+
+def _pending_table(leq: np.ndarray, side: str) -> np.ndarray:
+    'The table a lattice that bound_tables proved builds on the first read of side.'
+    table, miss = _bound_search(leq, side)
+    if miss is not None:
+        raise AssertionError(f"a proven lattice lacks the {_KINDS[side]} of {miss}")
+    return table
+
+
+def _bound_search(leq: np.ndarray, side: str):
+    """One side of the bound tables of the partial order leq: the join
+    table for side "join", the meet table for "meet". Returns (table,
+    None), or (None, (i, j)) for the first pair lacking that bound, in
+    row-major order over i <= j.
 
     A comparable pair is its own bound: when i <= j the lub is j and the
     glb is i, so those entries are filled straight from the order. Only
@@ -454,64 +549,51 @@ def bound_tables(p: FinitePoset) -> FiniteLattice:
     proposes in bulk, a row block at a time: float32 matmuls count and
     hash every intersection, and a lookup among the elements' own hashed
     rows proposes a candidate; a block whose pairs are all comparable
-    runs no matmul. Each candidate is then checked exactly, so the tables
-    never depend on the hash. A pair whose candidate fails the check is
-    re-decided by a dictionary lookup of its intersection, in scan order:
-    row-major over i <= j, lub before glb. Raises NotALatticeError at the
-    first pair in that order that has no bound; in a partial order a
-    comparable pair always has both, so skipping them moves no witness.
+    runs no matmul. Each candidate is then checked exactly, so the table
+    never depends on the hash. A pair whose candidate fails the check is
+    re-decided by a dictionary lookup of its intersection, in scan order.
+    In a partial order a comparable pair always has both bounds, so
+    skipping them moves no witness.
     """
-    n = p.size
-    leq = p.leq
+    n = len(leq)
+    join = side == "join"
+    # up-sets propose joins and down-sets meets
+    rows = leq if join else leq.T
     ids = np.arange(n, dtype=np.int32)
-    meet = np.zeros((n, n), dtype=np.int32)
-    join = np.zeros((n, n), dtype=np.int32)
-    # up-sets propose joins and down-sets meets; each pair's lub is decided first
-    sides = ((leq, join, "lub"), (leq.T, meet, "glb"))
-    proposers = row_keys = None
+    table = np.zeros((n, n), dtype=np.int32)
+    propose = row_keys = None
     for s in range(0, n, BLOCK_ROWS):
         e = min(s + BLOCK_ROWS, n)
         up = leq[s:e, s:]
         lo, hi = ids[s:e, None], ids[s:]
-        bounds = (np.where(up, hi, lo), np.where(up, lo, hi))
+        blk = np.where(up, hi, lo) if join else np.where(up, lo, hi)
         # the block's incomparable pairs, both triangles of its diagonal square
         # so the transposed copy below is filled too
         pairs = np.flatnonzero(~(up | leq[s:, s:e].T))
-        rejected = []
         if pairs.size:
-            if proposers is None:
-                u = leq.astype(np.float32)
-                w = _hash_weights(n)
-                proposers = (_bound_proposer(leq, u, w), _bound_proposer(leq.T, u.T, w))
-            for propose, blk in zip(proposers, bounds):
-                cand, ok = propose(s, e, pairs)
-                blk.reshape(-1)[pairs] = cand
-                rejected.append(~ok)
-        for (_, table, _), blk in zip(sides, bounds):
-            table[s:e, s:] = blk
-            table[s:, s:e] = blk.T
-        if not rejected:
+            if propose is None:
+                # a C-order copy, so both sides' matmuls read rows alike
+                u = rows.astype(np.float32, order="C")
+                propose = _bound_proposer(rows, u, _hash_weights(n))
+            cand, ok = propose(s, e, pairs)
+            blk.reshape(-1)[pairs] = cand
+        table[s:e, s:] = blk
+        table[s:, s:e] = blk.T
+        if not pairs.size:
             continue
-        # (pair, side) order is the scan order: a pair below the diagonal
-        # comes after its mirror, which has the same bounds
-        for flat in np.flatnonzero(np.stack(rejected, axis=-1)):
-            k, side = divmod(int(flat), 2)
+        # flat order is the scan order: a pair below the diagonal comes
+        # after its mirror, which has the same bound
+        for k in np.flatnonzero(~ok).tolist():
             b, c = divmod(int(pairs[k]), n - s)
             i, j = s + b, s + c
-            rows, table, kind = sides[side]
             if row_keys is None:
-                row_keys = [{r[x].tobytes(): x for x in range(n)} for r, *_ in sides]
-            found = row_keys[side].get((rows[i] & rows[j]).tobytes())
+                row_keys = {rows[x].tobytes(): x for x in range(n)}
+            found = row_keys.get((rows[i] & rows[j]).tobytes())
             if found is None:
-                raise NotALatticeError(kind, (i, j), p.labels)
+                return None, (i, j)
             table[i, j] = table[j, i] = found
-    bottom = 0
-    top = 0
-    for x in range(1, n):
-        bottom = int(meet[bottom, x])
-        top = int(join[top, x])
-    meet.flags.writeable = join.flags.writeable = False
-    return FiniteLattice(p, meet, join, bottom, top)
+    table.flags.writeable = False
+    return table, None
 
 
 def _componentwise(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -596,10 +678,18 @@ def dual(lat: FiniteLattice) -> FiniteLattice:
     order its down-set rows, the tables and bounds swap and the edges
     turn round. Only lat.down_rows is ever copied, once per lattice, so
     two duals share it and the dual of a dual reads lat's own arrays.
-    Nothing is re-checked: labels, read-only arrays and bounds all come
-    from lat, which its constructor checked."""
+    A table lat has not built yet stays pending: the dual's first read
+    builds it in lat and shares it. Nothing is re-checked: labels,
+    read-only arrays and bounds all come from lat, which its constructor
+    checked."""
+    tables = {}
+    for name, source in (("meet", "join"), ("join", "meet")):
+        if source in vars(lat):
+            tables[name] = vars(lat)[source]
+        else:
+            tables["_pending_" + name] = partial(getattr, lat, source)
     poset = _prechecked(FinitePoset, labels=lat.labels, leq=lat.down_rows, size=lat.size)
-    return _prechecked(FiniteLattice, poset=poset, meet=lat.join, join=lat.meet,
+    return _prechecked(FiniteLattice, poset=poset, **tables,
                        bottom=lat.top, top=lat.bottom, size=lat.size,
                        edges=None if lat.edges is None else lat.edges[::-1],
                        down_rows=lat.poset.leq)

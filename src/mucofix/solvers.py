@@ -84,8 +84,8 @@ def _meet_components(mp: MutualPair) -> tuple[int, int]:
     pair up under f and g is a theorem, so a mismatch is an internal error."""
     pre = pre_mask(mp.dom_o.poset.leq, mp.dom_p.poset.leq, np.asarray(mp.f), np.asarray(mp.g))
     # C is the set of rows with a pre-fixed pair, D the set of columns
-    mf = mp.dom_o.meet_set(np.flatnonzero(pre.any(axis=1)).tolist())
-    mg = mp.dom_p.meet_set(np.flatnonzero(pre.any(axis=0)).tolist())
+    mf = mp.dom_o.meet_set(np.flatnonzero(pre.any(axis=1)))
+    mg = mp.dom_p.meet_set(np.flatnonzero(pre.any(axis=0)))
     if mp.f[mf] != mg or mp.g[mg] != mf:
         raise AssertionError("extremal components fail the fixed-point identities")
     return mf, mg

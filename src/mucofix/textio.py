@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +53,10 @@ def _require_keys(obj, keys: set[str], what: str):
         raise DocumentError(f"{what} is missing keys: {sorted(missing)}")
 
 
-def parse_lattice_doc(obj) -> FiniteLattice:
-    'Build a lattice from a document, closing the order on load.'
+def parse_lattice_doc(obj, first: str = "join") -> FiniteLattice:
+    """Build a lattice from a document, closing the order on load. first
+    names the bound table searched to prove it, "join" or "meet"; the
+    other is built on its first read (see lattice.bound_tables)."""
     _require_keys(obj, {"elements", "leq"}, "lattice document")
     names = obj["elements"]
     if (not isinstance(names, list) or not names
@@ -95,7 +96,7 @@ def parse_lattice_doc(obj) -> FiniteLattice:
     edges = src[keep], dst[keep]
     for x in edges:
         x.flags.writeable = False
-    return replace(bound_tables(poset), edges=edges)
+    return bound_tables(poset, first, edges)
 
 
 def _parse_table(obj, what: str, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:
@@ -117,10 +118,11 @@ def _parse_table(obj, what: str, dom: FiniteLattice, cod: FiniteLattice) -> tupl
     return tuple(table)
 
 
-def parse_pair_doc(obj) -> MutualPair:
-    'Build a mutual pair from a document with O, P, F, G.'
+def parse_pair_doc(obj, first: str = "join") -> MutualPair:
+    'Build a mutual pair from a document with O, P, F, G; first as in parse_lattice_doc.'
     _require_keys(obj, {"O", "P", "F", "G"}, "pair document")
-    return pair_from_lattices(obj, parse_lattice_doc(obj["O"]), parse_lattice_doc(obj["P"]))
+    return pair_from_lattices(obj, parse_lattice_doc(obj["O"], first),
+                              parse_lattice_doc(obj["P"], first))
 
 
 def pair_from_lattices(obj, lat_o: FiniteLattice, lat_p: FiniteLattice) -> MutualPair:

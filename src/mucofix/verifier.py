@@ -415,7 +415,10 @@ def _check_l5(mp, mode, kinds=("pre", "post"), pinned=True):
 def _check_l6(mp, mode, names="CDEF"):
     """The first failing component set of names, in the order C, D, E, F, as
     its message, or None: not closed, or missing its bound (top for C and D,
-    bottom for E and F). C stacks with E over O, D with F over P. Q3 reads C and D."""
+    bottom for E and F). C stacks with E over O, D with F over P. Q3 reads C and D.
+    For any tables, monotone or not, the top pair is pre-fixed and the bottom
+    pair post-fixed, so no set misses its bound; the "misses the top/bottom"
+    branch guards that invariant of point_masks, and a test holds it."""
     masks = np.stack(point_masks(mp))
     sides = ((mp.dom_o, masks.any(axis=2)), (mp.dom_p, masks.any(axis=1)))
     unclosed = [_unclosed_rows(rows, lat.meet, lat.join) for lat, rows in sides]

@@ -2,6 +2,7 @@ import pytest
 
 import mucofix.cli
 import mucofix.genfun
+import mucofix.lattice
 import mucofix.solvers
 import mucofix.verifier
 from mucofix import MutualPair, chain, diamond
@@ -21,6 +22,20 @@ def monotone_scans(monkeypatch):
         if getattr(module, "monotone_witness", None) is real:
             monkeypatch.setattr(module, "monotone_witness", counting)
     return calls
+
+
+@pytest.fixture
+def bound_searches(monkeypatch):
+    'The side, "join" or "meet", of every one-side bound search, eager or pending.'
+    sides = []
+    real = mucofix.lattice._bound_search
+
+    def recording(leq, side):
+        sides.append(side)
+        return real(leq, side)
+
+    monkeypatch.setattr(mucofix.lattice, "_bound_search", recording)
+    return sides
 
 
 @pytest.fixture

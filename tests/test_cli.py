@@ -59,9 +59,9 @@ def test_check_pair_validates_each_lattice_once(monkeypatch, capsys):
     import mucofix.textio as textio
     search, calls = textio.bound_tables, []
 
-    def counting(poset):
+    def counting(poset, *args, **kwargs):
         calls.append(poset.labels)
-        return search(poset)
+        return search(poset, *args, **kwargs)
 
     monkeypatch.setattr(textio, "bound_tables", counting)
     rc, out = run(capsys, "check", K1)
@@ -69,6 +69,38 @@ def test_check_pair_validates_each_lattice_once(monkeypatch, capsys):
     assert out == (f"check: {K1}\nO.poset: ok\nO.lattice: ok\nP.poset: ok\n"
                    "P.lattice: ok\nF.monotone: ok\nG.monotone: ok\n"
                    "pair.continuous[binary]: ok\n")
+
+
+def grid_doc(a, b):
+    'The a x b grid as a lattice document listing its covers.'
+    name = "{}.{}".format
+    covers = ([[name(r, c), name(r + 1, c)] for r in range(a - 1) for c in range(b)]
+              + [[name(r, c), name(r, c + 1)] for r in range(a) for c in range(b - 1)])
+    return {"elements": [name(r, c) for r in range(a) for c in range(b)], "leq": covers}
+
+
+@pytest.mark.parametrize("direction, side", [("least", "meet"), ("greatest", "join")])
+def test_a_solve_builds_only_the_tables_its_direction_reads(bound_searches, tmp_path, capsys,
+                                                            direction, side):
+    # a least solve reads meets and a greatest one joins, each through every
+    # strategy, so each grid proves itself on that side and never builds the other
+    o, p = grid_doc(5, 6), grid_doc(4, 4)
+    clip = {x: "{}.{}".format(*(min(int(k), 3) for k in x.split("."))) for x in o["elements"]}
+    doc = tmp_path / "grids.json"
+    doc.write_text(json.dumps({"O": o, "P": p, "F": clip,
+                               "G": {x: x for x in p["elements"]}}))
+    rc, out = run(capsys, "solve", str(doc), "--direction", direction, "--trace")
+    assert rc == EXIT_OK and out.endswith("agreement: AGREE\n")
+    assert bound_searches == [side, side]
+
+
+def test_check_of_a_lattice_document_builds_one_table(bound_searches, capsys, tmp_path):
+    doc = tmp_path / "grid.json"
+    doc.write_text(json.dumps(grid_doc(5, 6)))
+    for path in (DATA / "diamond.json", doc):
+        rc, out = run(capsys, "check", str(path))
+        assert rc == EXIT_OK and out.endswith("poset: ok\nlattice: ok\n")
+    assert bound_searches == ["join", "join"]
 
 
 def test_check_pair_reports_both_broken_sides(tmp_path, capsys):

@@ -3,7 +3,8 @@ module-level private name is used somewhere in the package, every
 exception class the package defines can be raised, no module reads
 the process environment, the Tarski oracle folds take nothing from
 the point-classification kernels or numpy that they are meant to check,
-and in lattice.py only the order checks square an order.
+and in lattice.py only the order checks square an order and only the
+one-side bound search proposes bounds.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
 `__init__.py` is skipped for imports: they are the package's public
@@ -290,21 +291,19 @@ def test_the_tarski_folds_share_no_code_with_simpoints():
 COMPOSE_READERS = ("transitivity_gap", "cover_edges")
 
 
-def compose_uses(source: str, allowed=COMPOSE_READERS) -> list[str]:
-    """Every read of compose outside the module-level functions allowed
-    to square an order. A call, an alias or an attribute of a module all
-    count, so closing an order cannot fall back to squaring: closure is
-    one linear walk for cyclic and acyclic relations alike."""
+def name_reads(source: str, name: str, allowed) -> list[str]:
+    """Every read of name outside the module-level functions allowed to
+    read it. A call, an alias or an attribute of a module all count."""
     found = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", "module")
         if owner in allowed:
             continue
         for node in ast.walk(top):
-            if ((isinstance(node, ast.Name) and node.id == "compose"
+            if ((isinstance(node, ast.Name) and node.id == name
                  and isinstance(node.ctx, ast.Load))
-                    or (isinstance(node, ast.Attribute) and node.attr == "compose")):
-                found.append(f"{owner}: compose (line {node.lineno})")
+                    or (isinstance(node, ast.Attribute) and node.attr == name)):
+                found.append(f"{owner}: {name} (line {node.lineno})")
     return found
 
 
@@ -314,9 +313,20 @@ def test_the_check_sees_a_squaring_fallback():
               "def closure(rel):\n    while True:\n        rel = rel | compose(rel, rel)\n"
               "square = compose\n"
               "class Poset:\n    def close(self, lattice):\n        return lattice.compose(1, 2)\n")
-    assert compose_uses(source) == ["closure: compose (line 7)", "module: compose (line 8)",
-                                    "Poset: compose (line 11)"]
+    assert name_reads(source, "compose", COMPOSE_READERS) == [
+        "closure: compose (line 7)", "module: compose (line 8)", "Poset: compose (line 11)"]
 
 
 def test_only_the_order_checks_compose_in_lattice():
-    assert compose_uses((SRC / "lattice.py").read_text()) == []
+    # closing an order cannot fall back to squaring: closure is one linear
+    # walk for cyclic and acyclic relations alike
+    assert name_reads((SRC / "lattice.py").read_text(), "compose", COMPOSE_READERS) == []
+
+
+def test_only_the_one_side_search_reads_the_bound_proposer():
+    # every bound table, eager or pending, comes out of one search of one
+    # side, so a second bound search cannot come back beside it
+    source = (SRC / "lattice.py").read_text()
+    assert name_reads(source, "_bound_proposer", ("_bound_search",)) == []
+    assert name_reads(source.replace("def _bound_search(", "def _search_both("),
+                      "_bound_proposer", ("_bound_search",))

@@ -5,6 +5,7 @@ the order matrix, so the bulk propose-and-check kernel in
 validate_lattice never gets to grade its own work. Its rarely taken
 per-pair path is forced by making every hash collide.
 """
+import json
 import os
 import random
 import subprocess
@@ -29,6 +30,8 @@ from mucofix.textio import parse_lattice_doc
 from oracles import (draw_lists_oracle, first_missing_bound_oracle, glb_scan,
                      is_lattice_oracle, is_poset_oracle, longest_chain_edges, lub_scan,
                      nonempty_subsets)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_poset_rejects_bad_construction():
@@ -227,30 +230,145 @@ def test_a_4096_chain_takes_its_tables_from_the_order(monkeypatch):
     assert asked == []
 
 
-def test_a_chain_under_a_diamond_matches_the_scans(monkeypatch):
-    # a 200-chain whose top is the bottom of a diamond: the three row blocks
-    # before the diamond hold only comparable pairs, and the two atoms are
-    # the one pair searched
+def chain_under_a_diamond():
+    """A 200-chain whose top is the bottom of a diamond, and its tables
+    from the min/max-outer tables of the 203-chain."""
     n = 203
     leq = np.triu(np.ones((n, n), dtype=bool))
     leq[200, 201] = False
-    asked = _record_proposals(monkeypatch)
-    lat = validate_lattice(FinitePoset(tuple(str(i) for i in range(n)), leq))
-    assert set(asked) == {(200, 201), (201, 200)}
     r = np.arange(n)
     meet, join = np.minimum.outer(r, r), np.maximum.outer(r, r)
     meet[200, 201] = meet[201, 200] = 199
     join[200, 201] = join[201, 200] = 202
-    assert (lat.meet == meet).all() and (lat.join == join).all()
-    assert (lat.bottom, lat.top) == (0, 202)
-    # the scans stop at the first candidate that passes, so lubs are scanned
-    # on this labelling and glbs on the reversed one, where the bound comes
-    # first; the rows are the diamond's and those at the chain's block edges
+    return FiniteLattice(FinitePoset(tuple(str(i) for i in range(n)), leq), meet, join, 0, n - 1)
+
+
+def assert_rows_match_the_scans(lat, rows):
+    """The tables of lat on the given rows equal the scans. The scans stop
+    at the first candidate that passes, so lubs are scanned on lat's
+    labelling and glbs on the reversed one, where in a chain or a grid
+    the bound comes first."""
+    n, leq = lat.size, lat.poset.leq
     rel, rev = leq.tolist(), leq[::-1, ::-1].tolist()
-    for i in [0, 63, 64, 127, 128, 191, 192, 199, 200, 201, 202]:
+    for i in rows:
         for j in range(n):
             assert lat.join[i, j] == lub_scan(rel, [i, j])
             assert lat.meet[i, j] == n - 1 - glb_scan(rev, [n - 1 - i, n - 1 - j])
+
+
+def test_a_chain_under_a_diamond_matches_the_scans(monkeypatch):
+    # the three row blocks before the diamond hold only comparable pairs,
+    # and the two atoms are the one pair searched
+    ref = chain_under_a_diamond()
+    asked = _record_proposals(monkeypatch)
+    lat = validate_lattice(ref.poset)
+    assert set(asked) == {(200, 201), (201, 200)}
+    assert same_tables(lat, ref) and (lat.bottom, lat.top) == (0, 202)
+    # the diamond's rows and those at the chain's block edges
+    assert_rows_match_the_scans(lat, [0, 63, 64, 127, 128, 191, 192, 199, 200, 201, 202])
+
+
+OTHER = {"join": "meet", "meet": "join"}
+
+
+@pytest.mark.parametrize("first", ["join", "meet"])
+def test_one_side_proves_the_lattice_and_the_other_waits(bound_searches, first):
+    # the tables equal the direct constructors' and the scans, whichever
+    # side is searched first; the other side is searched on its first read
+    grids = [grid_lattice(13, 13), grid_lattice(16, 16)]
+    refs = [lat for _, lat in corpus()] + grids + [chain_under_a_diamond()]
+    for ref in refs:
+        assert same_tables(ref, ref)    # builds any table a reference still waits for
+    sides = bound_searches
+    sides.clear()                       # those builds are not the ones checked here
+    for ref in refs:
+        lat = lattice.bound_tables(ref.poset, first)
+        assert sides == [first] and OTHER[first] not in vars(lat)
+        assert same_tables(lat, ref) and sides == [first, OTHER[first]]
+        sides.clear()
+    for lat in [lattice.bound_tables(ref.poset, first) for ref in grids]:
+        assert_rows_match_the_scans(lat, [0, 12, 63, 64, 127, 128, lat.size - 1])
+    for name, ref in corpus():
+        rel, lat = ref.poset.leq.tolist(), lattice.bound_tables(ref.poset, first)
+        assert lat.join.tolist() == [[lub_scan(rel, [i, j]) for j in range(lat.size)]
+                                     for i in range(lat.size)], name
+        assert lat.meet.tolist() == [[glb_scan(rel, [i, j]) for j in range(lat.size)]
+                                     for i in range(lat.size)], name
+
+
+def one_side_verdict(leq, first):
+    """bound_tables(first) on leq: the tables and bounds, or the kind and
+    pair of its NotALattice witness."""
+    try:
+        lat = lattice.bound_tables(FinitePoset(tuple(str(i) for i in range(len(leq))), leq), first)
+    except NotALatticeError as err:
+        return (err.kind, err.pair)
+    return lat.meet.tolist(), lat.join.tolist(), lat.bottom, lat.top
+
+
+def first_missing(rel, scan):
+    'The row-major first pair i <= j that scan finds no bound for, or None.'
+    n = len(rel)
+    return next(((i, j) for i in range(n) for j in range(i, n) if scan(rel, [i, j]) is None),
+                None)
+
+
+def test_one_side_accepts_and_names_what_both_sides_did():
+    # every join but no bottom, every meet but no top, and an antichain
+    no_bottom = np.eye(3, dtype=bool)
+    no_bottom[:2, 2] = True
+    posets = [no_bottom, no_bottom.T.copy(), np.eye(3, dtype=bool)]
+    posets += [leq for leq in oracle_inputs() if is_poset_oracle(leq.tolist())]
+    # seeded posets whose first missing glb comes before their first missing
+    # lub, and the reverse
+    earlier = {"glb": 0, "lub": 0}
+    for leq in random_dag_closures(24, 400, max_n=16):
+        rel = leq.tolist()
+        lub, glb = first_missing(rel, lub_scan), first_missing(rel, glb_scan)
+        if lub is not None and glb is not None:
+            earlier["glb" if glb < lub else "lub"] += 1
+            posets.append(leq)
+    assert min(earlier.values()) >= 10
+    for leq in posets:
+        rel = leq.tolist()
+        verdicts = [one_side_verdict(leq, first) for first in ("join", "meet")]
+        assert verdicts[0] == verdicts[1]
+        assert isinstance(verdicts[0][0], list) == is_lattice_oracle(rel)
+        if not is_lattice_oracle(rel):
+            assert verdicts[0] == first_missing_bound_oracle(rel)
+            continue
+        n = len(rel)
+        assert verdicts[0][0] == [[glb_scan(rel, [i, j]) for j in range(n)] for i in range(n)]
+        assert verdicts[0][1] == [[lub_scan(rel, [i, j]) for j in range(n)] for i in range(n)]
+        assert verdicts[0][2:] == (glb_scan(rel, range(n)), lub_scan(rel, range(n)))
+    assert one_side_verdict(no_bottom, "join") == ("glb", (0, 1))
+    assert one_side_verdict(no_bottom.T, "meet") == ("lub", (0, 1))
+
+
+@pytest.mark.parametrize("first", ["join", "meet"])
+def test_the_antichain_document_is_refused_on_either_side(first):
+    doc = json.loads((DATA / "antichain3.json").read_text())
+    with pytest.raises(NotALatticeError, match=r"^NotALattice: \{p,q\} lacks lub$") as err:
+        parse_lattice_doc(doc, first)
+    assert (err.value.kind, err.value.pair) == first_missing_bound_oracle(np.eye(3).tolist())
+
+
+def test_a_dual_builds_a_pending_side_once_and_shares_it(bound_searches):
+    sides = bound_searches
+    poset = grid_lattice(5, 6).poset
+    lat = lattice.bound_tables(poset)
+    d = dual(lat)
+    assert sides == ["join"] and "join" not in vars(d) and d.meet is lat.join
+    # the dual's first read builds the lattice's meet table, which both keep
+    assert d.join is lat.meet and sides == ["join", "meet"]
+    assert dual(lat).join is lat.meet and dual(d).meet is lat.meet
+    assert sides == ["join", "meet"]
+    # the other way round: the lattice's own read serves the waiting dual
+    sides.clear()
+    lat = lattice.bound_tables(poset, "meet")
+    d = dual(lat)
+    twice = dual(d)
+    assert lat.join is d.meet is twice.join and sides == ["meet", "join"]
 
 
 def test_validation_leaves_numpy_random_unloaded():

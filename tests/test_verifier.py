@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from mucofix import (BINARY, WITH_EMPTY, CapacityError, FiniteLattice, InstanceGenSpec,
-                     MutualPair, NotMonotoneError, SolveResult, chain, check_lemma, corpus,
-                     diamond, gen_continuous_pair, gen_lattice, gen_monotone_pair,
-                     is_continuous_pair, is_monotone, m3, mine_counterexample, n5,
-                     pair_continuity_witness, pair_from_json, product, split_seed,
-                     validate_lattice)
+                     MutualPair, NotMonotoneError, SolveResult, chain, check_lemma,
+                     component_sets, corpus, diamond, gen_continuous_pair, gen_lattice,
+                     gen_monotone_pair, is_continuous_pair, is_monotone, m3,
+                     mine_counterexample, n5, pair_continuity_witness, pair_from_json,
+                     point_masks, product, split_seed, validate_lattice)
 import mucofix.genfun as genfun
 import mucofix.verifier as verifier
 from mucofix.lattice import mask_lattice
@@ -613,3 +613,24 @@ def test_each_runner_names_its_witness_with_one_sublattice_scan(monkeypatch):
         calls.clear()
         witness = runner(mp, BINARY)
         assert witness is not None and len(calls) == 1, (runner.__name__, witness, calls)
+
+
+def test_the_extreme_pairs_hold_for_any_tables_so_l6_never_misses_a_bound():
+    # F(top) <= top and G(top) <= top, dually at the bottom, so the top pair
+    # is pre-fixed and the bottom pair post-fixed whatever the tables are:
+    # C and D always hold the top and E and F the bottom, and L6's
+    # "misses the top/bottom" branch only guards that invariant
+    rng = random.Random(6)
+    pool = [chain(1), chain(4), diamond(), m3(), n5(), product(n5(), chain(2)),
+            product(diamond(), m3())]
+    for _ in range(400):
+        lat_o, lat_p = rng.choice(pool), rng.choice(pool)
+        mp = MutualPair(lat_o, lat_p, [rng.randrange(lat_p.size) for _ in range(lat_o.size)],
+                        [rng.randrange(lat_o.size) for _ in range(lat_p.size)])
+        pre, post = point_masks(mp)
+        assert pre[lat_o.top, lat_p.top] and post[lat_o.bottom, lat_p.bottom]
+        cs = component_sets(mp)
+        assert lat_o.top in cs.c and lat_p.top in cs.d
+        assert lat_o.bottom in cs.e and lat_p.bottom in cs.fset
+        found = verifier._check_l6(mp, BINARY)
+        assert found is None or "misses" not in found
