@@ -17,8 +17,8 @@ from .lattice import CapacityError, NotALatticeError, NotAPosetError
 from .solvers import NotMonotoneError
 from .textio import (DocumentError, load_document, pair_from_lattices, parse_lattice_doc,
                      parse_pair_doc)
-from .verifier import (InstanceGenSpec, L4_SIZE_CAP, LEMMA_IDS, QUESTIONS, check_lemma,
-                       mine_counterexample, render_finding_report,
+from .verifier import (FAMILIES, InstanceGenSpec, L4_SIZE_CAP, LEMMA_IDS, QUESTIONS,
+                       check_lemma, mine_counterexample, render_finding_report,
                        render_lemma_report, split_seed)
 
 EXIT_OK = 0
@@ -235,9 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--size-lo", type=int, default=2)
     p.add_argument("--size-hi", type=int, default=8)
-    p.add_argument("--family", default="mixed",
-                   choices=("chains", "powersets", "products", "random-closed",
-                            "corpus", "mixed"))
+    p.add_argument("--family", default="mixed", choices=FAMILIES)
     p.add_argument("--mode", default="binary")
     p.set_defaults(func=cmd_verify)
 

@@ -7,13 +7,16 @@ lattice is complete, which is why subset meets and joins reduce to folds
 over the binary tables. All values here are immutable after construction
 and safe to share between threads.
 
-One bound table may wait for its first reader. A finite poset in which
-every pair has a join and which has a least element is a lattice, so
-bound_tables proves a lattice by searching one side and reading both
-extremes off the order, and the other table is built by the same search
-on its first read and kept. A least solve reads only meets and a greatest
-one only joins, so a solve builds one table per lattice. Building a table
-twice gives equal arrays, so a value stays immutable and safe to share.
+One search builds every bound table: the join table of the order it is
+given. The meets of an order are the joins of its dual, so a meet table
+is the join table of the transposed order, searched as a view. A finite
+poset in which every pair has a join and which has a least element is a
+lattice, so bound_tables proves a lattice by one search and reads both
+extremes off the order, and the other table waits for its first reader,
+which searches it and keeps it. A least solve reads only meets and a
+greatest one only joins, so a solve builds one table per lattice.
+Building a table twice gives equal arrays, so a value stays immutable
+and safe to share.
 
 Besides its order and tables, a lattice keeps its order in the forms its
 readers need, each read-only:
@@ -27,8 +30,8 @@ readers need, each read-only:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
@@ -74,13 +77,14 @@ def _frozen(arr, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinitePoset:
     """Distinct labels plus a boolean order matrix; leq[i, j] means i <= j.
 
     The constructor checks shape and label sanity only. The order axioms
     are checked by validate_lattice so that a bad order can be diagnosed
-    with a witness instead of rejected opaquely.
+    with a witness instead of rejected opaquely. Posets, like lattices,
+    compare by identity: their arrays have no single truth value.
     """
     labels: tuple[str, ...]
     leq: np.ndarray
@@ -223,7 +227,7 @@ class SearchLists(NamedTuple):
     meet: tuple[tuple[int, ...], ...]     # meet[i][j]: the meet of i and j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteLattice:
     """A valid finite poset plus binary meet/join tables and both bounds.
 
@@ -233,30 +237,31 @@ class FiniteLattice:
     arrays (src, dst) whose reflexive-transitive closure is the order;
     the caller vouches for that, as the constructors' tests check.
 
-    A bound table given as a function of no arguments waits for its first
-    reader: the first read of lat.meet or lat.join calls it, checks the
-    table it returns like an eager one, and keeps it. Until then the
-    function is kept as _pending_meet or _pending_join. bound_tables and
-    dual give one; every lattice is still proven when it is constructed.
-    A value stays immutable and safe to share: two threads that read a
-    pending table at once may both build it, and they get equal tables.
+    A bound table given as None waits for its first reader: the first
+    read of lat.join searches the order's joins, that of lat.meet the
+    joins of the transposed order, and the table is kept. bound_tables
+    and dual leave one waiting; a caller that gives None vouches that the
+    poset is a lattice, as bound_tables has proven. A value stays
+    immutable and safe to share: two threads that read a waiting table at
+    once may both search it, and they get equal tables. Lattices compare
+    by identity.
     """
     poset: FinitePoset
-    meet: np.ndarray
-    join: np.ndarray
+    meet: np.ndarray | None
+    join: np.ndarray | None
     bottom: int
     top: int
-    edges: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
+    edges: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         n = self.poset.size
         object.__setattr__(self, "size", n)
         for name in ("meet", "join"):
             table = self.__dict__.pop(name)
-            if callable(table):
-                self.__dict__["_pending_" + name] = table
-            else:
-                self.__dict__[name] = self._table(table)
+            if table is not None:
+                table = self.__dict__[name] = _frozen(table, np.int32)
+                if table.shape != (n, n):
+                    raise ValueError("bound tables must match the carrier")
         if self.edges is not None:
             src, dst = (_frozen(x, np.int32) for x in self.edges)
             if src.ndim != 1 or src.shape != dst.shape:
@@ -268,19 +273,16 @@ class FiniteLattice:
         object.__setattr__(self, "bottom", int(self.bottom))
         object.__setattr__(self, "top", int(self.top))
 
-    def _table(self, table) -> np.ndarray:
-        table = _frozen(table, np.int32)
-        if table.shape != (self.size, self.size):
-            raise ValueError("bound tables must match the carrier")
-        return table
-
     def __getattr__(self, name: str):
-        # reached only when name is not set: a pending table is built here,
-        # once, and kept where an eager one is
-        build = self.__dict__.get("_pending_" + name)
-        if build is None:
+        # reached only when name is not set: a table given as None is
+        # searched here, once, and kept where a given one is
+        if name not in _KINDS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        table = self.__dict__[name] = self._table(build())
+        leq = self.poset.leq
+        table, miss = _bound_search(leq if name == "join" else leq.T)
+        if miss is not None:
+            raise AssertionError(f"a proven lattice lacks the {_KINDS[name]} of {miss}")
+        self.__dict__[name] = table
         return table
 
     @property
@@ -435,18 +437,17 @@ def _set_keys(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     return h1.astype(np.int64) << 25 | h2.astype(np.int64)
 
 
-def _bound_proposer(rows: np.ndarray, u: np.ndarray, w: np.ndarray):
-    """Bulk bound proposals for chosen pairs of one row block at a time.
+def _bound_proposer(leq: np.ndarray, u: np.ndarray, w: np.ndarray):
+    """Bulk join proposals for chosen pairs of one row block at a time.
 
-    rows is the boolean matrix whose row x is the set a bound of x must
-    match: up-sets for joins, down-sets (the transposed order) for meets;
-    u is the same matrix as float32. The bound of i and j is the element
-    whose own row equals rows[i] & rows[j]. propose(s, e, pairs) takes
-    flat indices into the block of i in s..e-1 and j in s..n-1 and
-    returns, for each, a candidate and whether it passed the exact check:
-    it lies in both rows, so by transitivity its own row is inside the
-    intersection, and it counts as many members, so the two are equal.
-    A hash collision or a missing bound fails the check.
+    leq is the order, whose row x is the up-set of x, and u is the same
+    matrix as float32. The join of i and j is the element whose own row
+    equals leq[i] & leq[j]. propose(s, e, pairs) takes flat indices into
+    the block of i in s..e-1 and j in s..n-1 and returns, for each, a
+    candidate and whether it passed the exact check: it lies in both
+    rows, so by transitivity its own row is inside the intersection, and
+    it counts as many members, so the two are equal.
+    A hash collision or a missing join fails the check.
     """
     n = len(u)
     sizes = u.sum(axis=1)
@@ -464,7 +465,7 @@ def _bound_proposer(rows: np.ndarray, u: np.ndarray, w: np.ndarray):
         pos = np.searchsorted(sorted_keys, _set_keys(h1, h2))
         cand = order[np.minimum(pos, n - 1)]
         i, j = np.divmod(pairs, n - s)
-        ok = (sizes[cand] == counts) & rows[s + i, cand] & rows[s + j, cand]
+        ok = (sizes[cand] == counts) & leq[s + i, cand] & leq[s + j, cand]
         return cand, ok
 
     return propose
@@ -472,7 +473,7 @@ def _bound_proposer(rows: np.ndarray, u: np.ndarray, w: np.ndarray):
 
 def validate_lattice(p: FinitePoset) -> FiniteLattice:
     """Check the order axioms, then prove the lattice by bound_tables,
-    which builds the join table and leaves the meet table to its first
+    which searches the join table and leaves the meet table to its first
     reader.
 
     Raises NotAPosetError or NotALatticeError carrying the first failing
@@ -500,81 +501,71 @@ def bound_tables(p: FinitePoset, first: str = "join", edges=None) -> FiniteLatti
 
     A finite poset in which every pair has a join and which has a least
     element is a lattice, and dually for meets and a greatest element. So
-    only the first side's table ("join" or "meet") is searched here, and
-    bottom and top are read off the order: the element whose up-set row,
-    and the one whose down-set column, is all true. When the first side
-    has every bound and the opposite extreme exists, the other table is
-    left to be built by the same search on its first read. Otherwise the
-    other side is searched too, and NotALatticeError names the earlier of
-    the two sides' first missing bounds in scan order: row-major over
-    i <= j, lub before glb, the order in which a search of both sides
-    would meet them. So the posets accepted and the witnesses named do
-    not depend on first.
+    only the first side's table ("join" or "meet") is searched here, the
+    join table of p's order or of its transpose, and bottom and top are
+    read off the order: the element whose up-set row, and the one whose
+    down-set column, is all true. When the first side has every bound and
+    the opposite extreme exists, the other table is left as None for its
+    first reader to search. Otherwise the other side is searched too, and
+    NotALatticeError names the earlier of the two sides' first missing
+    bounds in scan order: row-major over i <= j, lub before glb, the
+    order in which a search of both sides would meet them. So the posets
+    accepted and the witnesses named do not depend on first.
     """
     if first not in _KINDS:
         raise ValueError(f"first must be 'join' or 'meet', not {first!r}")
     other = "meet" if first == "join" else "join"
     leq = p.leq
-    table, miss = _bound_search(leq, first)
+    orders = {"join": leq, "meet": leq.T}
+    table, miss = _bound_search(orders[first])
     bottom, top = np.flatnonzero(leq.all(axis=1)), np.flatnonzero(leq.all(axis=0))
     if miss is None and bottom.size and top.size:
-        tables = {first: table, other: partial(_pending_table, leq, other)}
+        tables = {first: table, other: None}
         return FiniteLattice(p, tables["meet"], tables["join"], bottom[0], top[0], edges)
     # a poset with both tables has both extremes, so one side misses a bound
     misses = [(*m, side == "meet", side) for side, m in
-              ((first, miss), (other, _bound_search(leq, other)[1])) if m is not None]
+              ((first, miss), (other, _bound_search(orders[other])[1])) if m is not None]
     i, j, _, side = min(misses)
     raise NotALatticeError(_KINDS[side], (i, j), p.labels)
 
 
-def _pending_table(leq: np.ndarray, side: str) -> np.ndarray:
-    'The table a lattice that bound_tables proved builds on the first read of side.'
-    table, miss = _bound_search(leq, side)
-    if miss is not None:
-        raise AssertionError(f"a proven lattice lacks the {_KINDS[side]} of {miss}")
-    return table
+def _bound_search(leq: np.ndarray):
+    """The join table of the partial order leq, in any memory layout; the
+    meet table of an order is this search of its transpose. Returns
+    (table, None), or (None, (i, j)) for the first pair lacking a join,
+    in row-major order over i <= j.
 
-
-def _bound_search(leq: np.ndarray, side: str):
-    """One side of the bound tables of the partial order leq: the join
-    table for side "join", the meet table for "meet". Returns (table,
-    None), or (None, (i, j)) for the first pair lacking that bound, in
-    row-major order over i <= j.
-
-    A comparable pair is its own bound: when i <= j the lub is j and the
-    glb is i, so those entries are filled straight from the order. Only
-    incomparable pairs are searched. An element is recoverable from its
-    up-set (or down-set) row, so the least upper bound of i, j exists iff
-    their up-set intersection is the up-set of some element. The search
-    proposes in bulk, a row block at a time: float32 matmuls count and
-    hash every intersection, and a lookup among the elements' own hashed
-    rows proposes a candidate; a block whose pairs are all comparable
-    runs no matmul. Each candidate is then checked exactly, so the table
-    never depends on the hash. A pair whose candidate fails the check is
-    re-decided by a dictionary lookup of its intersection, in scan order.
-    In a partial order a comparable pair always has both bounds, so
-    skipping them moves no witness.
+    A comparable pair is its own join: when i <= j it is j, so those
+    entries are filled straight from the order. Only incomparable pairs
+    are searched. An element is recoverable from its up-set row, so the
+    least upper bound of i, j exists iff their up-set intersection is
+    the up-set of some element. The search proposes in bulk, a row block
+    at a time: float32 matmuls count and hash every intersection, and a
+    lookup among the elements' own hashed rows proposes a candidate; a
+    block whose pairs are all comparable runs no matmul. Each candidate
+    is then checked exactly, so the table never depends on the hash. A
+    pair whose candidate fails the check is re-decided by a dictionary
+    lookup of its intersection, in scan order. In a partial order a
+    comparable pair always has a join, so skipping them moves no witness.
     """
     n = len(leq)
-    join = side == "join"
-    # up-sets propose joins and down-sets meets
-    rows = leq if join else leq.T
     ids = np.arange(n, dtype=np.int32)
     table = np.zeros((n, n), dtype=np.int32)
     propose = row_keys = None
     for s in range(0, n, BLOCK_ROWS):
         e = min(s + BLOCK_ROWS, n)
         up = leq[s:e, s:]
-        lo, hi = ids[s:e, None], ids[s:]
-        blk = np.where(up, hi, lo) if join else np.where(up, lo, hi)
+        # j where i <= j and i elsewhere; np.where takes up's layout, and the
+        # block is made C-ordered so that blk.reshape(-1) below is a view
+        blk = np.ascontiguousarray(np.where(up, ids[s:], ids[s:e, None]))
         # the block's incomparable pairs, both triangles of its diagonal square
         # so the transposed copy below is filled too
         pairs = np.flatnonzero(~(up | leq[s:, s:e].T))
         if pairs.size:
             if propose is None:
-                # a C-order copy, so both sides' matmuls read rows alike
-                u = rows.astype(np.float32, order="C")
-                propose = _bound_proposer(rows, u, _hash_weights(n))
+                # a C-order copy, so a transposed order's matmuls read rows too
+                u = leq.astype(np.float32, order="C")
+                propose = _bound_proposer(leq, u, _hash_weights(n))
             cand, ok = propose(s, e, pairs)
             blk.reshape(-1)[pairs] = cand
         table[s:e, s:] = blk
@@ -587,8 +578,8 @@ def _bound_search(leq: np.ndarray, side: str):
             b, c = divmod(int(pairs[k]), n - s)
             i, j = s + b, s + c
             if row_keys is None:
-                row_keys = {rows[x].tobytes(): x for x in range(n)}
-            found = row_keys.get((rows[i] & rows[j]).tobytes())
+                row_keys = {leq[x].tobytes(): x for x in range(n)}
+            found = row_keys.get((leq[i] & leq[j]).tobytes())
             if found is None:
                 return None, (i, j)
             table[i, j] = table[j, i] = found
@@ -678,16 +669,13 @@ def dual(lat: FiniteLattice) -> FiniteLattice:
     order its down-set rows, the tables and bounds swap and the edges
     turn round. Only lat.down_rows is ever copied, once per lattice, so
     two duals share it and the dual of a dual reads lat's own arrays.
-    A table lat has not built yet stays pending: the dual's first read
-    builds it in lat and shares it. Nothing is re-checked: labels,
-    read-only arrays and bounds all come from lat, which its constructor
-    checked."""
-    tables = {}
-    for name, source in (("meet", "join"), ("join", "meet")):
-        if source in vars(lat):
-            tables[name] = vars(lat)[source]
-        else:
-            tables["_pending_" + name] = partial(getattr, lat, source)
+    The dual shares the tables lat has built; any other waits for the
+    dual's first read, which searches the dual's own order. Nothing is
+    re-checked: labels, read-only arrays and bounds all come from lat,
+    which its constructor checked."""
+    # a table left out of the instance's dict is one that waits
+    tables = {name: vars(lat)[source] for name, source in (("meet", "join"), ("join", "meet"))
+              if source in vars(lat)}
     poset = _prechecked(FinitePoset, labels=lat.labels, leq=lat.down_rows, size=lat.size)
     return _prechecked(FiniteLattice, poset=poset, **tables,
                        bottom=lat.top, top=lat.bottom, size=lat.size,

@@ -26,13 +26,20 @@ def monotone_scans(monkeypatch):
 
 @pytest.fixture
 def bound_searches(monkeypatch):
-    'The side, "join" or "meet", of every one-side bound search, eager or pending.'
+    """The table, "join" or "meet", that every bound search builds, eager
+    or waiting. A poset's order owns its memory (see lattice._frozen), so
+    a join search reads an order itself and a meet search reads a view of
+    one, its transpose."""
     sides = []
     real = mucofix.lattice._bound_search
 
-    def recording(leq, side):
-        sides.append(side)
-        return real(leq, side)
+    def recording(order):
+        if order.base is None:
+            sides.append("join")
+        else:
+            assert (order == order.base.T).all()
+            sides.append("meet")
+        return real(order)
 
     monkeypatch.setattr(mucofix.lattice, "_bound_search", recording)
     return sides

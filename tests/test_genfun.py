@@ -105,6 +105,9 @@ def test_public_constructors_still_check_values_the_duals_built(flags):
                                         "element id 3 out of range 0..2"]
 
 
+SWAP = {"meet": "join", "join": "meet"}
+
+
 def checked_dual(lat):
     'The order-dual through the public constructors, every check run.'
     return FiniteLattice(FinitePoset(lat.labels, lat.poset.leq.T), lat.join, lat.meet,
@@ -115,23 +118,27 @@ def test_dual_pair_equals_the_checked_construction(d4):
     for lat_o, lat_p, f, g in ((d4, chain(3), (0, 1, 1, 2), (0, 1, 3)),
                                (n5(), d4, (0, 0, 1, 2, 3), (4, 1, 3, 0))):
         mp = MutualPair(lat_o, lat_p, f, g)
-        got, want = dual_pair(mp), MutualPair(checked_dual(lat_o), checked_dual(lat_p), f, g)
-        for lat, a, b in ((lat_o, got.dom_o, want.dom_o), (lat_p, got.dom_p, want.dom_p)):
+        built = [vars(lat).keys() & {"meet", "join"} for lat in (lat_o, lat_p)]
+        got = dual_pair(mp)
+        want = MutualPair(checked_dual(lat_o), checked_dual(lat_p), f, g)
+        for lat, a, b, had in ((lat_o, got.dom_o, want.dom_o, built[0]),
+                               (lat_p, got.dom_p, want.dom_p, built[1])):
             # a dual also keeps its down-set rows, which are the lattice's own
-            # order, and a side the lattice had not built waits as a pending
-            # table until its first read
-            pending = {k for k in vars(a) if k.startswith("_pending_")}
-            assert len(pending) <= 1
-            assert vars(a).keys() - pending <= vars(b).keys() | {"down_rows"}
-            # reading both tables builds the pending one in lat and shares it
-            assert a.meet is lat.join and a.join is lat.meet
-            assert vars(a).keys() == vars(b).keys() | {"down_rows"} | pending
+            # order; it shares each table the lattice had built, and any other
+            # waits for its first read, which searches the dual's own order
+            waiting = {"meet", "join"} - {SWAP[x] for x in had}
+            assert vars(a).keys() | waiting == vars(b).keys() | {"down_rows"}
+            assert not waiting & vars(a).keys() and len(waiting) <= 1
+            for name in {"meet", "join"} - waiting:
+                assert getattr(a, name) is getattr(lat, SWAP[name])
             assert a.down_rows is lat.poset.leq
             assert vars(a.poset).keys() == vars(b.poset).keys()
             assert (a.labels, a.size, a.bottom, a.top) == (b.labels, b.size, b.bottom, b.top)
             assert a.poset.leq.flags.c_contiguous
             for x, y in ((a.poset.leq, b.poset.leq), (a.meet, b.meet), (a.join, b.join)):
                 assert x.dtype == y.dtype and not x.flags.writeable and (x == y).all()
+            # reading the waiting table kept it
+            assert vars(a).keys() == vars(b).keys() | {"down_rows"}
             assert (a.edges is None) == (b.edges is None)
             for x, y in () if a.edges is None else zip(a.edges, b.edges):
                 assert x.dtype == y.dtype and not x.flags.writeable and (x == y).all()
@@ -160,6 +167,18 @@ def test_pair_functions_are_built_once(c2, d4):
     twin = MutualPair(c2, d4, (0, 3), (0, 0, 1, 1))
     assert mp == twin    # the cached functions are not fields
     assert replace(mp, f=(1, 3)).f_fn.table == (1, 3)
+
+
+def test_lattices_compare_by_identity_so_pairs_hash(c2, d4):
+    # the generated comparison of order matrices raised; identity cannot
+    a, b = chain(3), chain(3)
+    assert a != b and a.poset != b.poset and a == a and a.poset == a.poset
+    assert len({a, b, a}) == 2
+    mp = MutualPair(c2, d4, (0, 3), (0, 0, 1, 1))
+    twin = MutualPair(c2, d4, (0, 3), (0, 0, 1, 1))
+    assert hash(mp) == hash(twin) and len({mp, twin, dual_pair(mp)}) == 2
+    assert hash(mp.f_fn) == hash(twin.f_fn) and mp.f_fn == twin.f_fn
+    assert MutualPair(c2, diamond(), (0, 3), (0, 0, 1, 1)) != mp
 
 
 def test_monotone_failure_is_scanned_once_per_pair(monotone_scans, c2, d4):

@@ -323,9 +323,21 @@ def test_only_the_order_checks_compose_in_lattice():
     assert name_reads((SRC / "lattice.py").read_text(), "compose", COMPOSE_READERS) == []
 
 
+def test_one_bound_search_builds_joins_and_no_table_is_a_callable():
+    # a meet table is the join table of the transposed order, so the search
+    # takes the order alone; a table not yet built is None, not a function
+    # kept under a second name
+    source = (SRC / "lattice.py").read_text()
+    search = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_bound_search")
+    assert [a.arg for a in search.args.args] == ["leq"]
+    assert not (search.args.vararg or search.args.kwarg or search.args.kwonlyargs)
+    assert "_pending_" not in source
+
+
 def test_only_the_one_side_search_reads_the_bound_proposer():
-    # every bound table, eager or pending, comes out of one search of one
-    # side, so a second bound search cannot come back beside it
+    # every bound table, given or waiting, comes out of one join search,
+    # so a second bound search cannot come back beside it
     source = (SRC / "lattice.py").read_text()
     assert name_reads(source, "_bound_proposer", ("_bound_search",)) == []
     assert name_reads(source.replace("def _bound_search(", "def _search_both("),

@@ -345,6 +345,48 @@ def test_one_side_accepts_and_names_what_both_sides_did():
     assert one_side_verdict(no_bottom.T, "meet") == ("lub", (0, 1))
 
 
+def other_layouts(leq):
+    'The order-dual of leq as a transposed view and leq in Fortran order: neither is C-ordered.'
+    return [leq.T, np.asfortranarray(leq)]
+
+
+def test_bound_tables_do_not_depend_on_the_order_layout():
+    # a search block took its order's layout, and a reshape of a Fortran-
+    # ordered block is a copy, so the proposals written through it were
+    # lost: the 3x3 grid's dual got (1,0) as the join of (0,1) and (1,0)
+    grid = product(chain(3), chain(3))
+    dual_grid = FinitePoset(grid.labels, grid.poset.leq.T)
+    lat = validate_lattice(dual_grid)
+    assert not lat.poset.leq.flags.c_contiguous
+    a, b = lat.index("(0,1)"), lat.index("(1,0)")
+    assert lat.label(lat.join[a, b]) == "(0,0)" and lat.label(lat.meet[a, b]) == "(1,1)"
+    small = [grid, n5(), m3(), diamond(), chain(4)]
+    for k, ref in enumerate(small + [grid_lattice(13, 13), chain_under_a_diamond()]):
+        for leq in other_layouts(ref.poset.leq):
+            poset = FinitePoset(ref.labels, leq)
+            want = validate_lattice(FinitePoset(ref.labels, np.ascontiguousarray(leq)))
+            got = [validate_lattice(poset)] + [lattice.bound_tables(poset, first)
+                                               for first in ("join", "meet")]
+            for lat in got:
+                assert not lat.poset.leq.flags.c_contiguous and same_tables(lat, want)
+            if k < len(small):
+                rel = leq.tolist()
+                n = len(rel)
+                assert want.meet.tolist() == [[glb_scan(rel, [i, j]) for j in range(n)]
+                                              for i in range(n)]
+                assert want.join.tolist() == [[lub_scan(rel, [i, j]) for j in range(n)]
+                                              for i in range(n)]
+    # non-lattices name the oracle's witness in every layout, on either side
+    for leq in random_dag_closures(11, 120):
+        rel = leq.tolist()
+        for other in other_layouts(leq):
+            want = [one_side_verdict(np.ascontiguousarray(other), first)
+                    for first in ("join", "meet")]
+            assert [one_side_verdict(other, first) for first in ("join", "meet")] == want
+            if not is_lattice_oracle(rel):
+                assert want[0] == first_missing_bound_oracle(other.tolist())
+
+
 @pytest.mark.parametrize("first", ["join", "meet"])
 def test_the_antichain_document_is_refused_on_either_side(first):
     doc = json.loads((DATA / "antichain3.json").read_text())
@@ -353,22 +395,28 @@ def test_the_antichain_document_is_refused_on_either_side(first):
     assert (err.value.kind, err.value.pair) == first_missing_bound_oracle(np.eye(3).tolist())
 
 
-def test_a_dual_builds_a_pending_side_once_and_shares_it(bound_searches):
+def test_a_dual_shares_the_tables_its_lattice_has_built(bound_searches):
     sides = bound_searches
     poset = grid_lattice(5, 6).poset
     lat = lattice.bound_tables(poset)
     d = dual(lat)
     assert sides == ["join"] and "join" not in vars(d) and d.meet is lat.join
-    # the dual's first read builds the lattice's meet table, which both keep
-    assert d.join is lat.meet and sides == ["join", "meet"]
-    assert dual(lat).join is lat.meet and dual(d).meet is lat.meet
-    assert sides == ["join", "meet"]
-    # the other way round: the lattice's own read serves the waiting dual
+    # a table lat had not built waits in the dual too, and the dual's first
+    # read searches the joins of its own order, which are lat's meets
+    assert sides == ["join"] and (d.join == lat.meet).all() and d.join is not lat.meet
+    assert sides == ["join", "join", "meet"]
+    # a dual made after a table is built shares it, and searches nothing
+    assert dual(lat).join is lat.meet and dual(d).meet is d.join
+    assert dual(d).join is lat.join and sides == ["join", "join", "meet"]
+    # the other way round: a waiting join of lat is not shared with its dual
     sides.clear()
     lat = lattice.bound_tables(poset, "meet")
     d = dual(lat)
     twice = dual(d)
-    assert lat.join is d.meet is twice.join and sides == ["meet", "join"]
+    assert d.join is lat.meet and twice.meet is lat.meet and sides == ["meet"]
+    assert (d.meet == lat.join).all() and sides == ["meet", "meet", "join"]
+    assert (twice.join == lat.join).all() and twice.join is not lat.join
+    assert sides == ["meet", "meet", "join", "join"]
 
 
 def test_validation_leaves_numpy_random_unloaded():
@@ -489,14 +537,16 @@ def test_dual_swaps_everything():
 
 
 def test_constructors_keep_arrays_of_the_right_dtype(monkeypatch):
-    # a dual shares the lattice's tables and its down-set rows, so after
-    # those rows are first made, building a dual copies nothing
+    # a dual shares the lattice's built tables and its down-set rows, so
+    # after those rows are first made, building a dual copies nothing
     lat = n5()
     d = dual(lat)
     assert d.poset.leq is lat.down_rows and d.down_rows is lat.poset.leq
-    assert d.meet is lat.join and d.join is lat.meet
+    assert d.meet is lat.join and "join" not in vars(d)
+    # once lat builds the table it had left waiting, a later dual shares it
+    waited = lat.meet
     again = dual(lat)
-    assert again.poset.leq is d.poset.leq and again.meet is d.meet and again.join is d.join
+    assert again.poset.leq is d.poset.leq and again.meet is d.meet and again.join is waited
     r = np.arange(3)
     leq = r[:, None] <= r[None, :]
     meet = np.minimum.outer(r, r).astype(np.int32)
@@ -528,16 +578,22 @@ def test_a_dual_reads_the_down_set_rows_made_once():
     for lat in (n5(), chain(6), powerset_lattice(3), product(chain(3), diamond()),
                 mask_lattice([0, 1, 2, 3], ("0", "a", "b", "ab"))):
         assert "down_rows" not in vars(lat)
+        built = vars(lat).keys() & {"meet", "join"}
         d = dual(lat)
         rows = d.poset.leq
         assert rows.flags.c_contiguous and not rows.flags.writeable
         assert rows.dtype == bool and (rows == lat.poset.leq.T).all()
         assert rows is lat.down_rows
-        # a second dual shares the rows, and the dual of a dual is lat's own order
+        # a second dual shares the rows, and the dual of a dual is lat's own
+        # order; it shares the tables lat had built and searches any other
         assert dual(lat).poset.leq is rows
         twice = dual(d)
         assert twice.poset.leq is lat.poset.leq and twice.down_rows is rows
-        assert twice.meet is lat.meet and twice.join is lat.join
+        for name in ("meet", "join"):
+            if name in built:
+                assert getattr(twice, name) is getattr(lat, name)
+            else:
+                assert (getattr(twice, name) == getattr(lat, name)).all()
         assert (twice.bottom, twice.top) == (lat.bottom, lat.top)
 
 

@@ -19,21 +19,22 @@ from operator import eq
 import numpy as np
 import pytest
 
-from mucofix import (InstanceGenSpec, MutualPair, NotMonotoneError, PairPoint,
+from mucofix import (FinitePoset, InstanceGenSpec, MutualPair, NotMonotoneError, PairPoint,
                      Verdict, chain, check_mutual_coinduction,
                      check_mutual_induction, corpus, diamond,
                      dual_pair, ensure_monotone, gen_lattice, gen_monotone_pair,
                      gsfp_direct, gsfp_product, gsfp_tarski_oracle, is_monotone,
                      is_sim_fixed, is_sim_postfixed, is_sim_prefixed,
                      kleene_implicit, lsfp_direct, lsfp_product,
-                     lsfp_tarski_oracle, m3, n5, product, split_seed, standard_embed)
+                     lsfp_tarski_oracle, m3, n5, product, split_seed, standard_embed,
+                     validate_lattice)
 from mucofix.genfun import BINARY
 from mucofix.lattice import DEFAULT_CAP
 from mucofix.solvers import _tarski_meet
 from mucofix.verifier import FAMILIES, _check_l1, _instance, _sweep
 
-from oracles import (gfp_scan, lfp_scan, longest_chain_edges, monotone_witness_oracle,
-                     sim_kleene_oracle, tarski_meet_oracle)
+from oracles import (gfp_scan, lfp_scan, longest_chain_edges, lub_scan,
+                     monotone_witness_oracle, sim_kleene_oracle, tarski_meet_oracle)
 
 SOLVERS = (lsfp_direct, gsfp_direct, lsfp_product, gsfp_product,
            lsfp_tarski_oracle, gsfp_tarski_oracle)
@@ -112,6 +113,29 @@ def test_strategies_agree_exhaustively(lat_o, lat_p):
         assert gsfp_tarski_oracle(mp) == nu
         assert is_sim_fixed(mp, nu)
         assert mp.dom_o.leq(mu.o, nu.o) and mp.dom_p.leq(mu.p, nu.p)
+
+
+def monotone_by_scan(rng, dom, cod):
+    'x to the lub scan of random images of the down-set of x: monotone, read off the orders only.'
+    images = [rng.randrange(cod.size) for _ in range(dom.size)]
+    below, rel = dom.poset.leq.T.tolist(), cod.poset.leq.tolist()
+    return tuple(lub_scan(rel, [images[y] for y in range(dom.size) if row[y]]) for row in below)
+
+
+def test_strategies_agree_over_orders_in_any_layout():
+    # the 3x3 grid's dual as a transposed view and the grid in Fortran
+    # order, neither C-ordered; every strategy must reach plain Kleene
+    grid = product(chain(3), chain(3)).poset
+    lat_o = validate_lattice(FinitePoset(grid.labels, grid.leq.T))
+    lat_p = validate_lattice(FinitePoset(grid.labels, np.asfortranarray(grid.leq)))
+    rng = random.Random(3)
+    for _ in range(40):
+        f, g = monotone_by_scan(rng, lat_o, lat_p), monotone_by_scan(rng, lat_p, lat_o)
+        mp = MutualPair(lat_o, lat_p, f, g)
+        mu = PairPoint(*sim_kleene_oracle(f, g, (lat_o.bottom, lat_p.bottom)))
+        nu = PairPoint(*sim_kleene_oracle(f, g, (lat_o.top, lat_p.top)))
+        assert [lsfp_direct(mp).mu, lsfp_product(mp).mu, lsfp_tarski_oracle(mp)] == [mu] * 3
+        assert [gsfp_direct(mp).nu, gsfp_product(mp).nu, gsfp_tarski_oracle(mp)] == [nu] * 3
 
 
 def greatest_by_every_route(mp):
