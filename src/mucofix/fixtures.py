@@ -6,20 +6,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import FiniteLattice, FinitePoset, powerset_lattice, product, validate_lattice
+from .lattice import (ID, FiniteLattice, FinitePoset, check_id_capacity, powerset_lattice,
+                      product, validate_lattice)
 
 
 def chain(n: int) -> FiniteLattice:
-    'Total order 0 < 1 < ... < n-1, generated by the edges i -> i+1.'
+    """Total order 0 < 1 < ... < n-1, generated by the edges i -> i+1.
+    The ids are made as ID, so each table is written in ID directly."""
     if n < 1:
         raise ValueError("a chain needs at least one element")
-    r = np.arange(n)
+    check_id_capacity(n)
+    r = np.arange(n, dtype=ID)
     leq = r[:, None] <= r[None, :]
-    meet = np.minimum.outer(r, r).astype(np.int32)
-    join = np.maximum.outer(r, r).astype(np.int32)
+    meet = np.minimum.outer(r, r)
+    join = np.maximum.outer(r, r)
     for table in (leq, meet, join):
         table.flags.writeable = False
-    return FiniteLattice(FinitePoset(tuple(str(i) for i in r), leq), meet, join, 0, n - 1,
+    return FiniteLattice(FinitePoset(tuple(map(str, range(n))), leq), meet, join, 0, n - 1,
                          (r[:-1], r[1:]))
 
 

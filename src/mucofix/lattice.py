@@ -7,6 +7,10 @@ lattice is complete, which is why subset meets and joins reduce to folds
 over the binary tables. All values here are immutable after construction
 and safe to share between threads.
 
+Ids are int16 (ID) in every meet and join table, the largest arrays a
+lattice keeps, so a table takes half the bytes of an int32 one; edges
+are int32, the width in which documents read them.
+
 One search builds every bound table: the join table of the order it is
 given. The meets of an order are the joins of its dual, so a meet table
 is the join table of the transposed order, searched as a view. A finite
@@ -40,6 +44,12 @@ import numpy as np
 # the one element cap for explicit lattices; read at each call, not at import
 DEFAULT_CAP = 4096
 
+# the dtype of every bound table. int16 holds ids up to 2^15 - 1, so a
+# carrier of at most ID_CAP = 2^15 elements fits, and DEFAULT_CAP = 4096
+# is far below that; check_id_capacity refuses a larger one, so no id wraps
+ID = np.int16
+ID_CAP = 1 << 15
+
 
 class LatticeError(Exception):
     """Base class for structural order failures."""
@@ -63,6 +73,12 @@ class NotALatticeError(LatticeError):
 
 class CapacityError(LatticeError):
     """A size cap was exceeded; raise rather than grind on huge tables."""
+
+
+def check_id_capacity(n: int):
+    'Refuse n elements whose ids would not fit ID, before any table is made.'
+    if n > ID_CAP:
+        raise CapacityError(f"{n} elements exceeds the {ID_CAP} ids a bound table holds")
 
 
 def _frozen(arr, dtype) -> np.ndarray:
@@ -117,7 +133,8 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Relational composition of boolean matrices: out[i, k] iff a[i, j]
     and b[j, k] for some j. The path counts are summed in float32, which
     is exact to 2^24 paths, far above any carrier the caps admit."""
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+    fa = a.astype(np.float32)
+    return (fa @ (fa if b is a else b.astype(np.float32))) > 0
 
 
 def closure(n: int, src, dst) -> tuple[np.ndarray, bool]:
@@ -227,7 +244,7 @@ class SearchLists(NamedTuple):
     meet: tuple[tuple[int, ...], ...]     # meet[i][j]: the meet of i and j
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FiniteLattice:
     """A valid finite poset plus binary meet/join tables and both bounds.
 
@@ -235,7 +252,11 @@ class FiniteLattice:
     direct routes are cross-checked against validate_lattice in the test
     suite. Treat instances as immutable. edges, when given, are two id
     arrays (src, dst) whose reflexive-transitive closure is the order;
-    the caller vouches for that, as the constructors' tests check.
+    the caller vouches for that, as the constructors' tests check. Tables
+    are kept as ID (int16) arrays and edges as int32 arrays; a table of
+    another dtype is range-checked before it is converted, so an id out of
+    range is refused rather than wrapped. Above ID_CAP elements the
+    constructor raises CapacityError.
 
     A bound table given as None waits for its first reader: the first
     read of lat.join searches the order's joins, that of lat.meet the
@@ -255,13 +276,17 @@ class FiniteLattice:
 
     def __post_init__(self):
         n = self.poset.size
+        check_id_capacity(n)
         object.__setattr__(self, "size", n)
         for name in ("meet", "join"):
             table = self.__dict__.pop(name)
             if table is not None:
-                table = self.__dict__[name] = _frozen(table, np.int32)
+                table = np.asarray(table)
                 if table.shape != (n, n):
                     raise ValueError("bound tables must match the carrier")
+                if table.dtype != ID and not (0 <= table.min() and table.max() < n):
+                    raise ValueError("bound tables must name elements of the carrier")
+                self.__dict__[name] = _frozen(table, ID)
         if self.edges is not None:
             src, dst = (_frozen(x, np.int32) for x in self.edges)
             if src.ndim != 1 or src.shape != dst.shape:
@@ -284,6 +309,10 @@ class FiniteLattice:
             raise AssertionError(f"a proven lattice lacks the {_KINDS[name]} of {miss}")
         self.__dict__[name] = table
         return table
+
+    def __repr__(self) -> str:
+        # the tables are left out: printing them would search a waiting one
+        return f"{type(self).__name__}(size={self.size}, labels={self.labels!r})"
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -433,8 +462,8 @@ def _hash_weights(n: int) -> np.ndarray:
 
 
 def _set_keys(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    'One int64 key from two exact weighted sums, each at most 2^24.'
-    return h1.astype(np.int64) << 25 | h2.astype(np.int64)
+    'One uint64 key from two exact weighted sums, each at most 2^24.'
+    return h1.astype(np.uint64) << np.uint64(25) | h2.astype(np.uint64)
 
 
 def _bound_proposer(leq: np.ndarray, u: np.ndarray, w: np.ndarray):
@@ -549,8 +578,9 @@ def _bound_search(leq: np.ndarray):
     comparable pair always has a join, so skipping them moves no witness.
     """
     n = len(leq)
-    ids = np.arange(n, dtype=np.int32)
-    table = np.zeros((n, n), dtype=np.int32)
+    check_id_capacity(n)
+    ids = np.arange(n, dtype=ID)
+    table = np.zeros((n, n), dtype=ID)
     propose = row_keys = None
     for s in range(0, n, BLOCK_ROWS):
         e = min(s + BLOCK_ROWS, n)
@@ -588,9 +618,12 @@ def _bound_search(leq: np.ndarray):
 
 
 def _componentwise(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    'Product bound table: pairs (i*|B| + j, k*|B| + l) map to ta[i, k]*|B| + tb[j, l].'
+    """Product bound table: pairs (i*|B| + j, k*|B| + l) map to ta[i, k]*|B| + tb[j, l].
+    The sum is at most |A|*|B| - 1, an id of the product, which product
+    has capped; the Python int nb takes the tables' dtype, so ta * nb is
+    computed in ID without a wider temporary."""
     na, nb = len(ta), len(tb)
-    out = np.empty((na * nb, na * nb), dtype=np.int32)
+    out = np.empty((na * nb, na * nb), dtype=ID)
     np.add((ta * nb)[:, None, :, None], tb[None, :, None, :], out=out.reshape(na, nb, na, nb))
     out.flags.writeable = False
     return out
@@ -604,6 +637,7 @@ def product(lat_a: FiniteLattice, lat_b: FiniteLattice) -> FiniteLattice:
     n = lat_a.size * nb
     if n > DEFAULT_CAP:
         raise CapacityError(f"product size {n} exceeds the explicit cap {DEFAULT_CAP}")
+    check_id_capacity(n)
     labels = tuple(f"({x},{y})" for x in lat_a.labels for y in lat_b.labels)
     leq = np.kron(lat_a.poset.leq.astype(np.uint8), lat_b.poset.leq.astype(np.uint8)).astype(bool)
     leq.flags.writeable = False
@@ -645,7 +679,7 @@ def mask_lattice(masks, labels) -> FiniteLattice:
     """Bitmasks under inclusion, element i being masks[i]. The family must be closed
     under & and |, which then give the bounds, and list its least mask first and greatest last."""
     arr = np.asarray(masks, dtype=np.int32)
-    pos = np.zeros(int(arr.max()) + 1, dtype=np.int32)
+    pos = np.zeros(int(arr.max()) + 1, dtype=ID)
     pos[arr] = np.arange(len(arr))
     leq = (arr[:, None] & ~arr[None, :]) == 0
     meet = pos[arr[:, None] & arr[None, :]]

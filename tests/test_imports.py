@@ -3,8 +3,9 @@ module-level private name is used somewhere in the package, every
 exception class the package defines can be raised, no module reads
 the process environment, the Tarski oracle folds take nothing from
 the point-classification kernels or numpy that they are meant to check,
-and in lattice.py only the order checks square an order and only the
-one-side bound search proposes bounds.
+in lattice.py only the order checks square an order and only the
+one-side bound search proposes bounds, and no lattice builder names a
+dtype wider than a bound table's but where it makes edges or masks.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
 `__init__.py` is skipped for imports: they are the package's public
@@ -342,3 +343,44 @@ def test_only_the_one_side_search_reads_the_bound_proposer():
     assert name_reads(source, "_bound_proposer", ("_bound_search",)) == []
     assert name_reads(source.replace("def _bound_search(", "def _search_both("),
                       "_bound_proposer", ("_bound_search",))
+
+
+def dtype_names(source: str, dtype: str) -> list[str]:
+    """Where source names dtype, as an attribute (np.int32) or a bare
+    name, by the qualified name of the innermost enclosing function or
+    class ("module" outside any)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner != "module" else child.name)
+                continue
+            if ((isinstance(child, ast.Attribute) and child.attr == dtype)
+                    or (isinstance(child, ast.Name) and child.id == dtype)):
+                found.append(f"{owner} (line {child.lineno})")
+            visit(child, owner)
+    visit(ast.parse(source), "module")
+    return found
+
+
+def test_the_check_sees_a_wide_dtype():
+    source = ("import numpy as np\nfrom numpy import int64\nW = np.int32\n"
+              "class L:\n    def __post_init__(self):\n        return np.int32\n"
+              "def build(n):\n    def inner():\n        return np.zeros(n, int64)\n"
+              "    return inner, np.uint64\n")
+    assert dtype_names(source, "int32") == ["module (line 3)", "L.__post_init__ (line 6)"]
+    assert dtype_names(source, "int64") == ["build.inner (line 9)"]
+
+
+# the lattice builders that make edges or masks, which stay int32
+EDGE_MAKERS = {"FiniteLattice.__post_init__", "powerset_lattice", "mask_lattice"}
+
+
+@pytest.mark.parametrize("name", ["lattice.py", "fixtures.py"])
+def test_no_builder_makes_a_table_wider_than_its_ids(name):
+    # _frozen copies a table of another dtype down to int16 without a word,
+    # so a wider table would cost a copy and twice the memory unseen
+    source = (SRC / name).read_text()
+    assert dtype_names(source, "int64") == []
+    assert {where.split(" ")[0] for where in dtype_names(source, "int32")} <= EDGE_MAKERS

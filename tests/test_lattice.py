@@ -22,6 +22,7 @@ import mucofix
 from mucofix import (CapacityError, FiniteLattice, FinitePoset, NotALatticeError,
                      NotAPosetError, chain, corpus, cover_edges, diamond, dual, m3,
                      n5, powerset_lattice, product, validate_lattice)
+import mucofix.fixtures as fixtures
 import mucofix.lattice as lattice
 import mucofix.verifier as verifier
 from mucofix.lattice import antisymmetry_gap, closure, mask_lattice, poset_violation
@@ -549,8 +550,8 @@ def test_constructors_keep_arrays_of_the_right_dtype(monkeypatch):
     assert again.poset.leq is d.poset.leq and again.meet is d.meet and again.join is waited
     r = np.arange(3)
     leq = r[:, None] <= r[None, :]
-    meet = np.minimum.outer(r, r).astype(np.int32)
-    join = np.maximum.outer(r, r).astype(np.int32)
+    meet = np.minimum.outer(r, r).astype(np.int16)
+    join = np.maximum.outer(r, r).astype(np.int16)
     for x in (leq, meet, join):
         x.flags.writeable = False
     # read-only arrays that own their memory are kept, as built tables are
@@ -558,7 +559,7 @@ def test_constructors_keep_arrays_of_the_right_dtype(monkeypatch):
     assert built.poset.leq is leq and built.meet is meet and built.join is join
     # tables of another dtype are converted, and the caller's array is left alone
     wide = np.maximum.outer(r, r)
-    assert FiniteLattice(built.poset, meet, wide, 0, 2).join.dtype == np.int32
+    assert FiniteLattice(built.poset, meet, wide, 0, 2).join.dtype == np.int16
     assert wide.flags.writeable
     # mask_lattice builds its three tables itself, so the constructors keep them
     kept = []
@@ -566,12 +567,127 @@ def test_constructors_keep_arrays_of_the_right_dtype(monkeypatch):
 
     def recording(arr, dtype):
         out = real(arr, dtype)
-        kept.append(out is arr)
+        kept.append((dtype, out is arr))
         return out
     monkeypatch.setattr(lattice, "_frozen", recording)
     lat = mask_lattice([0, 1, 2, 3], ("0", "a", "b", "ab"))
-    assert kept == [True, True, True]
+    assert kept == [(bool, True), (lattice.ID, True), (lattice.ID, True)]
     assert not any(t.flags.writeable for t in (lat.poset.leq, lat.meet, lat.join))
+    # every builder makes int16 tables, read-only and owning their memory,
+    # so the constructors keep each one, a product's factors' included; a
+    # waiting table is built in that dtype at its first read, and a dual
+    # shares the tables or searches its own in that dtype too
+    doc = {"elements": ["a", "b", "c", "d"], "leq": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}
+    for build in (lambda: chain(5), lambda: product(chain(3), diamond()),
+                  lambda: powerset_lattice(3), lambda: mask_lattice([0, 1, 2, 3], "0ab+"),
+                  lambda: validate_lattice(n5().poset), lambda: lattice.bound_tables(n5().poset),
+                  lambda: lattice.bound_tables(n5().poset, "meet"),
+                  lambda: parse_lattice_doc(doc), lambda: parse_lattice_doc(doc, "meet")):
+        kept.clear()
+        lat = build()
+        assert vars(lat).keys() & {"meet", "join"}
+        tables = [k for dtype, k in kept if dtype is lattice.ID]
+        assert tables and all(tables)
+        for name in ("meet", "join"):
+            assert_id_table(getattr(lat, name))
+        d = dual(lat)
+        assert d.meet is lat.join and d.join is lat.meet
+        waiting = dual(build())
+        for name in ("meet", "join"):
+            assert_id_table(getattr(waiting, name))
+
+
+def assert_id_table(table):
+    'A bound table as every builder makes it: int16, read-only, owning its memory.'
+    assert table.dtype == np.int16 and lattice.ID is np.int16
+    assert not table.flags.writeable and table.base is None
+
+
+@pytest.mark.parametrize("bad", [65537, -1, 3])
+def test_a_table_of_another_dtype_is_range_checked_before_conversion(bad):
+    # cast to int16, 65537 would read as id 1 and -1 would pass as an index
+    # from the end, so a wide table is checked before it is narrowed
+    lat = chain(3)
+    meet = np.minimum.outer(np.arange(3), np.arange(3))
+    assert meet.dtype == np.int64
+    meet[0, 2] = meet[2, 0] = bad
+    with pytest.raises(ValueError, match="must name elements of the carrier"):
+        FiniteLattice(lat.poset, meet, lat.join, 0, 2)
+    with pytest.raises(ValueError, match="must name elements of the carrier"):
+        FiniteLattice(lat.poset, lat.meet, meet.tolist(), 0, 2)
+    meet[0, 2] = meet[2, 0] = 0
+    assert (FiniteLattice(lat.poset, meet, lat.join, 0, 2).meet == lat.meet).all()
+
+
+def test_ids_past_int16_are_refused_before_any_table_is_made(monkeypatch):
+    n = 2 ** 15 + 1
+    factor = chain(200)
+    # chain makes every array with numpy, so without it any allocation fails
+    monkeypatch.setattr(fixtures, "np", None)
+    with pytest.raises(CapacityError, match="32768 ids"):
+        chain(n)
+    poset = lattice._prechecked(FinitePoset, labels=(), leq=None, size=n)
+    with pytest.raises(CapacityError, match="32768 ids"):
+        FiniteLattice(poset, None, None, 0, n - 1)
+    # a zero-stride view of n x n, so the search is asked without memory
+    with pytest.raises(CapacityError, match="32768 ids"):
+        lattice._bound_search(np.broadcast_to(np.True_, (n, n)))
+    def refuse(ta, tb):
+        raise AssertionError("product built tables past the ids")
+    # a product past the ids is refused before its tables, whatever the cap
+    monkeypatch.setattr(lattice, "_componentwise", refuse)
+    monkeypatch.setattr(lattice, "DEFAULT_CAP", 1 << 20)
+    with pytest.raises(CapacityError, match="32768 ids"):
+        product(factor, factor)
+
+
+def rows_in_blocks(n, step=256):
+    return [np.arange(s, min(s + step, n), dtype=np.int64) for s in range(0, n, step)]
+
+
+def test_tables_at_the_cap_equal_the_coordinate_bounds():
+    # the largest ids the cap admits, against bounds computed in int64
+    lat = chain(4096)
+    r = np.arange(4096, dtype=np.int64)
+    for rows in rows_in_blocks(4096):
+        assert (lat.meet[rows] == np.minimum.outer(rows, r)).all()
+        assert (lat.join[rows] == np.maximum.outer(rows, r)).all()
+    lat = product(chain(64), chain(64))
+    assert_id_table(lat.meet)
+    assert_id_table(lat.join)
+    k = np.arange(4096, dtype=np.int64)
+    row, col = k // 64, k % 64
+    for rows in rows_in_blocks(4096):
+        a, b = rows // 64, rows % 64
+        assert (lat.meet[rows] == np.minimum.outer(a, row) * 64 + np.minimum.outer(b, col)).all()
+        assert (lat.join[rows] == np.maximum.outer(a, row) * 64 + np.maximum.outer(b, col)).all()
+    assert int(lat.join.max()) == 4095 and int(lat.meet.min()) == 0
+
+
+def test_repr_names_the_size_and_labels_and_leaves_a_waiting_table_waiting(bound_searches):
+    poset = diamond().poset
+    bound_searches.clear()
+    lat = lattice.bound_tables(poset)
+    assert bound_searches == ["join"] and "meet" not in vars(lat)
+    assert repr(lat) == "FiniteLattice(size=4, labels=('bot', 'a', 'b', 'top'))"
+    assert bound_searches == ["join"] and "meet" not in vars(lat)
+    assert "array" not in repr(chain(3))
+
+
+def compose_as_two_casts(a, b):
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_of_one_matrix_with_itself_matches_two_casts(seed):
+    rng = random.Random(seed)
+
+    def draw(rows, cols, p):
+        return np.array([[rng.random() < p for _ in range(cols)] for _ in range(rows)])
+    a, b, square = draw(30, 20, 0.2), draw(20, 40, 0.2), draw(50, 50, 0.05 * (seed + 1))
+    assert (lattice.compose(a, b) == compose_as_two_casts(a, b)).all()
+    assert (lattice.compose(square, square) == compose_as_two_casts(square, square)).all()
+    assert (lattice.compose(square, square.copy()) == compose_as_two_casts(square, square)).all()
 
 
 def test_a_dual_reads_the_down_set_rows_made_once():
