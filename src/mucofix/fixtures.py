@@ -6,16 +6,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (ID, FiniteLattice, FinitePoset, check_id_capacity, powerset_lattice,
-                      product, validate_lattice)
+from . import lattice
+from .lattice import (ID, CapacityError, FiniteLattice, FinitePoset, check_id_capacity,
+                      powerset_lattice, product, validate_lattice)
 
 
 def chain(n: int) -> FiniteLattice:
     """Total order 0 < 1 < ... < n-1, generated by the edges i -> i+1.
-    The ids are made as ID, so each table is written in ID directly."""
+    The ids are made as ID, so each table is written in ID directly.
+    Above lattice.DEFAULT_CAP, read at each call, it raises CapacityError
+    before any array is made."""
     if n < 1:
         raise ValueError("a chain needs at least one element")
     check_id_capacity(n)
+    if n > lattice.DEFAULT_CAP:
+        raise CapacityError(f"{n} elements exceeds the explicit cap {lattice.DEFAULT_CAP}")
     r = np.arange(n, dtype=ID)
     leq = r[:, None] <= r[None, :]
     meet = np.minimum.outer(r, r)

@@ -13,7 +13,12 @@ are int32, the width in which documents read them.
 
 One search builds every bound table: the join table of the order it is
 given. The meets of an order are the joins of its dual, so a meet table
-is the join table of the transposed order, searched as a view. A finite
+is the join table of the transposed order, searched as a view. The
+search is exact: the join of two elements, when it exists, is the least
+member of their up-set intersection, so it is the first member along a
+linear extension, and that member is the join exactly when its own
+up-set is as large as the intersection. It reads the up-set rows packed
+as bits, and hashes nothing. A finite
 poset in which every pair has a join and which has a least element is a
 lattice, so bound_tables proves a lattice by one search and reads both
 extremes off the order, and the other table waits for its first reader,
@@ -255,8 +260,9 @@ class FiniteLattice:
     the caller vouches for that, as the constructors' tests check. Tables
     are kept as ID (int16) arrays and edges as int32 arrays; a table of
     another dtype is range-checked before it is converted, so an id out of
-    range is refused rather than wrapped. Above ID_CAP elements the
-    constructor raises CapacityError.
+    range is refused rather than wrapped, and a table or edge array that
+    holds neither integers nor bools is refused rather than truncated.
+    Above ID_CAP elements the constructor raises CapacityError.
 
     A bound table given as None waits for its first reader: the first
     read of lat.join searches the order's joins, that of lat.meet the
@@ -284,11 +290,16 @@ class FiniteLattice:
                 table = np.asarray(table)
                 if table.shape != (n, n):
                     raise ValueError("bound tables must match the carrier")
+                if table.dtype.kind not in "biu":
+                    raise ValueError("bound tables must hold integer ids")
                 if table.dtype != ID and not (0 <= table.min() and table.max() < n):
                     raise ValueError("bound tables must name elements of the carrier")
                 self.__dict__[name] = _frozen(table, ID)
         if self.edges is not None:
-            src, dst = (_frozen(x, np.int32) for x in self.edges)
+            edges = [np.asarray(x) for x in self.edges]
+            if any(x.size and x.dtype.kind not in "biu" for x in edges):
+                raise ValueError("edges must hold integer ids")
+            src, dst = (_frozen(x, np.int32) for x in edges)
             if src.ndim != 1 or src.shape != dst.shape:
                 raise ValueError("edges must be two id arrays of one length")
             if src.size and not (0 <= min(src.min(), dst.min())
@@ -443,61 +454,49 @@ class FiniteLattice:
 # rows of pairs per bulk step; a step's temporaries are a few BLOCK_ROWS x n
 # arrays, a few MiB even at the explicit cap
 BLOCK_ROWS = 64
+# incomparable pairs per call of _least_upper; its temporaries are a few
+# SEARCH_PAIRS x n/64 word arrays, 4 MiB each at the explicit cap
+SEARCH_PAIRS = 1 << 13
 
 
-def _hash_weights(n: int) -> np.ndarray:
-    """Two columns of pseudo-random integer weights in 1..2^24 // n, as
-    float32, so a weighted sum over at most n members stays within 2^24
-    and is exact. The weights are mixed with integer arithmetic
-    (splitmix64) rather than drawn from numpy.random, whose first import
-    costs several MiB of memory."""
-    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    limit = np.uint64((1 << 24) // n)
-    return (np.stack([x % limit, (x >> np.uint64(32)) % limit], axis=1) + 1).astype(np.float32)
+def _up_words(leq: np.ndarray):
+    """The up-set rows of the order leq packed as bits, with the columns
+    in a linear extension: ids by down-set size ascending, ties by id.
+    Returns (words, ext, place, sizes): bit p of row x, in little-endian
+    uint64 words padded with zeros, is set iff x <= ext[p]; place[x] is
+    the position of x in ext, so row x holds no bit before it; sizes[x]
+    is the size of the up-set of x."""
+    n = len(leq)
+    ext = np.argsort(leq.sum(axis=0), kind="stable")
+    place = np.empty(n, np.intp)
+    place[ext] = np.arange(n)
+    bits = np.zeros((n, -(-n // 64) * 8), np.uint8)
+    bits[:, :-(-n // 8)] = np.packbits(leq[:, ext], axis=1, bitorder="little")
+    return bits.view("<u8"), ext, place, leq.sum(axis=1)
 
 
-def _set_keys(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    'One uint64 key from two exact weighted sums, each at most 2^24.'
-    return h1.astype(np.uint64) << np.uint64(25) | h2.astype(np.uint64)
+def _least_upper(packed, i: np.ndarray, j: np.ndarray):
+    """For the pairs (i[k], j[k]) of incomparable ids, given packed =
+    _up_words(leq): the first member of U = up(i) & up(j) along the
+    extension, and whether it is the join of the pair.
 
-
-def _bound_proposer(leq: np.ndarray, u: np.ndarray, w: np.ndarray):
-    """Bulk join proposals for chosen pairs of one row block at a time.
-
-    leq is the order, whose row x is the up-set of x, and u is the same
-    matrix as float32. The join of i and j is the element whose own row
-    equals leq[i] & leq[j]. propose(s, e, pairs) takes flat indices into
-    the block of i in s..e-1 and j in s..n-1 and returns, for each, a
-    candidate and whether it passed the exact check: it lies in both
-    rows, so by transitivity its own row is inside the intersection, and
-    it counts as many members, so the two are equal.
-    A hash collision or a missing join fails the check.
-    """
-    n = len(u)
-    sizes = u.sum(axis=1)
-    own = u @ w
-    own = _set_keys(own[:, 0], own[:, 1])
-    order = np.argsort(own, kind="stable")
-    sorted_keys = own[order]
-
-    def propose(s: int, e: int, pairs: np.ndarray):
-        blk = u[s:e]
-        # intersection counts and both intersection hashes, exact in float32;
-        # one dense matmul per block, read at the chosen pairs
-        out = (np.concatenate([blk, blk * w[:, 0], blk * w[:, 1]]) @ u[s:].T).reshape(3, -1)
-        counts, h1, h2 = out.take(pairs, axis=1)
-        pos = np.searchsorted(sorted_keys, _set_keys(h1, h2))
-        cand = order[np.minimum(pos, n - 1)]
-        i, j = np.divmod(pairs, n - s)
-        ok = (sizes[cand] == counts) & leq[s + i, cand] & leq[s + j, cand]
-        return cand, ok
-
-    return propose
+    A least member of U comes before every other member in any linear
+    extension, so the first member is the only candidate. Its up-set lies
+    inside U by transitivity, so it is least exactly when its up-set is
+    as large as U. No up-set is empty, so an empty U is refused the same
+    way; its candidate index is clamped to the carrier."""
+    words, ext, place, sizes = packed
+    # a row holds no bit before its own place, so U none before the later
+    # of the two; words before the chunk's least such place are all zero
+    lo = int(np.maximum(place[i], place[j]).min()) // 64
+    rows = words[:, lo:]
+    both = rows.take(i, axis=0)
+    np.bitwise_and(both, rows.take(j, axis=0), out=both)
+    first = (both != 0).argmax(axis=1)    # the first nonzero word, or 0
+    x = both[np.arange(len(first)), first]
+    zeros = np.bitwise_count(~x & (x - np.uint64(1)))    # trailing zeros, 64 in a zero word
+    cand = ext[np.minimum((lo + first) * 64 + zeros, len(ext) - 1)]
+    return cand, np.bitwise_count(both).sum(axis=1, dtype=np.uint16) == sizes[cand]
 
 
 def validate_lattice(p: FinitePoset) -> FiniteLattice:
@@ -565,54 +564,41 @@ def _bound_search(leq: np.ndarray):
     in row-major order over i <= j.
 
     A comparable pair is its own join: when i <= j it is j, so those
-    entries are filled straight from the order. Only incomparable pairs
-    are searched. An element is recoverable from its up-set row, so the
-    least upper bound of i, j exists iff their up-set intersection is
-    the up-set of some element. The search proposes in bulk, a row block
-    at a time: float32 matmuls count and hash every intersection, and a
-    lookup among the elements' own hashed rows proposes a candidate; a
-    block whose pairs are all comparable runs no matmul. Each candidate
-    is then checked exactly, so the table never depends on the hash. A
-    pair whose candidate fails the check is re-decided by a dictionary
-    lookup of its intersection, in scan order. In a partial order a
+    entries are filled straight from the order, a row block at a time.
+    Only incomparable pairs are searched, exactly and in bulk, by
+    _least_upper on the up-set rows packed as bits; they are packed at
+    the first such pair, so a chain packs nothing. In a partial order a
     comparable pair always has a join, so skipping them moves no witness.
     """
     n = len(leq)
     check_id_capacity(n)
     ids = np.arange(n, dtype=ID)
     table = np.zeros((n, n), dtype=ID)
-    propose = row_keys = None
+    packed = None
     for s in range(0, n, BLOCK_ROWS):
         e = min(s + BLOCK_ROWS, n)
         up = leq[s:e, s:]
         # j where i <= j and i elsewhere; np.where takes up's layout, and the
-        # block is made C-ordered so that blk.reshape(-1) below is a view
+        # block is made C-ordered so that flat below is a view
         blk = np.ascontiguousarray(np.where(up, ids[s:], ids[s:e, None]))
+        flat = blk.reshape(-1)
         # the block's incomparable pairs, both triangles of its diagonal square
-        # so the transposed copy below is filled too
+        # so the transposed copy below is filled too; flat order is the scan
+        # order, and a pair below the diagonal comes after its mirror, which
+        # has the same bound
         pairs = np.flatnonzero(~(up | leq[s:, s:e].T))
-        if pairs.size:
-            if propose is None:
-                # a C-order copy, so a transposed order's matmuls read rows too
-                u = leq.astype(np.float32, order="C")
-                propose = _bound_proposer(leq, u, _hash_weights(n))
-            cand, ok = propose(s, e, pairs)
-            blk.reshape(-1)[pairs] = cand
+        for c in range(0, pairs.size, SEARCH_PAIRS):
+            if packed is None:
+                packed = _up_words(leq)
+            chunk = pairs[c:c + SEARCH_PAIRS]
+            i, j = (x + s for x in np.divmod(chunk, n - s))
+            cand, ok = _least_upper(packed, i, j)
+            if not ok.all():
+                k = int(np.argmin(ok))
+                return None, (int(i[k]), int(j[k]))
+            flat[chunk] = cand
         table[s:e, s:] = blk
         table[s:, s:e] = blk.T
-        if not pairs.size:
-            continue
-        # flat order is the scan order: a pair below the diagonal comes
-        # after its mirror, which has the same bound
-        for k in np.flatnonzero(~ok).tolist():
-            b, c = divmod(int(pairs[k]), n - s)
-            i, j = s + b, s + c
-            if row_keys is None:
-                row_keys = {leq[x].tobytes(): x for x in range(n)}
-            found = row_keys.get((leq[i] & leq[j]).tobytes())
-            if found is None:
-                return None, (i, j)
-            table[i, j] = table[j, i] = found
     table.flags.writeable = False
     return table, None
 

@@ -3,9 +3,10 @@ module-level private name is used somewhere in the package, every
 exception class the package defines can be raised, no module reads
 the process environment, the Tarski oracle folds take nothing from
 the point-classification kernels or numpy that they are meant to check,
-in lattice.py only the order checks square an order and only the
-one-side bound search proposes bounds, and no lattice builder names a
-dtype wider than a bound table's but where it makes edges or masks.
+in lattice.py only the order checks square an order, only compose casts
+to float32 and no hashed bound proposer is left, and no lattice builder
+names a dtype wider than a bound table's but where it makes edges or
+masks.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
 `__init__.py` is skipped for imports: they are the package's public
@@ -336,15 +337,6 @@ def test_one_bound_search_builds_joins_and_no_table_is_a_callable():
     assert "_pending_" not in source
 
 
-def test_only_the_one_side_search_reads_the_bound_proposer():
-    # every bound table, given or waiting, comes out of one join search,
-    # so a second bound search cannot come back beside it
-    source = (SRC / "lattice.py").read_text()
-    assert name_reads(source, "_bound_proposer", ("_bound_search",)) == []
-    assert name_reads(source.replace("def _bound_search(", "def _search_both("),
-                      "_bound_proposer", ("_bound_search",))
-
-
 def dtype_names(source: str, dtype: str) -> list[str]:
     """Where source names dtype, as an attribute (np.int32) or a bare
     name, by the qualified name of the innermost enclosing function or
@@ -384,3 +376,29 @@ def test_no_builder_makes_a_table_wider_than_its_ids(name):
     source = (SRC / name).read_text()
     assert dtype_names(source, "int64") == []
     assert {where.split(" ")[0] for where in dtype_names(source, "int32")} <= EDGE_MAKERS
+
+
+# the hashed bound proposer and its keys, which the exact bit-row search replaced
+HASHED = ("_hash_weights", "_set_keys", "_bound_proposer")
+
+
+def names_any(source: str, names) -> list[str]:
+    'The names that source mentions anywhere, as whole words.'
+    return [name for name in names if re.search(rf"\b{name}\b", source)]
+
+
+def test_the_check_sees_a_float32_order_copy_and_a_hashed_proposer():
+    source = ("import numpy as np\ndef compose(a, b):\n    return a.astype(np.float32)\n"
+              "def _bound_search(leq):\n    u = leq.astype(np.float32)\n"
+              "    return _bound_proposer(u, _set_keys)\n")
+    assert dtype_names(source, "float32") == ["compose (line 3)", "_bound_search (line 5)"]
+    assert names_any(source, HASHED) == ["_set_keys", "_bound_proposer"]
+
+
+def test_the_bound_search_keeps_no_float32_order_and_no_hash():
+    # a join is the first member of an up-set intersection along a linear
+    # extension, read off bit rows and checked by its size, so no bound
+    # search hashes a set or casts the order; compose alone counts paths
+    source = (SRC / "lattice.py").read_text()
+    assert {where.split(" ")[0] for where in dtype_names(source, "float32")} == {"compose"}
+    assert names_any(source, HASHED) == []

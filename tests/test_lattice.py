@@ -1,9 +1,11 @@
 """Order structure: posets, bound tables, subsets, products, duals.
 
 The bound tables are cross-checked against plain candidate scans over
-the order matrix, so the bulk propose-and-check kernel in
-validate_lattice never gets to grade its own work. Its rarely taken
-per-pair path is forced by making every hash collide.
+the order matrix, so the bulk bit-row search in validate_lattice never
+gets to grade its own work. Its word edges, where the first member of
+an up-set intersection sits in the first or last bit of a 64-bit word
+or the intersection is empty, are checked on orders built to put it
+there.
 """
 import json
 import os
@@ -158,25 +160,78 @@ def same_tables(a, b):
             and (a.bottom, a.top) == (b.bottom, b.top))
 
 
-@pytest.mark.parametrize("weight", [0, 1])
-def test_colliding_hashes_leave_tables_and_witnesses_unchanged(monkeypatch, weight):
-    # zero weights hash every set to one key, so nearly every proposal
-    # fails its exact check and goes to the per-pair lookup; unit weights
-    # hash a set to its size, so the membership checks must refuse a
-    # candidate of the right size outside the intersection
-    inputs = oracle_inputs()
-    want = [lattice_verdict(leq) for leq in inputs]
-    monkeypatch.setattr(mucofix.lattice, "_hash_weights",
-                        lambda n: np.full((n, 2), weight, dtype=np.float32))
-    for ref in [lat for _, lat in corpus()] + [chain(257), grid_lattice(16, 16)]:
-        assert same_tables(validate_lattice(ref.poset), ref)
-    assert [lattice_verdict(leq) for leq in inputs] == want
+def two_tops(n, top=False):
+    """An n-element order: ids 0 and 1 incomparable above a chain of the
+    remaining ids, and with top=True id 2, out of the chain, above both.
+    By down-set size the chain comes first in the bit-row search's linear
+    extension, then 0 and 1, then the top, so their join sits at bit n-1
+    of the packed rows: the last bit of a 64-bit word at n = 64 and 128,
+    the first at 65 and 129. Without a top they have no upper bound, and
+    the search reads an empty intersection in the last word. Either way
+    theirs is the first pair scanned, so the oracle's scan ends there."""
+    leq = np.triu(np.ones((n, n), dtype=bool))
+    a = n - 2 - top
+    leq[a, a + 1] = False
+    perm = [a, a + 1, *range(a + 2, n), *range(a)]
+    return leq[np.ix_(perm, perm)]
+
+
+def assert_exact(leq, rows):
+    """lattice_verdict on leq and on its dual against the scans of
+    tests/oracles.py: a refused order names the oracle's first missing
+    bound, and an accepted one has the scanned bounds on the given rows."""
+    for order in (leq, leq.T):
+        rel, verdict = order.tolist(), lattice_verdict(order)
+        if isinstance(verdict[0], list):
+            for i in rows:
+                assert verdict[0][i] == [glb_scan(rel, [i, j]) for j in range(len(rel))]
+                assert verdict[1][i] == [lub_scan(rel, [i, j]) for j in range(len(rel))]
+        else:
+            assert verdict == first_missing_bound_oracle(rel)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+@pytest.mark.parametrize("top", [False, True], ids=["no-join", "joined"])
+def test_the_first_upper_bound_is_exact_at_word_edges(n, top):
+    # the dual's meet search is the join search of this order, so
+    # assert_exact reads the word edge from both sides
+    leq = two_tops(n, top)
+    verdict = lattice_verdict(leq)
+    assert isinstance(verdict[0], list) if top else verdict == ("lub", (0, 1))
+    assert_exact(leq, [0, 1, 2, 3, n - 1])
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_an_antichain_lacks_every_bound_at_a_word_edge(n):
+    # the first pair's upper bounds are empty, and past 64 elements the
+    # rows take a second word
+    leq = np.eye(n, dtype=bool)
+    assert lattice_verdict(leq) == ("lub", (0, 1))
+    assert_exact(leq, [])
+
+
+def test_a_minimal_upper_bound_that_is_not_least_is_refused():
+    # a, b below both c and d, which are below t: the first of the upper
+    # bounds {c, d, t} is minimal, but d is not above it, so a, b lack a
+    # join; their meet is missing too, as they have no lower bound
+    a, b, c, d, t = range(5)
+    leq = np.eye(5, dtype=bool)
+    for lo, hi in [(a, c), (a, d), (b, c), (b, d), (a, t), (b, t), (c, t), (d, t)]:
+        leq[lo, hi] = True
+    assert lattice_verdict(leq) == ("lub", (a, b))
+    assert_exact(leq, range(5))
+    # with a bottom below a and b, the meets all exist and only the join is missing
+    big = np.zeros((6, 6), dtype=bool)
+    big[1:, 1:] = leq
+    big[0, :] = True
+    assert lattice_verdict(big) == ("lub", (1, 2))
+    assert_exact(big, range(6))
 
 
 @pytest.mark.parametrize("dims", [(257,), (1025,), (32, 32)])
 def test_large_tables_are_exact(dims):
-    # past 256 and 1024 elements the float32 counts and hashes need more
-    # than 8 and 10 bits; the tables must still equal the direct ones
+    # past 256 and 1024 elements the packed up-set rows take 5 and 17
+    # 64-bit words; the tables must still equal the direct ones
     ref = chain(*dims) if len(dims) == 1 else grid_lattice(*dims)
     assert same_tables(validate_lattice(ref.poset), ref)
 
@@ -194,19 +249,14 @@ def test_witness_of_a_long_chain_split_at_one_end(split, want):
 
 
 def _record_proposals(monkeypatch):
-    'Wrap the bound proposer; the returned list collects every (i, j) it is asked about.'
-    asked, real = [], lattice._bound_proposer
+    'Wrap the incomparable-pair step; the returned list collects every (i, j) it decides.'
+    asked, real = [], lattice._least_upper
 
-    def recording(rows, u, w):
-        propose = real(rows, u, w)
+    def recording(packed, i, j):
+        asked.extend(zip(i.tolist(), j.tolist()))
+        return real(packed, i, j)
 
-        def recorded(s, e, pairs):
-            b, c = np.divmod(pairs, len(u) - s)
-            asked.extend(zip((s + b).tolist(), (s + c).tolist()))
-            return propose(s, e, pairs)
-        return recorded
-
-    monkeypatch.setattr(lattice, "_bound_proposer", recording)
+    monkeypatch.setattr(lattice, "_least_upper", recording)
     return asked
 
 
@@ -617,6 +667,35 @@ def test_a_table_of_another_dtype_is_range_checked_before_conversion(bad):
         FiniteLattice(lat.poset, lat.meet, meet.tolist(), 0, 2)
     meet[0, 2] = meet[2, 0] = 0
     assert (FiniteLattice(lat.poset, meet, lat.join, 0, 2).meet == lat.meet).all()
+
+
+def test_tables_and_edges_of_non_integers_are_refused():
+    # meet + 0.5 passes the range check (2.5 < 3) and int16 would truncate
+    # it back to the chain's meet; float edges would be truncated the same way
+    lat = chain(3)
+    with pytest.raises(ValueError, match="bound tables must hold integer ids"):
+        FiniteLattice(lat.poset, lat.meet + 0.5, lat.join, 0, 2)
+    with pytest.raises(ValueError, match="bound tables must hold integer ids"):
+        FiniteLattice(lat.poset, lat.meet, lat.join.astype(float).tolist(), 0, 2)
+    for edges in (([0.5, 1.5], [1, 2]), (np.array([0, 1]), np.array([1.0, 2.0]))):
+        with pytest.raises(ValueError, match="edges must hold integer ids"):
+            FiniteLattice(lat.poset, lat.meet, lat.join, 0, 2, edges)
+    # integer, bool and empty arrays are ids
+    kept = FiniteLattice(lat.poset, lat.meet.astype(np.uint8), lat.join.tolist(), 0, 2,
+                         ([0, 1], np.array([1, 2], np.uint16)))
+    assert same_tables(kept, lat) and [x.tolist() for x in kept.edges] == [[0, 1], [1, 2]]
+    one = chain(1)
+    assert FiniteLattice(one.poset, [[False]], [[0]], 0, 0, ([], [])).meet.tolist() == [[0]]
+
+
+def test_a_chain_past_the_explicit_cap_is_refused_before_any_array(monkeypatch):
+    # the cap is read at each call, so raising it admits the chain
+    monkeypatch.setattr(fixtures, "np", None)
+    with pytest.raises(CapacityError, match="4097 elements exceeds the explicit cap 4096"):
+        chain(lattice.DEFAULT_CAP + 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "DEFAULT_CAP", 4097)
+    assert chain(4097).top == 4096
 
 
 def test_ids_past_int16_are_refused_before_any_table_is_made(monkeypatch):

@@ -124,7 +124,7 @@ def test_a_4096_chain_document_parses_to_the_chain(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("a document order was searched or re-checked")
-    for name in ("antisymmetry_gap", "_bound_proposer"):
+    for name in ("antisymmetry_gap", "_up_words", "_least_upper"):
         monkeypatch.setattr(mucofix.lattice, name, refuse)
     lat = parse_lattice_doc(doc)
     ref = chain(4096)
