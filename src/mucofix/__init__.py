@@ -14,8 +14,8 @@ from .fixtures import chain, corpus, diamond, m3, n5
 from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, LatticeFn, MutualPair,
                      compose_fg, compose_gf, dual_pair, is_continuous_pair, is_monotone,
                      join_continuity_witness, meet_continuity_witness,
-                     monotone_witness, pair_continuity_witness, parse_mode)
-from .simpoints import (ComponentSets, FiberSet, PairPoint, component_sets,
+                     monotone_witness, pair_continuity_witness)
+from .simpoints import (ComponentSets, PairPoint, component_sets,
                         enumerate_sim_fixed, is_sim_fixed, is_sim_postfixed,
                         is_sim_prefixed, point_masks, postfp_fiber, prefp_fiber)
 from .solvers import (ImplicitMutualPair, KleeneRun, NotMonotoneError, SolveResult, Verdict,
@@ -25,8 +25,8 @@ from .solvers import (ImplicitMutualPair, KleeneRun, NotMonotoneError, SolveResu
                       lsfp_product, lsfp_tarski_oracle, standard_embed)
 from .textio import (DocumentError, emit_lattice_doc, emit_pair_doc, load_document,
                      pair_from_json, pair_to_json, parse_lattice_doc, parse_pair_doc)
-from .verifier import (Finding, FindingReport, InstanceGenSpec, LemmaFailure,
-                       LemmaReport, check_lemma, gen_continuous_pair, gen_lattice,
+from .verifier import (Finding, FindingReport, InstanceGenSpec, LemmaReport,
+                       check_lemma, gen_continuous_pair, gen_lattice,
                        gen_monotone_pair, mine_counterexample, split_seed)
 from .demos import (ClassDef, ClassTable, GroundType, IntervalType,
                     RelationPairState, StepBudgetExceeded, build_universe,

@@ -12,7 +12,7 @@ import functools
 from . import solvers
 from .demos import (StepBudgetExceeded, fixture_tables, parse_class_table_doc,
                     paulson_trio, solve_subtyping)
-from .genfun import monotone_witness, pair_continuity_witness, parse_mode
+from .genfun import ContinuityMode, monotone_witness, pair_continuity_witness
 from .lattice import CapacityError, NotALatticeError, NotAPosetError
 from .solvers import NotMonotoneError
 from .textio import (DocumentError, load_document, pair_from_lattices, parse_lattice_doc,
@@ -51,7 +51,7 @@ def _subset_text(lat, ids) -> str:
 
 
 def cmd_check(args) -> int:
-    mode = parse_mode(args.mode)
+    mode = ContinuityMode(args.mode)
     worst = EXIT_OK
     for path in args.paths:
         print(f"check: {path}")
@@ -145,7 +145,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mode = parse_mode(args.mode)
+    mode = ContinuityMode(args.mode)
     # every row's input is checked before the first report is printed
     rows = [(lemma_id, InstanceGenSpec(seed=split_seed(args.seed, row_index),
                                        size_lo=args.size_lo, size_hi=args.size_hi,
@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    mode = parse_mode(args.mode)
+    mode = ContinuityMode(args.mode)
     spec = InstanceGenSpec(seed=args.seed, size_lo=2, size_hi=6,
                            family="mixed", function_class="monotone")
     report = mine_counterexample(args.question, spec, args.budget,

@@ -38,11 +38,6 @@ BINARY = ContinuityMode("binary")
 WITH_EMPTY = ContinuityMode("with-empty")
 
 
-def parse_mode(text: str) -> ContinuityMode:
-    'Parse a mode name: binary | with-empty.'
-    return ContinuityMode(text)
-
-
 @dataclass(frozen=True)
 class LatticeFn:
     """A total function between lattice carriers as an image table of

@@ -258,10 +258,11 @@ class FiniteLattice:
     suite. Treat instances as immutable. edges, when given, are two id
     arrays (src, dst) whose reflexive-transitive closure is the order;
     the caller vouches for that, as the constructors' tests check. Tables
-    are kept as ID (int16) arrays and edges as int32 arrays; a table of
-    another dtype is range-checked before it is converted, so an id out of
-    range is refused rather than wrapped, and a table or edge array that
-    holds neither integers nor bools is refused rather than truncated.
+    are kept as ID (int16) arrays and edges as int32 arrays; every table,
+    edge and bound is range-checked, a table of another dtype before it is
+    converted, so an id out of range is refused rather than wrapped, and a
+    table or edge array that holds neither integers nor bools is refused
+    rather than truncated.
     Above ID_CAP elements the constructor raises CapacityError.
 
     A bound table given as None waits for its first reader: the first
@@ -292,7 +293,7 @@ class FiniteLattice:
                     raise ValueError("bound tables must match the carrier")
                 if table.dtype.kind not in "biu":
                     raise ValueError("bound tables must hold integer ids")
-                if table.dtype != ID and not (0 <= table.min() and table.max() < n):
+                if not (0 <= table.min() and table.max() < n):
                     raise ValueError("bound tables must name elements of the carrier")
                 self.__dict__[name] = _frozen(table, ID)
         if self.edges is not None:
@@ -306,8 +307,9 @@ class FiniteLattice:
                                  and max(src.max(), dst.max()) < n):
                 raise ValueError("edges must name elements of the carrier")
             object.__setattr__(self, "edges", (src, dst))
-        object.__setattr__(self, "bottom", int(self.bottom))
-        object.__setattr__(self, "top", int(self.top))
+        for name in ("bottom", "top"):
+            self._check_id(getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def __getattr__(self, name: str):
         # reached only when name is not set: a table given as None is

@@ -39,16 +39,6 @@ class ComponentSets:
     fset: frozenset[int]
 
 
-@dataclass(frozen=True)
-class FiberSet:
-    """Partners of one anchored element; may be empty, which is a value
-    and not an error."""
-    anchor: int
-    side: str  # "O" anchors in the first lattice, "P" in the second
-    kind: str  # "pre" | "post"
-    fiber: frozenset[int]
-
-
 def _check_point(mp: MutualPair, pt: PairPoint):
     mp.dom_o._check_id(pt.o)
     mp.dom_p._check_id(pt.p)
@@ -82,6 +72,14 @@ def pre_mask(leq_o: np.ndarray, leq_p: np.ndarray, f: np.ndarray, g: np.ndarray)
     return leq_p[f, :] & leq_o[g, :].T
 
 
+def _mask(mp: MutualPair, kind: str) -> np.ndarray:
+    'The pre-fixed ("pre") or post-fixed ("post") mask of point_masks.'
+    o, p = mp.dom_o, mp.dom_p
+    # post-fixed is pre-fixed in the dual orders, whose rows are the down-sets
+    leq_o, leq_p = (o.poset.leq, p.poset.leq) if kind == "pre" else (o.down_rows, p.down_rows)
+    return pre_mask(leq_o, leq_p, np.asarray(mp.f), np.asarray(mp.g))
+
+
 def point_masks(mp: MutualPair) -> tuple[np.ndarray, np.ndarray]:
     """Classify every pair of the product carrier at once.
 
@@ -90,32 +88,28 @@ def point_masks(mp: MutualPair) -> tuple[np.ndarray, np.ndarray]:
     G(p). A pair is simultaneously fixed exactly where both hold. The
     fibers and component sets are read off these masks.
     """
-    o, p = mp.dom_o, mp.dom_p
-    f, g = np.asarray(mp.f), np.asarray(mp.g)
-    # post-fixed is pre-fixed in the dual orders, whose rows are the down-sets
-    return pre_mask(o.poset.leq, p.poset.leq, f, g), pre_mask(o.down_rows, p.down_rows, f, g)
+    return _mask(mp, "pre"), _mask(mp, "post")
 
 
 def _members(line: np.ndarray) -> frozenset[int]:
     return frozenset(line.nonzero()[0].tolist())
 
 
-def _fiber(mp: MutualPair, anchor: int, side: str, kind: str) -> FiberSet:
+def _fiber(mp: MutualPair, anchor: int, side: str, kind: str) -> frozenset[int]:
     _check_side(side)
     (mp.dom_o if side == "O" else mp.dom_p)._check_id(anchor)
-    pre, post = point_masks(mp)
-    mask = pre if kind == "pre" else post
-    line = mask[anchor] if side == "O" else mask[:, anchor]
-    return FiberSet(int(anchor), side, kind, _members(line))
+    mask = _mask(mp, kind)
+    return _members(mask[anchor] if side == "O" else mask[:, anchor])
 
 
-def prefp_fiber(mp: MutualPair, anchor: int, side: str = "O") -> FiberSet:
-    'All partners forming a simultaneous pre-fixed pair with the anchor.'
+def prefp_fiber(mp: MutualPair, anchor: int, side: str = "O") -> frozenset[int]:
+    """All partners forming a simultaneous pre-fixed pair with the anchor, which
+    side names: a row ("O") or column ("P") of the pre-fixed mask, possibly empty."""
     return _fiber(mp, anchor, side, "pre")
 
 
-def postfp_fiber(mp: MutualPair, anchor: int, side: str = "O") -> FiberSet:
-    'All partners forming a simultaneous post-fixed pair with the anchor.'
+def postfp_fiber(mp: MutualPair, anchor: int, side: str = "O") -> frozenset[int]:
+    'All partners forming a simultaneous post-fixed pair with the anchor, as prefp_fiber.'
     return _fiber(mp, anchor, side, "post")
 
 

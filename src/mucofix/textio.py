@@ -36,10 +36,18 @@ def load_document(path):
         text = Path(path).read_text()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}") from None
+    return _decode(text, f" in {path}")
+
+
+def _decode(text: str, where: str = ""):
+    """Parse JSON text. Malformed text, and nesting too deep for the
+    recursive parser, is a DocumentError whose message names where."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise DocumentError(f"parse error in {path}: {e.msg}", e.lineno, e.colno) from None
+        raise DocumentError(f"parse error{where}: {e.msg}", e.lineno, e.colno) from None
+    except RecursionError:
+        raise DocumentError(f"parse error{where}: nesting too deep") from None
 
 
 def _require_keys(obj, keys: set[str], what: str):
@@ -155,8 +163,4 @@ def pair_to_json(mp: MutualPair) -> str:
 
 
 def pair_from_json(text: str) -> MutualPair:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"parse error: {e.msg}", e.lineno, e.colno) from None
-    return parse_pair_doc(obj)
+    return parse_pair_doc(_decode(text))

@@ -206,42 +206,40 @@ def _maps(dom: FiniteLattice, cod: FiniteLattice, mode: ContinuityMode | None,
     cod_meet = cod.search_lists.meet if mode is not None else None
     pinned = mode == WITH_EMPTY
     images = [0] * dom.size
-    options: list[list[int] | None] = [None] * dom.size
-    depth = 0
-    while depth >= 0:
-        if depth == dom.size:
-            yield tuple(images)
-            depth -= 1    # and go on with the last element's other candidates
-        i = order[depth]
-        todo = options[depth]
-        if todo is None:
-            low = cod.bottom
-            for j in below[i]:
-                low = cod_join[low][images[j]]
-            if joins[i]:
-                todo = [low] if all(cod_join[images[a]][images[b]] == low
-                                    for a, b in joins[i]) else []
-            else:
-                todo = list(up_sets[low])
-            if pinned and i in (dom.bottom, dom.top):
-                todo = [v for v in todo if (i != dom.bottom or v == cod.bottom)
-                        and (i != dom.top or v == cod.top)]
-            options[depth] = todo
+
+    def candidates(i):
+        low = cod.bottom
+        for j in below[i]:
+            low = cod_join[low][images[j]]
+        if joins[i]:
+            todo = [low] if all(cod_join[images[a]][images[b]] == low for a, b in joins[i]) else []
+        else:
+            todo = list(up_sets[low])
+        if pinned and i in (dom.bottom, dom.top):
+            todo = [v for v in todo if (i != dom.bottom or v == cod.bottom)
+                    and (i != dom.top or v == cod.top)]
+        return todo
+
+    # stack[d]: the untried candidates of order[d]; a loop, as recursion overflows on tall carriers
+    stack = [candidates(order[0])]
+    while stack:
+        i, todo = order[len(stack) - 1], stack[-1]
         while todo:
             k = len(todo) - 1 if rng is None or len(todo) == 1 else rng.randrange(len(todo))
-            v = todo[k]
-            todo[k] = todo[-1]
-            todo.pop()
+            todo[k], todo[-1] = todo[-1], todo[k]
+            v = todo.pop()
             for j, m in meets[i]:
                 if cod_meet[v][images[j]] != images[m]:
                     break
             else:
                 images[i] = v
-                depth += 1
+                if len(stack) == dom.size:
+                    yield tuple(images)
+                else:
+                    stack.append(candidates(order[len(stack)]))
                 break
         else:
-            options[depth] = None
-            depth -= 1
+            stack.pop()
 
 
 def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: FiniteLattice,
@@ -280,7 +278,8 @@ def _instance(spec: InstanceGenSpec, index: int, mode: ContinuityMode) -> Mutual
 # ---------------------------------------------------------------- lemmas
 
 @dataclass(frozen=True)
-class LemmaFailure:
+class Finding:
+    'A lemma failure or a miner finding: the pair as canonical JSON and its witness text.'
     instance: str
     witness: str
 
@@ -298,7 +297,7 @@ class LemmaReport:
     instances_tried: int = 0
     premise_skipped: int = 0
     generation_failures: int = 0
-    failures: list[LemmaFailure] = field(default_factory=list)
+    failures: list[Finding] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -326,7 +325,8 @@ def _first_hit(*masks):
 
 
 def _check_l3(mp, mode):
-    gf, fg = np.asarray(compose_gf(mp).table), np.asarray(compose_fg(mp).table)
+    f, g = np.asarray(mp.f), np.asarray(mp.g)
+    gf, fg = g[f], f[g]
     leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
     ids_o, ids_p = np.arange(mp.dom_o.size), np.arange(mp.dom_p.size)
     pre, post = point_masks(mp)
@@ -523,17 +523,11 @@ def check_lemma(lemma_id: str, spec: InstanceGenSpec,
             continue
         witness = runner(mp, mode)
         if witness is not None:
-            report.failures.append(LemmaFailure(textio.pair_to_json(mp), witness))
+            report.failures.append(Finding(textio.pair_to_json(mp), witness))
     return report
 
 
 # ----------------------------------------------------------------- miner
-
-@dataclass(frozen=True)
-class Finding:
-    instance: str
-    witness: str
-
 
 @dataclass
 class FindingReport:

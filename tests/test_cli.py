@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mucofix.cli
+from mucofix import PairPoint, pair_from_json
 from mucofix.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
 
 from oracles import sim_kleene_oracle
@@ -158,6 +159,23 @@ def test_check_unrecognized_shape(tmp_path, capsys):
     assert "shape not recognized" in out
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("check", "[" * 200_000, "parse error in {doc}: nesting too deep"),
+    ("solve", "[" * 200_000, "parse error in {doc}: nesting too deep"),
+    ("check", "[]", "top level must be an object"),
+    ("check", '{"O": {}}', 'a pair document has exactly the keys "O", "P", "F", "G"'),
+    ("solve", "[]", "pair document must be an object"),
+], ids=["check-deep", "solve-deep", "check-list", "check-pair-keys", "solve-list"])
+def test_malformed_documents_are_input_errors(tmp_path, capsys, command, text, message):
+    # nesting deeper than the recursive JSON parser can go once escaped as a
+    # RecursionError traceback
+    doc = tmp_path / "bad.json"
+    doc.write_text(text)
+    rc, out = run(capsys, command, str(doc))
+    assert rc == EXIT_INPUT
+    assert out.splitlines()[-1] == "input error: " + message.format(doc=doc)
+
+
 def test_solve_all_strategies(capsys, monotone_scans):
     rc, out = run(capsys, "solve", K1)
     assert rc == EXIT_OK
@@ -201,6 +219,13 @@ def test_solve_runs_the_solvers_bound_at_call_time(capsys, monkeypatch):
     assert run(capsys, "solve", K1)[0] == EXIT_OK
     assert run(capsys, "solve", K1, "--direction", "greatest")[0] == EXIT_OK
     assert calls == ["lsfp_direct", "lsfp_tarski_oracle", "gsfp_product"]
+
+
+def test_solve_exits_one_when_the_strategies_disagree(capsys, monkeypatch):
+    monkeypatch.setattr(mucofix.solvers, "lsfp_tarski_oracle", lambda mp: PairPoint(0, 0))
+    rc, out = run(capsys, "solve", K1)
+    assert rc == EXIT_CHECK
+    assert out.endswith("strategy: tarski\nmuF: 0\nmuG: 0\nagreement: DISAGREE\n")
 
 
 def test_solve_greatest_direct(capsys):
@@ -248,6 +273,34 @@ def test_verify_single_lemma_deterministic(capsys):
     assert out.splitlines()[-1] == "verify: PASS"
     rc2, out2 = run(capsys, "verify", "--lemma", "L1", "--count", "5", "--size-hi", "5")
     assert (rc2, out2) == (rc, out)
+
+
+def test_verify_reports_each_failure_and_exits_one(capsys, monkeypatch):
+    title, premise, _ = mucofix.verifier.LEMMAS["L3"]
+    monkeypatch.setitem(mucofix.verifier.LEMMAS, "L3", (
+        title, premise, lambda mp, mode: f"planted on {mp.dom_o.size}x{mp.dom_p.size}"))
+    rc, out = run(capsys, "verify", "--lemma", "L3", "--count", "2")
+    assert rc == EXIT_CHECK
+    lines = out.splitlines()
+    assert lines[4:8] == ["instances: 2", "premise-skipped: 0", "generation-exhausted: 0",
+                          "genuine-failures: 2"]
+    failures = [line.split(": ", 1) for line in lines[8:12]]
+    assert [key for key, _ in failures] == ["failure[0].witness", "failure[0].instance",
+                                            "failure[1].witness", "failure[1].instance"]
+    for (_, witness), (_, instance) in zip(failures[::2], failures[1::2]):
+        mp = pair_from_json(instance)
+        assert witness == f"planted on {mp.dom_o.size}x{mp.dom_p.size}"
+    assert lines[12:] == ["result: FAIL", "verify: FAIL"]
+
+
+def test_verify_counts_exhausted_generation_apart_from_failures(capsys):
+    # one of seed 0's first five with-empty L1 pairs has a side that no map
+    # preserving bounds and binary meets and joins admits
+    rc, out = run(capsys, "verify", "--lemma", "L1", "--mode", "with-empty", "--count", "5")
+    assert rc == EXIT_OK
+    assert out.splitlines()[4:8] == ["instances: 4", "premise-skipped: 0",
+                                     "generation-exhausted: 1", "genuine-failures: 0"]
+    assert out.endswith("result: PASS\nverify: PASS\n")
 
 
 def test_verify_size_bound(capsys):

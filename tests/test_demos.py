@@ -63,6 +63,14 @@ def test_parse_class_table_doc():
     with pytest.raises(DocumentError, match="must be a boolean"):
         parse_class_table_doc({"classes": [
             {"name": "Object", "generic": "no", "superclass": None}]})
+    with pytest.raises(DocumentError, match='^"classes" must be a list of records$'):
+        parse_class_table_doc({"classes": {}})
+    for row, message in (({"name": "", "generic": False, "superclass": None},
+                          r"classes\[0\]\.name must be a nonempty string"),
+                         ({"name": "Object", "generic": False, "superclass": 3},
+                          r"classes\[0\]\.superclass must be a string or null")):
+        with pytest.raises(DocumentError, match=f"^{message}$"):
+            parse_class_table_doc({"classes": [row]})
     bad = {"classes": [{"name": "Null", "generic": False, "superclass": None}]}
     with pytest.raises(DocumentError, match="must define Object"):
         parse_class_table_doc(bad)

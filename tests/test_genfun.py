@@ -16,7 +16,7 @@ from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, FiniteLattice, FinitePo
                      chain, compose_fg, compose_gf, diamond, dual_pair,
                      is_continuous_pair, is_monotone, join_continuity_witness,
                      meet_continuity_witness,
-                     lsfp_direct, monotone_witness, n5, pair_continuity_witness, parse_mode,
+                     lsfp_direct, monotone_witness, n5, pair_continuity_witness,
                      product, split_seed)
 from mucofix.lattice import DEFAULT_CAP
 from mucofix.textio import parse_lattice_doc
@@ -35,10 +35,10 @@ def test_mode_construction_and_labels():
 
 def test_parse_mode_round_trips():
     for mode in (BINARY, WITH_EMPTY):
-        assert parse_mode(mode.kind) == mode
+        assert ContinuityMode(mode.kind) == mode
     for text in ("capped:3", "capped:x", "ternary"):
         with pytest.raises(ValueError, match=rf"^unknown continuity mode '{text}'$"):
-            parse_mode(text)
+            ContinuityMode(text)
 
 
 def test_fn_construction(c2, d4):
@@ -74,10 +74,14 @@ CONSTRUCTOR_FAILURES = """
 from mucofix import FiniteLattice, FinitePoset, LatticeFn, MutualPair, chain, dual, dual_pair
 c3 = dual(chain(3))
 mp = dual_pair(MutualPair(chain(3), chain(2), (0, 1, 1), (0, 2)))
+negative = c3.meet.copy()
+negative[0, 2] = -1
 cases = [
     lambda: FinitePoset(("0", "1", "0"), c3.poset.leq),
     lambda: FinitePoset(c3.labels, c3.poset.leq[:2]),
     lambda: FiniteLattice(c3.poset, c3.meet, c3.join[:, :2], c3.bottom, c3.top),
+    lambda: FiniteLattice(c3.poset, negative, c3.join, c3.bottom, c3.top),
+    lambda: FiniteLattice(c3.poset, c3.meet, c3.join, 0, 7),
     lambda: FiniteLattice(c3.poset, c3.meet, c3.join, c3.bottom, c3.top,
                           (c3.edges[0], c3.edges[1] + 2)),
     lambda: LatticeFn(c3, mp.dom_p, (0, 2, 1)),
@@ -100,6 +104,8 @@ def test_public_constructors_still_check_values_the_duals_built(flags):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["labels must be distinct", "order matrix must be 3x3",
                                         "bound tables must match the carrier",
+                                        "bound tables must name elements of the carrier",
+                                        "element id 7 out of range 0..2",
                                         "edges must name elements of the carrier",
                                         "element id 2 out of range 0..1",
                                         "element id 3 out of range 0..2"]

@@ -4,9 +4,10 @@ exception class the package defines can be raised, no module reads
 the process environment, the Tarski oracle folds take nothing from
 the point-classification kernels or numpy that they are meant to check,
 in lattice.py only the order checks square an order, only compose casts
-to float32 and no hashed bound proposer is left, and no lattice builder
+to float32 and no hashed bound proposer is left, no lattice builder
 names a dtype wider than a bound table's but where it makes edges or
-masks.
+masks, no two exported dataclasses share a field list, and the names
+that only repeated others stay gone.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
 `__init__.py` is skipped for imports: they are the package's public
@@ -18,6 +19,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import mucofix
 
 SRC = Path(__file__).parent.parent / "src" / "mucofix"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -402,3 +405,57 @@ def test_the_bound_search_keeps_no_float32_order_and_no_hash():
     source = (SRC / "lattice.py").read_text()
     assert {where.split(" ")[0] for where in dtype_names(source, "float32")} == {"compose"}
     assert names_any(source, HASHED) == []
+
+
+def dataclass_fields(source: str) -> dict[str, tuple[str, ...]]:
+    'The annotated field names, in order, of each module-level class made by dataclass.'
+    found = {}
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            deco = deco.func if isinstance(deco, ast.Call) else deco
+            if getattr(deco, "id", getattr(deco, "attr", None)) == "dataclass":
+                found[node.name] = tuple(item.target.id for item in node.body
+                                         if isinstance(item, ast.AnnAssign)
+                                         and isinstance(item.target, ast.Name))
+    return found
+
+
+def shared_field_lists(init_source: str, sources: dict[str, str]) -> list[str]:
+    """Exported dataclasses with one field list, as "A = B" groups: two
+    records of the same fields say one thing twice."""
+    exported, groups = set(public_names(init_source)), {}
+    for text in sources.values():
+        for name, fields in dataclass_fields(text).items():
+            if name in exported:
+                groups.setdefault(fields, []).append(name)
+    return [" = ".join(names) for names in groups.values() if len(names) > 1]
+
+
+def test_the_check_sees_two_dataclasses_with_one_field_list():
+    init = "from .a import Failure, Finding, Report, Point\n"
+    record = "    instance: str\n    witness: str\n"
+    sources = {"a.py": ("import dataclasses\nfrom dataclasses import dataclass\n"
+                        f"@dataclass(frozen=True)\nclass Failure:\n{record}"
+                        f"@dataclass\nclass Finding:\n{record}"
+                        f"@dataclass\nclass Hidden:\n{record}"
+                        f"class Report:\n{record}"
+                        "@dataclasses.dataclass\nclass Point:\n    witness: str\n    instance: str\n")}
+    assert shared_field_lists(init, sources) == ["Failure = Finding"]
+
+
+def test_no_two_exported_dataclasses_share_a_field_list():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert shared_field_lists((SRC / "__init__.py").read_text(), sources) == []
+
+
+# a fiber record that repeated its call's arguments, a lemma failure record
+# that repeated Finding, and a mode parser that only called ContinuityMode
+REMOVED = ("FiberSet", "LemmaFailure", "parse_mode")
+
+
+def test_the_removed_duplicates_are_neither_defined_nor_exported():
+    for path in sorted(SRC.glob("*.py")):
+        assert names_any(path.read_text(), REMOVED) == [], path.name
+    assert not set(REMOVED) & set(mucofix.__all__)

@@ -561,6 +561,8 @@ def test_product_is_componentwise():
     assert prod.bottom == a.bottom * b.size + b.bottom
     assert prod.top == a.top * b.size + b.top
     assert prod.label(prod.top) == "(top,2)"
+    with pytest.raises(CapacityError, match="^product size 4160 exceeds the explicit cap 4096$"):
+        product(chain(64), chain(65))
 
 
 def test_powerset_structure():
@@ -575,6 +577,8 @@ def test_powerset_structure():
             assert lat.join[i, j] == i | j
     with pytest.raises(CapacityError):
         powerset_lattice(6)
+    with pytest.raises(ValueError, match="^ground set size must be nonnegative$"):
+        powerset_lattice(-1)
 
 
 def test_dual_swaps_everything():
@@ -669,6 +673,21 @@ def test_a_table_of_another_dtype_is_range_checked_before_conversion(bad):
     assert (FiniteLattice(lat.poset, meet, lat.join, 0, 2).meet == lat.meet).all()
 
 
+def test_every_table_whatever_its_dtype_and_both_bounds_are_checked():
+    # an int16 table once skipped the range check, so meet_set returned -1;
+    # an unchecked bottom or top surfaced later as an IndexError in a solver
+    lat = chain(3)
+    meet = lat.meet.copy()
+    meet[0, 2] = -1
+    with pytest.raises(ValueError, match="^bound tables must name elements of the carrier$"):
+        FiniteLattice(lat.poset, meet, lat.join, 0, 2)
+    with pytest.raises(ValueError, match="^bound tables must match the carrier$"):
+        FiniteLattice(lat.poset, lat.meet[:2], lat.join, 0, 2)
+    for bottom, top, bad in ((0, 7, 7), (-1, 2, -1)):
+        with pytest.raises(ValueError, match=rf"^element id {bad} out of range 0\.\.2$"):
+            FiniteLattice(lat.poset, lat.meet, lat.join, bottom, top)
+
+
 def test_tables_and_edges_of_non_integers_are_refused():
     # meet + 0.5 passes the range check (2.5 < 3) and int16 would truncate
     # it back to the chain's meet; float edges would be truncated the same way
@@ -693,6 +712,8 @@ def test_a_chain_past_the_explicit_cap_is_refused_before_any_array(monkeypatch):
     monkeypatch.setattr(fixtures, "np", None)
     with pytest.raises(CapacityError, match="4097 elements exceeds the explicit cap 4096"):
         chain(lattice.DEFAULT_CAP + 1)
+    with pytest.raises(ValueError, match="^a chain needs at least one element$"):
+        chain(0)
     monkeypatch.undo()
     monkeypatch.setattr(lattice, "DEFAULT_CAP", 4097)
     assert chain(4097).top == 4096

@@ -52,42 +52,50 @@ def test_component_sets_match_fiber_union(k1, swap, cb2):
     for mp in (k1, swap, cb2):
         cs = component_sets(mp)
         assert cs.c == frozenset(o for o in range(mp.dom_o.size)
-                                 if prefp_fiber(mp, o, "O").fiber)
+                                 if prefp_fiber(mp, o, "O"))
         assert cs.d == frozenset(p for p in range(mp.dom_p.size)
-                                 if prefp_fiber(mp, p, "P").fiber)
+                                 if prefp_fiber(mp, p, "P"))
         assert cs.e == frozenset(o for o in range(mp.dom_o.size)
-                                 if postfp_fiber(mp, o, "O").fiber)
+                                 if postfp_fiber(mp, o, "O"))
         assert cs.fset == frozenset(p for p in range(mp.dom_p.size)
-                                    if postfp_fiber(mp, p, "P").fiber)
+                                    if postfp_fiber(mp, p, "P"))
 
 
 def test_empty_fiber_is_a_value(k1):
-    fib = prefp_fiber(k1, 0, "O")
-    assert fib.fiber == frozenset()
-    assert fib.anchor == 0 and fib.side == "O" and fib.kind == "pre"
-    assert prefp_fiber(k1, 1, "O").fiber == frozenset({1})
+    assert type(prefp_fiber(k1, 0, "O")) is frozenset
+    assert prefp_fiber(k1, 0, "O") == frozenset()
+    assert prefp_fiber(k1, 1, "O") == frozenset({1})
 
 
 def test_fiber_multiplicity(cb2):
     # constant-bottom generators put both partners in the fiber at 0
-    assert prefp_fiber(cb2, 0, "O").fiber == frozenset({0, 1})
-    assert postfp_fiber(cb2, 0, "P").fiber == frozenset({0})
+    assert prefp_fiber(cb2, 0, "O") == frozenset({0, 1})
+    assert postfp_fiber(cb2, 0, "P") == frozenset({0})
 
 
 def test_fiber_side_and_validation(k1):
-    assert prefp_fiber(k1, 1, "P").fiber == frozenset({1})
+    assert prefp_fiber(k1, 1, "P") == frozenset({1})
     with pytest.raises(ValueError):
         prefp_fiber(k1, 0, "Q")
     with pytest.raises(ValueError):
         postfp_fiber(k1, 7, "O")
 
 
-def test_fibers_agree_with_point_predicates(swap):
-    for o in range(4):
-        assert prefp_fiber(swap, o, "O").fiber == frozenset(
-            p for p in range(4) if is_sim_prefixed(swap, PairPoint(o, p)))
-        assert postfp_fiber(swap, o, "O").fiber == frozenset(
-            p for p in range(4) if is_sim_postfixed(swap, PairPoint(o, p)))
+def test_fibers_agree_with_point_predicates(swap, cb2):
+    # a fiber is a row (anchor in O) or a column (anchor in P) of point_masks
+    for mp in (swap, cb2):
+        pre, post = point_masks(mp)
+        n_o, n_p = mp.dom_o.size, mp.dom_p.size
+        for o in range(n_o):
+            assert prefp_fiber(mp, o, "O") == _ids(pre[o]) == {
+                p for p in range(n_p) if is_sim_prefixed(mp, PairPoint(o, p))}
+            assert postfp_fiber(mp, o, "O") == _ids(post[o]) == {
+                p for p in range(n_p) if is_sim_postfixed(mp, PairPoint(o, p))}
+        for p in range(n_p):
+            assert prefp_fiber(mp, p, "P") == _ids(pre[:, p]) == {
+                o for o in range(n_o) if is_sim_prefixed(mp, PairPoint(o, p))}
+            assert postfp_fiber(mp, p, "P") == _ids(post[:, p]) == {
+                o for o in range(n_o) if is_sim_postfixed(mp, PairPoint(o, p))}
 
 
 def test_enumerate_sim_fixed(id2, swap, k1):
@@ -146,8 +154,8 @@ def test_masks_sets_and_fibers_match_the_plain_loop_oracle(lattices, names):
         assert cs.e == {o for o in range(lat_o.size) if any(want_post[o])}
         assert cs.fset == {p for p in range(lat_p.size) if any(_column(want_post, p))}
         for o in anchors_o:
-            assert prefp_fiber(mp, o, "O").fiber == _ids(want_pre[o])
-            assert postfp_fiber(mp, o, "O").fiber == _ids(want_post[o])
+            assert prefp_fiber(mp, o, "O") == _ids(want_pre[o])
+            assert postfp_fiber(mp, o, "O") == _ids(want_post[o])
         for p in anchors_p:
-            assert prefp_fiber(mp, p, "P").fiber == _ids(_column(want_pre, p))
-            assert postfp_fiber(mp, p, "P").fiber == _ids(_column(want_post, p))
+            assert prefp_fiber(mp, p, "P") == _ids(_column(want_pre, p))
+            assert postfp_fiber(mp, p, "P") == _ids(_column(want_post, p))

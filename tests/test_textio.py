@@ -22,6 +22,9 @@ def test_load_document_errors(tmp_path):
     with pytest.raises(DocumentError, match=r"at line 1, column 15") as exc:
         load_document(bad)
     assert exc.value.line == 1 and exc.value.col == 15
+    bad.write_text("[" * 200_000)
+    with pytest.raises(DocumentError, match=r"^parse error in .*bad\.json: nesting too deep$"):
+        load_document(bad)
 
 
 def test_parse_lattice_closes_the_order():
@@ -45,6 +48,10 @@ def test_parse_lattice_document_errors():
         parse_lattice_doc({"elements": ["a"], "leq": [["a"]]})
     with pytest.raises(DocumentError, match="unknown element"):
         parse_lattice_doc({"elements": ["a"], "leq": [["a", "b"]]})
+    with pytest.raises(DocumentError, match="^lattice document must be an object$"):
+        parse_lattice_doc([])
+    with pytest.raises(DocumentError, match=r"^'leq' must be a list of \[lower, upper\] pairs$"):
+        parse_lattice_doc({"elements": ["a"], "leq": 3})
 
 
 def test_parse_lattice_structure_failures_are_not_document_errors():
@@ -239,3 +246,5 @@ def test_pair_json_is_canonical(k1):
     assert "\n" not in text and ": " not in text
     with pytest.raises(DocumentError, match="parse error"):
         pair_from_json("{nope")
+    with pytest.raises(DocumentError, match="^parse error: nesting too deep$"):
+        pair_from_json("[" * 200_000)

@@ -205,6 +205,15 @@ def test_gen_continuous_pair_is_seeded_and_continuous():
     assert (mp.f[0], mp.f[3], mp.g[0], mp.g[3]) == (0, 3, 0, 3)
 
 
+@pytest.mark.parametrize("mode", [BINARY, WITH_EMPTY], ids=lambda m: m.kind)
+def test_the_continuous_search_holds_a_tall_carrier(mode):
+    # one stack level per element: 1100 levels, past the default recursion
+    # limit of 1000, at which a recursive search raised RecursionError
+    tall = chain(1100)
+    mp = gen_continuous_pair(spec(0), tall, tall, mode)
+    assert mp.monotone_failure is None and is_continuous_pair(mp, mode)
+
+
 def _search_cases():
     'Every ordered pair of corpus lattices of at most 5 elements, and 40 random-closed pairs.'
     small = [lat for _, lat in corpus() if lat.size <= 5]
