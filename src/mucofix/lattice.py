@@ -111,7 +111,7 @@ class FinitePoset:
     leq: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         n = len(self.labels)
         if n == 0:
             raise ValueError("a poset needs at least one element")
@@ -472,9 +472,17 @@ def _up_words(leq: np.ndarray):
     ext = np.argsort(leq.sum(axis=0), kind="stable")
     place = np.empty(n, np.intp)
     place[ext] = np.arange(n)
-    bits = np.zeros((n, -(-n // 64) * 8), np.uint8)
-    bits[:, :-(-n // 8)] = np.packbits(leq[:, ext], axis=1, bitorder="little")
-    return bits.view("<u8"), ext, place, leq.sum(axis=1)
+    # rows padded with zeros to whole words, so one flat pack keeps them apart
+    words = -(-n // 64)
+    bits = np.zeros((n, 64 * words), bool)
+    # take gathers the columns of a C-ordered order fastest, indexing those of
+    # a transposed view (a meet search); either way the block is C-ordered
+    if leq.flags.c_contiguous:
+        np.take(leq, ext, axis=1, out=bits[:, :n])
+    else:
+        bits[:, :n] = leq[:, ext]
+    packed = np.packbits(bits, bitorder="little").view("<u8").reshape(n, words)
+    return packed, ext, place, leq.sum(axis=1)
 
 
 def _least_upper(packed, i: np.ndarray, j: np.ndarray):

@@ -6,8 +6,9 @@ the point-classification kernels or numpy that they are meant to check,
 in lattice.py only the order checks square an order, only compose casts
 to float32 and no hashed bound proposer is left, no lattice builder
 names a dtype wider than a bound table's but where it makes edges or
-masks, no two exported dataclasses share a field list, and the names
-that only repeated others stay gone.
+masks, no two exported dataclasses share a field list, the names
+that only repeated others stay gone, and in textio.py only the witness
+helpers and the emitters loop in Python.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
 `__init__.py` is skipped for imports: they are the package's public
@@ -459,3 +460,40 @@ def test_the_removed_duplicates_are_neither_defined_nor_exported():
     for path in sorted(SRC.glob("*.py")):
         assert names_any(path.read_text(), REMOVED) == [], path.name
     assert not set(REMOVED) & set(mucofix.__all__)
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def python_loops(source: str, allowed) -> list[str]:
+    """Every for or while loop and every comprehension outside the
+    module-level functions allowed to loop, by owner and line."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "module")
+        if owner not in allowed:
+            found += [f"{owner} (line {line})" for line in sorted(
+                node.lineno for node in ast.walk(top) if isinstance(node, LOOPS))]
+    return found
+
+
+def test_the_check_sees_a_python_loop():
+    source = ("def parse(pairs):\n    ids = [idx[a] for a, b in pairs]\n"
+              "    while ids:\n        ids.pop()\n"
+              "def _witness(pairs):\n    for e in pairs:\n        raise ValueError(e)\n"
+              "NAMES = {x: i for i, x in enumerate('ab')}\n"
+              "def bulk(pairs):\n    return all(map(len, pairs)), sum(len(e) for e in pairs)\n")
+    assert python_loops(source, {"_witness"}) == ["parse (line 2)", "parse (line 3)",
+                                                 "module (line 8)", "bulk (line 10)"]
+
+
+# the witness helpers name the first bad order pair or table entry once the
+# bulk pass has refused; the emitters write documents rather than read them
+TEXTIO_LOOPERS = {"_pair_witness", "_table_witness", "emit_lattice_doc", "emit_pair_doc"}
+
+
+def test_only_the_witness_helpers_loop_over_what_a_document_lists():
+    # a valid document's order pairs and table entries are read by C-level
+    # passes (map, all, array), never item by item in Python
+    assert python_loops((SRC / "textio.py").read_text(), TEXTIO_LOOPERS) == []

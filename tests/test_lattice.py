@@ -210,6 +210,32 @@ def test_an_antichain_lacks_every_bound_at_a_word_edge(n):
     assert_exact(leq, [])
 
 
+def row_packed_words(leq):
+    'The up-set rows packed one row at a time and copied into zeroed words.'
+    n = len(leq)
+    ext = np.argsort(leq.sum(axis=0), kind="stable")
+    bits = np.zeros((n, -(-n // 64) * 8), np.uint8)
+    bits[:, :-(-n // 8)] = np.packbits(leq[:, ext], axis=1, bitorder="little")
+    return bits.view("<u8")
+
+
+def test_one_flat_pack_gives_the_row_packed_words():
+    # the order as built and as the transposed view a meet search reads,
+    # across word edges: 203 elements under a diamond, grids up to 16x16,
+    # and seeded posets of up to 70 elements
+    orders = ([lat.poset.leq for _, lat in corpus()] + [chain_under_a_diamond().poset.leq]
+              + [grid_lattice(a, b).poset.leq for a, b in ((1, 1), (8, 8), (13, 13), (16, 16))]
+              + list(random_dag_closures(5, 40, max_n=70)) + [two_tops(n, True) for n in (64, 65)])
+    for leq in orders:
+        for order in (leq, leq.T):
+            words, ext, place, sizes = lattice._up_words(order)
+            ref = row_packed_words(order)
+            assert words.dtype == ref.dtype and words.shape == ref.shape
+            assert (words == ref).all()
+            assert (ext[place] == np.arange(len(order))).all()
+            assert (sizes == order.sum(axis=1)).all()
+
+
 def test_a_minimal_upper_bound_that_is_not_least_is_refused():
     # a, b below both c and d, which are below t: the first of the upper
     # bounds {c, d, t} is minimal, but d is not above it, so a, b lack a
