@@ -672,17 +672,43 @@ def powerset_lattice(n: int) -> FiniteLattice:
 
 
 def mask_lattice(masks, labels) -> FiniteLattice:
-    """Bitmasks under inclusion, element i being masks[i]. The family must be closed
-    under & and |, which then give the bounds, and list its least mask first and greatest last."""
+    """Bitmasks under inclusion, element i being masks[i]. The family must be distinct
+    nonnegative masks closed under & and |, which then give the bounds, and list its least
+    mask first and greatest last; ValueError names the first mask or pair that is not."""
     arr = np.asarray(masks, dtype=np.int32)
-    pos = np.zeros(int(arr.max()) + 1, dtype=ID)
-    pos[arr] = np.arange(len(arr))
+    n = len(arr)
+    if not n:
+        raise ValueError("a mask family needs at least one mask")
+    order = np.argsort(arr)
+    srt = arr[order]
+    if srt[0] < 0:
+        raise ValueError(f"mask {srt[0]} is negative")
+    twice = np.flatnonzero(srt[1:] == srt[:-1])
+    if twice.size:
+        raise ValueError(f"mask {srt[twice[0]]} is listed twice")
+    # each table looks its masks up in the sorted family; missing[i, j, k]:
+    # the & (k = 0) or | (k = 1) of masks i and j is not a member
+    tables, missing = [], []
+    for op in (np.bitwise_and, np.bitwise_or):
+        bound = op.outer(arr, arr)
+        at = np.minimum(np.searchsorted(srt, bound), n - 1)
+        tables.append(order[at].astype(ID))
+        missing.append(srt[at] != bound)
+    # the first hit in row-major order has i <= j, since missing is symmetric
+    hits = np.argwhere(np.stack(missing, axis=-1))
+    if len(hits):
+        i, j, k = hits[0]
+        a, b = int(arr[i]), int(arr[j])
+        raise ValueError(f"the family lacks {a} {'&|'[k]} {b} = {a | b if k else a & b}")
     leq = (arr[:, None] & ~arr[None, :]) == 0
-    meet = pos[arr[:, None] & arr[None, :]]
-    join = pos[arr[:, None] | arr[None, :]]
+    if not leq[0].all():
+        raise ValueError(f"mask {arr[0]}, listed first, is not the least")
+    if not leq[:, -1].all():
+        raise ValueError(f"mask {arr[-1]}, listed last, is not the greatest")
+    meet, join = tables
     for table in (leq, meet, join):
         table.flags.writeable = False
-    return FiniteLattice(FinitePoset(tuple(labels), leq), meet, join, 0, len(arr) - 1)
+    return FiniteLattice(FinitePoset(tuple(labels), leq), meet, join, 0, n - 1)
 
 
 def _prechecked(cls, **attrs):

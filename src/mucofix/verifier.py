@@ -16,8 +16,8 @@ from . import textio
 from .fixtures import chain, corpus, diamond
 from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, MutualPair, _first_continuity_failure,
                      _first_monotone_failure, compose_fg, compose_gf, is_continuous_pair)
-from .lattice import (CapacityError, FiniteLattice, compose, mask_lattice, powerset_lattice,
-                      product)
+from .lattice import (CapacityError, FiniteLattice, FinitePoset, _prechecked, compose,
+                      mask_lattice, powerset_lattice, product)
 from .simpoints import is_sim_fixed, point_masks, pre_mask
 from .solvers import (gsfp_direct, gsfp_product, gsfp_tarski_oracle, lsfp_direct,
                       lsfp_product, lsfp_tarski_oracle)
@@ -104,14 +104,40 @@ def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
             closed |= {m | c for c in closed}
         if lo <= len(closed) <= hi:
             masks = sorted(closed, key=lambda m: (m.bit_count(), m))  # bottom first, top last
-            return mask_lattice(masks, tuple(f"m{m:04b}" for m in masks))
+            return _closed_lattice(masks)
     return _memo_chain(rng.randint(lo, hi))
 
 
 # Generation draws the same few small lattices over and over, so they are
 # built once. Lattices are immutable, which makes sharing them safe. The
-# public constructors stay uncached, and so do _random_closed's own
-# lattices, whose family is too varied to pay for the memory it would hold.
+# public constructors stay uncached. _random_closed's families are many but
+# their orders few: the 731 sublattices of 2^4 have 74 distinct orders in
+# sorted id order, so _SHAPES keeps one lattice per order, and a family
+# takes its tables and lists from it and only its labels are new.
+_SHAPES: dict[bytes, FiniteLattice] = {}
+
+
+def _closed_lattice(masks: list[int]) -> FiniteLattice:
+    """mask_lattice(masks, "m" + each mask in 4 bits), with its tables,
+    bounds and lists read off the one lattice of its order in _SHAPES.
+    masks is a closed family, sorted with its least mask first and its
+    greatest last. A lattice's tables and lists depend on its order alone,
+    so a shape's may be shared; they are read-only arrays and tuples."""
+    labels = tuple(f"m{m:04b}" for m in masks)
+    arr = np.array(masks)
+    key = ((arr[:, None] & ~arr) == 0).tobytes()    # the order: n x n bytes, so n is known
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = mask_lattice(masks, labels)
+        shape.draw_lists, shape.search_lists, shape.down_rows    # built once, for every family
+        shape = _SHAPES.setdefault(key, shape)
+    poset = FinitePoset(labels, shape.poset.leq)
+    return _prechecked(FiniteLattice, poset=poset, meet=shape.meet, join=shape.join,
+                       bottom=shape.bottom, top=shape.top, size=shape.size, edges=None,
+                       down_rows=shape.down_rows, draw_lists=shape.draw_lists,
+                       search_lists=shape.search_lists)
+
+
 @lru_cache(maxsize=16)
 def _memo_chain(n: int) -> FiniteLattice:
     return chain(n)

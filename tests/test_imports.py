@@ -7,8 +7,9 @@ in lattice.py only the order checks square an order, only compose casts
 to float32 and no hashed bound proposer is left, no lattice builder
 names a dtype wider than a bound table's but where it makes edges or
 masks, no two exported dataclasses share a field list, the names
-that only repeated others stay gone, and in textio.py only the witness
-helpers and the emitters loop in Python.
+that only repeated others stay gone, in textio.py only the witness
+helpers and the emitters loop in Python, and in verifier.py only the
+per-shape helper builds a mask_lattice.
 
 No linter is a dependency, so this walks the syntax trees with `ast`.
 `__init__.py` is skipped for imports: they are the package's public
@@ -497,3 +498,31 @@ def test_only_the_witness_helpers_loop_over_what_a_document_lists():
     # a valid document's order pairs and table entries are read by C-level
     # passes (map, all, array), never item by item in Python
     assert python_loops((SRC / "textio.py").read_text(), TEXTIO_LOOPERS) == []
+
+
+def callers(source: str, name: str) -> list[str]:
+    """Every call of name, bare (f(...)) or as an attribute (m.f(...)), by
+    the module-level function or class it is in ("module" outside any) and line."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "module")
+        found += [f"{owner} (line {node.lineno})" for node in ast.walk(top)
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    return found
+
+
+def test_the_check_sees_a_call_outside_its_helper():
+    source = ("from .lattice import mask_lattice\nimport mucofix.lattice as lattice\n"
+              "def _shape(masks):\n    return mask_lattice(masks, masks)\n"
+              "def draw(rng):\n    return [lattice.mask_lattice(m, m) for m in rng]\n"
+              "FAMILY = mask_lattice\nLAT = mask_lattice([0, 1], 'ab')\n")
+    assert callers(source, "mask_lattice") == ["_shape (line 4)", "draw (line 6)",
+                                               "module (line 8)"]
+
+
+def test_only_the_shape_helper_builds_a_mask_lattice_in_the_verifier():
+    # a drawn family takes its tables and lists from the one lattice of its
+    # order, so a mask_lattice per draw would build them all again unseen
+    found = callers((SRC / "verifier.py").read_text(), "mask_lattice")
+    assert [where.split(" ")[0] for where in found] == ["_closed_lattice"]

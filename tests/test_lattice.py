@@ -10,6 +10,7 @@ there.
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import product as iproduct
@@ -605,6 +606,42 @@ def test_powerset_structure():
         powerset_lattice(6)
     with pytest.raises(ValueError, match="^ground set size must be nonnegative$"):
         powerset_lattice(-1)
+
+
+# families mask_lattice cannot read, each with the first mask or pair it names
+MASK_FAMILY_FAILURES = [
+    ([0, 1, 2, 4, 7], "the family lacks 1 | 2 = 3"),    # join(1, 2) was read as mask 0
+    ([0, 3, 1, 2], "mask 2, listed last, is not the greatest"),    # 2 was reported as top
+    ([0, 1, 2], "the family lacks 1 | 2 = 3"),    # a bare IndexError
+    ([1, 2, 4], "the family lacks 1 & 2 = 0"),    # & is named before | of one pair
+    ([0, 6, 3, 4, 1, 7], "the family lacks 6 & 3 = 2"),    # pairs go by id: 4 | 1 comes later
+    ([1, 0, 3], "mask 1, listed first, is not the least"),
+    ([0, 1, 1, 3], "mask 1 is listed twice"),
+    ([0, -1], "mask -1 is negative"),
+    ([], "a mask family needs at least one mask"),
+]
+
+
+@pytest.mark.parametrize("masks, message", MASK_FAMILY_FAILURES,
+                         ids=[str(m) for m, _ in MASK_FAMILY_FAILURES])
+def test_mask_lattice_names_what_breaks_its_precondition(masks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mask_lattice(masks, [str(i) for i in range(len(masks))])
+
+
+def test_the_mask_family_checks_survive_dash_o():
+    env = dict(os.environ, PYTHONPATH=str(Path(mucofix.__file__).resolve().parents[1]))
+    code = ("from mucofix.lattice import mask_lattice\n"
+            f"for masks, _ in {MASK_FAMILY_FAILURES!r}:\n"
+            "    try:\n"
+            "        mask_lattice(masks, [str(i) for i in range(len(masks))])\n"
+            "        print('accepted')\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [message for _, message in MASK_FAMILY_FAILURES]
 
 
 def test_dual_swaps_everything():

@@ -169,6 +169,70 @@ def test_random_closed_family_matches_the_grow_until_fixed_loop():
         assert rng.getstate() == replay.getstate(), seed
 
 
+def every_sublattice_of_the_4_cube():
+    'Every nonempty family of subsets of 4 members closed under & and |, grown a generator at a time.'
+    found = {frozenset([m]) for m in range(16)}
+    todo = list(found)
+    while todo:
+        family = todo.pop()
+        for m in range(16):
+            grown = frozenset(closed_family_oracle(family | {m}))
+            if grown not in found:
+                found.add(grown)
+                todo.append(grown)
+    return found
+
+
+def test_every_closed_family_reads_its_shape_as_a_fresh_lattice(monkeypatch):
+    monkeypatch.setattr(verifier, "_SHAPES", {})
+    families = every_sublattice_of_the_4_cube()
+    assert len(families) == 731
+    orders = set()
+    for family in families:
+        if len(family) < 2:
+            continue
+        masks = sorted(family, key=lambda m: (bin(m).count("1"), m))
+        got = verifier._closed_lattice(masks)
+        ref = mask_lattice(masks, ["m" + format(m, "04b") for m in masks])
+        assert got.labels == ref.labels and got.poset.label_ids == ref.poset.label_ids
+        for x, y in ((got.poset.leq, ref.poset.leq), (got.meet, ref.meet), (got.join, ref.join),
+                     (got.down_rows, ref.down_rows)):
+            assert x.dtype == y.dtype and (x == y).all() and not x.flags.writeable
+        assert (got.bottom, got.top, got.size, got.edges) == (ref.bottom, ref.top, ref.size, None)
+        assert got.draw_lists == ref.draw_lists and got.search_lists == ref.search_lists
+        orders.add(ref.poset.leq.tobytes())
+    assert sum(len(f) >= 2 for f in families) == 715
+    # one lattice per distinct order in sorted id order, and nothing else
+    assert len(orders) == 73 and set(verifier._SHAPES) == orders
+
+
+def test_families_of_one_order_share_its_tables_and_lists(monkeypatch):
+    monkeypatch.setattr(verifier, "_SHAPES", {})
+    # the first two draws of one order with different masks, and their seeds
+    seen = {}
+    for seed in range(1000):
+        lat = verifier._random_closed(random.Random(seed), 2, 8)
+        first = seen.setdefault(lat.poset.leq.tobytes(), (seed, lat))
+        if first[1].labels != lat.labels:
+            (seed_a, a), b = first, lat
+            break
+    else:
+        pytest.fail("no two draws share an order")
+    assert a is not b and a.poset is not b.poset and a.labels != b.labels
+    assert a.poset.label_ids == {x: i for i, x in enumerate(a.labels)}
+    assert b.poset.label_ids == {x: i for i, x in enumerate(b.labels)}
+    # a third draw, of the first family again, is a new lattice too
+    c = verifier._random_closed(random.Random(seed_a), 2, 8)
+    assert c is not a and c.labels == a.labels and c.poset.label_ids is not a.poset.label_ids
+    shape = verifier._SHAPES[a.poset.leq.tobytes()]
+    for lat in (a, b, c):
+        assert lat.poset.leq is shape.poset.leq and lat.down_rows is shape.down_rows
+        assert lat.meet is shape.meet and lat.join is shape.join
+        assert lat.draw_lists is shape.draw_lists and lat.search_lists is shape.search_lists
+        assert (lat.bottom, lat.top, lat.size) == (shape.bottom, shape.top, shape.size)
+    assert len(verifier._SHAPES) == len(seen)
+
+
 def test_gen_lattice_range_fallbacks():
     assert gen_lattice(spec(0, family="powersets", size_lo=6, size_hi=6)).size == 4
     assert gen_lattice(spec(0, family="chains", size_lo=64, size_hi=64)).size == 64
