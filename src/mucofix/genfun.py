@@ -126,11 +126,21 @@ def monotone_witness(fn: LatticeFn):
     edges = fn.dom.edges
     if edges is not None and fn.cod.poset.leq[t[edges[0]], t[edges[1]]].all():
         return None
-    # gathering rows then columns is several times faster than one 2-D gather
-    bad = (fn.dom.poset.leq & ~fn.cod.poset.leq[t][:, t]).ravel()
+    bad = _order_breaks(fn.dom.poset.leq, fn.cod.poset.leq, t).ravel()
     # argmax of a boolean array is its first True in row-major order
     i = int(bad.argmax())
     return divmod(i, len(t)) if bad[i] else None
+
+
+def _order_breaks(leq_dom: np.ndarray, leq_cod: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The boolean array of pairs (x, y) with x below y in the domain and
+    t[x] not below t[y] in the codomain. With a leading batch axis on all
+    three, each table is scanned between its own two orders."""
+    if t.ndim == 1:
+        # gathering rows then columns is several times faster than one 2-D gather
+        return leq_dom & ~leq_cod[t][:, t]
+    b = np.arange(len(t))[:, None, None]
+    return leq_dom & ~leq_cod[b, t[:, :, None], t[:, None, :]]
 
 
 def is_monotone(fn: LatticeFn) -> bool:

@@ -68,8 +68,13 @@ def _check_side(side: str):
 
 
 def pre_mask(leq_o: np.ndarray, leq_p: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    'The |O| x |P| boolean array of pairs (o, p) with F(o) below p and G(p) below o.'
-    return leq_p[f, :] & leq_o[g, :].T
+    """The |O| x |P| boolean array of pairs (o, p) with F(o) below p and G(p)
+    below o. With a leading batch axis on all four, one such array per pair
+    of the stack, each read in its own two orders."""
+    if f.ndim == 1:
+        return leq_p[f, :] & leq_o[g, :].T
+    b = np.arange(len(f))[:, None]
+    return leq_p[b, f] & leq_o[b, g].transpose(0, 2, 1)
 
 
 def _mask(mp: MutualPair, kind: str) -> np.ndarray:

@@ -11,11 +11,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import islice
 
 from . import textio
 from .fixtures import chain, corpus, diamond
 from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, MutualPair, _first_continuity_failure,
-                     _first_monotone_failure, compose_fg, compose_gf, is_continuous_pair)
+                     _first_monotone_failure, _order_breaks, compose_fg, compose_gf,
+                     is_continuous_pair)
 from .lattice import (CapacityError, FiniteLattice, FinitePoset, _prechecked, compose,
                       mask_lattice, powerset_lattice, product)
 from .simpoints import is_sim_fixed, point_masks, pre_mask
@@ -36,6 +38,10 @@ EXHAUST_COMBO_CAP = 200_000
 INSTANCE_SIZE_CAP = 64
 # L4 enumerates every nonempty subset of a carrier, 2^16 - 1 at this size
 L4_SIZE_CAP = 16
+# the miner generates, self-checks and asks its tries this many at a time,
+# one stacked array kernel per block instead of several small ones per try;
+# lemmas requests ran as fast at blocks of 32 to 256
+MINER_BLOCK = 64
 
 
 class GenerationExhausted(Exception):
@@ -203,16 +209,65 @@ def _monotone_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice) 
     return tuple(images)
 
 
+def _draw_monotone(spec: InstanceGenSpec, lat_o: FiniteLattice,
+                   lat_p: FiniteLattice) -> MutualPair:
+    'A pair monotone by construction in both directions, not yet checked.'
+    rng = random.Random(split_seed(spec.seed, 0xF0))
+    return MutualPair(lat_o, lat_p,
+                      _monotone_table(rng, lat_o, lat_p),
+                      _monotone_table(rng, lat_p, lat_o))
+
+
 def gen_monotone_pair(spec: InstanceGenSpec, lat_o: FiniteLattice,
                       lat_p: FiniteLattice) -> MutualPair:
     'Monotone by construction in both directions; self-checked.'
-    rng = random.Random(split_seed(spec.seed, 0xF0))
-    mp = MutualPair(lat_o, lat_p,
-                    _monotone_table(rng, lat_o, lat_p),
-                    _monotone_table(rng, lat_p, lat_o))
-    if mp.monotone_failure is not None:
-        raise AssertionError
+    mp = _draw_monotone(spec, lat_o, lat_p)
+    _self_checked([mp])
     return mp
+
+
+def _stack(pairs: list[MutualPair]) -> tuple[np.ndarray, ...]:
+    """The orders and tables of pairs as pre_mask's four arguments with a
+    leading batch axis: (B, K, K) orders of O and of P and (B, K) tables f
+    and g, K the largest carrier of the block. Each order is padded with
+    all-false rows and columns, so no padded element is below or above any
+    other, and each table with 0, so a padded entry names an element."""
+    k = max(max(mp.dom_o.size, mp.dom_p.size) for mp in pairs)
+    leq = np.zeros((2, len(pairs), k, k), dtype=bool)
+    for i, mp in enumerate(pairs):
+        for side, lat in enumerate((mp.dom_o, mp.dom_p)):
+            leq[side, i, :lat.size, :lat.size] = lat.poset.leq
+    tables = np.array([t + (0,) * (k - len(t)) for mp in pairs for t in (mp.f, mp.g)])
+    return leq[0], leq[1], tables[0::2], tables[1::2]
+
+
+def _monotone_failures(stack: tuple[np.ndarray, ...]) -> list:
+    """Per pair of a stack, its monotone_failure: the first (side, witness)
+    at which f, then g, breaks the order, or None. One scan covers f and g
+    of every pair; a padded pair of elements is never comparable, and the
+    witness of the first row-major hit in the padded square is the pair's."""
+    leq_o, leq_p, f, g = stack
+    bad = _order_breaks(np.concatenate((leq_o, leq_p)), np.concatenate((leq_p, leq_o)),
+                        np.concatenate((f, g))).reshape(2, len(f), -1)
+    hit = bad.any(axis=2)
+    if not hit.any():
+        return [None] * len(f)
+    first = bad.argmax(axis=2).tolist()
+    k = f.shape[1]
+    return [next(((side, divmod(first[s][i], k)) for s, side in enumerate("FG") if hit[s, i]),
+                 None) for i in range(len(f))]
+
+
+def _self_checked(pairs: list[MutualPair]) -> tuple[np.ndarray, ...]:
+    """The stack of pairs, once one stacked scan has found every f and g
+    monotone; each pair then keeps None as its monotone_failure, as its own
+    scan would. The raise is explicit, so the check survives python -O."""
+    stack = _stack(pairs)
+    if any(_monotone_failures(stack)):
+        raise AssertionError
+    for mp in pairs:
+        vars(mp)["monotone_failure"] = None    # where the cached_property keeps its value
+    return stack
 
 
 def _maps(dom: FiniteLattice, cod: FiniteLattice, mode: ContinuityMode | None,
@@ -285,20 +340,35 @@ def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: Fini
     return mp
 
 
-def _instance(spec: InstanceGenSpec, index: int, mode: ContinuityMode) -> MutualPair:
-    'Instance index of spec: carriers from slots 1 and 2 of its seed, the pair from slot 3.'
+def _draw(spec: InstanceGenSpec, index: int, mode: ContinuityMode) -> MutualPair:
+    """Instance index of spec: carriers from slots 1 and 2 of its seed, the
+    pair from slot 3. A continuous pair is self-checked here, a monotone one
+    by its block."""
     child = split_seed(spec.seed, index)
     lat_o = gen_lattice(spec._reseeded(split_seed(child, 1)))
     lat_p = gen_lattice(spec._reseeded(split_seed(child, 2)))
     spec = spec._reseeded(split_seed(child, 3))
     if spec.function_class == "monotone":
-        return gen_monotone_pair(spec, lat_o, lat_p)
+        return _draw_monotone(spec, lat_o, lat_p)
     if spec.function_class == "continuous":
         return gen_continuous_pair(spec, lat_o, lat_p, mode)
     rng = random.Random(split_seed(spec.seed, 0xA7))
     return MutualPair(lat_o, lat_p,
                       tuple(rng.randrange(lat_p.size) for _ in range(lat_o.size)),
                       tuple(rng.randrange(lat_o.size) for _ in range(lat_p.size)))
+
+
+def _instances(spec: InstanceGenSpec, indices, mode: ContinuityMode, swept=()):
+    """The pairs swept (monotone by construction), then the instances of
+    spec at indices, and, for the monotone class, their stack, once one
+    stacked scan has self-checked every pair; else None for the stack."""
+    pairs = [*swept, *(_draw(spec, i, mode) for i in indices)]
+    return pairs, _self_checked(pairs) if spec.function_class == "monotone" else None
+
+
+def _instance(spec: InstanceGenSpec, index: int, mode: ContinuityMode) -> MutualPair:
+    'Instance index of spec: the one-pair block of _instances.'
+    return _instances(spec, (index,), mode)[0][0]
 
 
 # ---------------------------------------------------------------- lemmas
@@ -581,15 +651,24 @@ def _q1(mp, mode):
     return _check_l5(mp, mode, ("pre",), pinned=False)
 
 
-def _q2(mp, mode):
-    'A composition pre-fixed element belonging to no simultaneous pre-fixed pair.'
-    leq_o, leq_p = mp.dom_o.poset.leq, mp.dom_p.poset.leq
-    f, g = np.asarray(mp.f), np.asarray(mp.g)
+def _q2_outside(leq_o, leq_p, f, g) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair of a stack (pre_mask's arguments with a batch axis), the
+    masks of the elements of O pre-fixed for G.F and of P pre-fixed for F.G
+    that lie outside the first, or second, component set. A padded element
+    is below nothing, so it is never pre-fixed."""
     pre = pre_mask(leq_o, leq_p, f, g)
-    for side, leq, round_trip, covered, name, which in (
-            ("O", leq_o, g[f], pre.any(axis=1), "G.F", "first"),
-            ("P", leq_p, f[g], pre.any(axis=0), "F.G", "second")):
-        outside = leq[round_trip, np.arange(len(round_trip))] & ~covered
+    b = np.arange(len(f))[:, None]
+    return (leq_o[b, g[b, f], np.arange(f.shape[1])] & ~pre.any(axis=2),
+            leq_p[b, f[b, g], np.arange(g.shape[1])] & ~pre.any(axis=1))
+
+
+def _q2(mp, mode):
+    """A composition pre-fixed element belonging to no simultaneous pre-fixed
+    pair. None exists for any tables: (o, F(o)) is pre-fixed when G(F(o)) is
+    below o, and (G(p), p) when F(G(p)) is below p."""
+    stack = (mp.dom_o.poset.leq, mp.dom_p.poset.leq, np.asarray(mp.f), np.asarray(mp.g))
+    for side, outside, name, which in zip("OP", _q2_outside(*(a[None] for a in stack)),
+                                          ("G.F", "F.G"), ("first", "second")):
         if outside.any():
             return (f"{side}={int(outside.argmax())} is pre-fixed for {name} "
                     f"but outside the {which} component set")
@@ -602,6 +681,25 @@ def _q3(mp, mode):
 
 
 QUESTIONS = {"Q1": _q1, "Q2": _q2, "Q3": _q3}
+
+
+def _ask(question: str, pairs: list[MutualPair], stack, mode: ContinuityMode):
+    """The first (index, witness) of pairs at which question finds a
+    counterexample, or None. Q2 asks the whole stack at once and names the
+    first hit's witness by the one-pair path; Q1 and Q3 ask pair by pair."""
+    pred = QUESTIONS[question]
+    if question != "Q2":
+        return next(((k, w) for k, mp in enumerate(pairs) if (w := pred(mp, mode)) is not None),
+                    None)
+    outside_o, outside_p = _q2_outside(*stack)
+    hits = (outside_o | outside_p).any(axis=1)
+    k = int(hits.argmax())
+    if not hits[k]:
+        return None
+    witness = pred(pairs[k], mode)
+    if witness is None:     # the stacked and the one-pair kernel disagree
+        raise AssertionError
+    return k, witness
 
 
 def _revalidate(question: str, serialized: str, witness: str, mode: ContinuityMode) -> bool:
@@ -638,7 +736,9 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
                         max_size: int = 3, mode: ContinuityMode = BINARY) -> FindingReport:
     """Search for a counterexample: exhaustively over every monotone pair
     on small corpus shapes, then randomized within the remaining budget.
-    Any finding is re-validated from scratch before being reported.
+    Tries go MINER_BLOCK at a time, and the report is the one that asking
+    them one by one gives. Any finding is re-validated from scratch before
+    being reported.
 
     exhaustive_size is None when the budget ran out inside the sweep, and
     otherwise the largest size N such that the sweep covered every shape
@@ -648,20 +748,23 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
     for name, value in (("budget", budget), ("max_size", max_size)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative")
-    pred = QUESTIONS[question]
     spec = replace(spec, function_class="monotone")
     sweep = _sweep(max_size)
     tried = randomized = 0
     finding = revalidated = None
     while finding is None and tried < budget:
-        mp = next(sweep, None)
-        if mp is None:
-            mp = _instance(spec, tried, mode)
-            randomized += 1
-        tried += 1
-        witness = pred(mp, mode)
-        if witness is not None:
-            finding = Finding(textio.pair_to_json(mp), witness)
+        # the next tries in order: what is left of the sweep, then instance
+        # number tried onwards, as many as the budget allows
+        n = min(MINER_BLOCK, budget - tried)
+        swept = list(islice(sweep, n))
+        pairs, stack = _instances(spec, range(tried + len(swept), tried + n), mode, swept)
+        hit = _ask(question, pairs, stack, mode)
+        asked = n if hit is None else hit[0] + 1
+        tried += asked
+        randomized += max(0, asked - len(swept))
+        if hit is not None:
+            k, witness = hit
+            finding = Finding(textio.pair_to_json(pairs[k]), witness)
             revalidated = _revalidate(question, finding.instance, witness, mode)
     size = None
     if finding is not None or randomized or next(sweep, None) is None:

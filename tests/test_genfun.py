@@ -20,7 +20,7 @@ from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, FiniteLattice, FinitePo
                      product, split_seed)
 from mucofix.lattice import DEFAULT_CAP
 from mucofix.textio import parse_lattice_doc
-from mucofix.verifier import FAMILIES, GenerationExhausted, _instance, _sweep
+from mucofix.verifier import FAMILIES, MINER_BLOCK, GenerationExhausted, _instance, _sweep
 
 from oracles import (continuity_witness_oracle, monotone_witness_oracle, nonempty_subsets,
                      preserves_joins_oracle, preserves_meets_oracle)
@@ -69,7 +69,8 @@ def test_pair_construction(c2, d4):
 
 
 # each public constructor fed a value that dual or dual_pair built, with one
-# field broken; dual and dual_pair skip the checks, and these must not
+# field broken; dual and dual_pair skip the checks, and these must not. The
+# script ends with the miner's block self-check, also an explicit raise
 CONSTRUCTOR_FAILURES = """
 from mucofix import FiniteLattice, FinitePoset, LatticeFn, MutualPair, chain, dual, dual_pair
 c3 = dual(chain(3))
@@ -93,6 +94,28 @@ for build in cases:
         print("accepted")
     except ValueError as exc:
         print(exc)
+
+# so must the stacked self-check of a generated block, with one F table
+# turned round at its first, a middle or its last pair
+from mucofix import BINARY, InstanceGenSpec
+from mucofix import verifier
+real = verifier._monotone_table
+for position in (0, verifier.MINER_BLOCK // 2, verifier.MINER_BLOCK - 1):
+    calls = []
+
+    def planted(rng, dom, cod):
+        table = list(real(rng, dom, cod))
+        calls.append(None)
+        if len(calls) == 2 * position + 1:
+            table[dom.bottom], table[dom.top] = cod.top, cod.bottom
+        return tuple(table)
+    verifier._monotone_table = planted
+    try:
+        verifier._instances(InstanceGenSpec(seed=4, size_hi=6), range(verifier.MINER_BLOCK),
+                            BINARY)
+        print("accepted")
+    except AssertionError:
+        print("block refused at", position)
 """
 
 
@@ -108,7 +131,8 @@ def test_public_constructors_still_check_values_the_duals_built(flags):
                                         "element id 7 out of range 0..2",
                                         "edges must name elements of the carrier",
                                         "element id 2 out of range 0..1",
-                                        "element id 3 out of range 0..2"]
+                                        "element id 3 out of range 0..2"] + [
+        f"block refused at {k}" for k in (0, MINER_BLOCK // 2, MINER_BLOCK - 1)]
 
 
 SWAP = {"meet": "join", "join": "meet"}

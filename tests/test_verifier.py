@@ -1,4 +1,5 @@
 """Seeded generation, lemma runners, and the counterexample miner."""
+import functools
 import json
 import random
 from collections import Counter
@@ -15,10 +16,13 @@ from mucofix import (BINARY, WITH_EMPTY, CapacityError, FiniteLattice, InstanceG
                      component_sets, corpus, diamond, gen_continuous_pair, gen_lattice,
                      gen_monotone_pair, is_continuous_pair, is_monotone, m3,
                      mine_counterexample, n5, pair_continuity_witness, pair_from_json,
-                     point_masks, product, split_seed, validate_lattice)
+                     point_masks, powerset_lattice, product, split_seed, validate_lattice)
 import mucofix.genfun as genfun
+import mucofix.textio as textio
 import mucofix.verifier as verifier
+from mucofix.genfun import _first_monotone_failure
 from mucofix.lattice import mask_lattice
+from mucofix.simpoints import pre_mask
 from mucofix.verifier import (GenerationExhausted, LEMMAS, _check_l1, _check_l5,
                               render_finding_report, render_lemma_report)
 
@@ -707,3 +711,198 @@ def test_the_extreme_pairs_hold_for_any_tables_so_l6_never_misses_a_bound():
         assert lat_o.bottom in cs.e and lat_p.bottom in cs.fset
         found = verifier._check_l6(mp, BINARY)
         assert found is None or "misses" not in found
+
+
+# ------------------------------------------------------------ miner blocks
+
+def reference_mine(question, spec, budget, max_size=3, mode=BINARY):
+    """The per-pair miner loop that the blocks replaced, kept as the
+    reference: each try is generated, self-checked and asked alone."""
+    pred = verifier.QUESTIONS[question]
+    spec = replace(spec, function_class="monotone")
+    sweep = verifier._sweep(max_size)
+    tried = randomized = 0
+    finding = revalidated = None
+    while finding is None and tried < budget:
+        mp = next(sweep, None)
+        if mp is None:
+            mp = verifier._instance(spec, tried, mode)
+            randomized += 1
+        tried += 1
+        witness = pred(mp, mode)
+        if witness is not None:
+            finding = verifier.Finding(textio.pair_to_json(mp), witness)
+            revalidated = verifier._revalidate(question, finding.instance, witness, mode)
+    size = None
+    if finding is not None or randomized or next(sweep, None) is None:
+        size = min((max(lat_o.size, lat_p.size) - 1
+                    for lat_o, lat_p, fits in verifier._shape_pairs(max_size) if not fits),
+                   default=max_size)
+    return verifier.FindingReport(question, mode.kind, tried, size, randomized, finding,
+                                  revalidated)
+
+
+@pytest.fixture
+def shared_tries(monkeypatch):
+    """Each instance drawn once, each sweep listed once, and the Q1 and Q3
+    runners asked once per pair, for every miner run of a test: the blocks,
+    the stacked Q2 kernel and the reference loop still run in full."""
+    monkeypatch.setattr(verifier, "_draw", functools.cache(verifier._draw))
+    sweeps, real_sweep = {}, verifier._sweep
+
+    def listed(max_size):
+        if max_size not in sweeps:
+            sweeps[max_size] = list(real_sweep(max_size))
+        return iter(sweeps[max_size])
+    monkeypatch.setattr(verifier, "_sweep", listed)
+    for question in ("Q1", "Q3"):
+        # an asked pair is kept with its witness, so no id is reused
+        asked, runner = {}, verifier.QUESTIONS[question]
+
+        def once(mp, mode, asked=asked, runner=runner):
+            if (id(mp), mode) not in asked:
+                asked[id(mp), mode] = mp, runner(mp, mode)
+            return asked[id(mp), mode][1]
+        monkeypatch.setitem(verifier.QUESTIONS, question, once)
+
+
+B = verifier.MINER_BLOCK
+
+
+@pytest.mark.parametrize("question", ["Q1", "Q2", "Q3"])
+def test_block_miner_reports_what_the_per_pair_loop_reports(question, shared_tries):
+    # the budgets cut blocks at, around and between block and sweep ends
+    # (the sweep has 157 tries at max_size 3, 2 at max_size 2, none at 0)
+    found = Counter()
+    for seed in range(20):
+        for max_size in (0, 2, 3, 4):
+            for budget in (0, 1, B - 1, B, B + 1, 156, 157, 158, 400, 600):
+                got = mine_counterexample(question, spec(seed), budget, max_size)
+                assert got == reference_mine(question, spec(seed), budget, max_size), (
+                    seed, max_size, budget)
+                found[got.note, got.randomized > 0, got.revalidated] += 1
+    # Q2 never fires; Q1 finds inside the sweep at max_size 4 and Q3 does not
+    notes = {note for note, _, _ in found}
+    assert notes >= {"none found (search truncated by budget)",
+                     *(f"none found (exhaustive up to size {n})" for n in (0, 2, 3))}
+    assert ("found" in notes) == (question != "Q2")
+    assert bool(found["found", True, True]) == (question != "Q2")
+    assert bool(found["found", False, True]) == (question == "Q1")
+    assert not found["found", True, False] and not found["found", False, False]
+
+
+def test_q1_and_q3_at_seed_0_still_stop_at_try_169():
+    for question in ("Q1", "Q3"):
+        report = mine_counterexample(question, spec(0), 500, 3)
+        assert (report.tried, report.randomized) == (169, 12)
+        assert report.finding is not None and report.revalidated
+
+
+def _mixed_block_pairs():
+    """Seeded pairs on chains of 1-8 elements, the diamond, N5, powersets and
+    random-closed lattices: monotone pairs, pairs with one arbitrary side,
+    and arbitrary pairs, so F and G each break the order somewhere."""
+    rng = random.Random(31)
+    lats = [chain(n) for n in range(1, 9)] + [diamond(), n5()] + [
+        powerset_lattice(k) for k in range(4)] + [
+        verifier._random_closed(random.Random(s), 2, 8) for s in range(8)]
+    pairs = []
+    for i in range(150):
+        lat_o, lat_p = rng.choice(lats), rng.choice(lats)
+        mono = verifier._draw_monotone(spec(i), lat_o, lat_p)
+        f = [rng.randrange(lat_p.size) for _ in range(lat_o.size)]
+        g = [rng.randrange(lat_o.size) for _ in range(lat_p.size)]
+        pairs.append([mono, MutualPair(lat_o, lat_p, f, mono.g),
+                      MutualPair(lat_o, lat_p, mono.f, g), MutualPair(lat_o, lat_p, f, g)][i % 4])
+    return pairs
+
+
+def test_stacked_kernels_match_the_one_pair_kernels_on_mixed_blocks():
+    pairs = _mixed_block_pairs()
+    verdicts = Counter()
+    for start, stop in ((0, 1), (1, 2), (2, 9), (9, 9 + B), (9 + B, len(pairs))):
+        block = pairs[start:stop]
+        stack = verifier._stack(block)
+        k = max(max(mp.dom_o.size, mp.dom_p.size) for mp in block)
+        assert [a.shape for a in stack] == [(len(block), k, k)] * 2 + [(len(block), k)] * 2
+        for mp, pre in zip(block, pre_mask(*stack)):
+            n, m = mp.dom_o.size, mp.dom_p.size
+            want = pre_mask(mp.dom_o.poset.leq, mp.dom_p.poset.leq, np.asarray(mp.f),
+                            np.asarray(mp.g))
+            assert (pre[:n, :m] == want).all()
+            assert not pre[n:].any() and not pre[:, m:].any()
+        got = verifier._monotone_failures(stack)
+        assert got == [_first_monotone_failure((("F", mp.f_fn), ("G", mp.g_fn)))
+                       for mp in block]
+        verdicts.update("none" if v is None else v[0] for v in got)
+    assert verdicts["none"] and verdicts["F"] and verdicts["G"], verdicts
+
+
+def _plant(monkeypatch, position, side):
+    """Turn the order round in the table of side ("F" or "G") of the pair at
+    position of the next block: its bottom goes to the top and its top to
+    the bottom. Every table is still drawn, so the stream is unchanged."""
+    real, calls = verifier._monotone_table, []
+
+    def planted(rng, dom, cod):
+        table = list(real(rng, dom, cod))
+        calls.append(None)
+        if len(calls) == 2 * position + (side == "G") + 1:
+            table[dom.bottom], table[dom.top] = cod.top, cod.bottom
+        return tuple(table)
+    monkeypatch.setattr(verifier, "_monotone_table", planted)
+
+
+@pytest.mark.parametrize("side", ["F", "G"])
+@pytest.mark.parametrize("position", [0, B // 2, B - 1], ids=["first", "middle", "last"])
+def test_a_non_monotone_table_anywhere_in_a_block_fails_generation(monkeypatch, position,
+                                                                    side):
+    s = spec(4, function_class="monotone")
+    pairs, _ = verifier._instances(s, range(B), BINARY)
+    assert all(vars(mp)["monotone_failure"] is None for mp in pairs)
+    _plant(monkeypatch, position, side)
+    with pytest.raises(AssertionError):
+        verifier._instances(s, range(B), BINARY)
+    # the miner's first block of tries at max_size 0 is the same block
+    _plant(monkeypatch, position, side)
+    with pytest.raises(AssertionError):
+        mine_counterexample("Q2", s, B, max_size=0)
+
+
+def _holds(mp, leq_o, leq_p, f, g) -> bool:
+    'Whether one slice of a stack, padded or not, holds the orders and tables of mp.'
+    for lat, leq, table, want in ((mp.dom_o, leq_o, f, mp.f), (mp.dom_p, leq_p, g, mp.g)):
+        n = lat.size
+        # a real element is below itself, so all-false rows from n on are padding
+        if leq[n:].any() or len(table) < n or table[n:].any() or table[:n].tolist() != list(want):
+            return False
+        if not (leq[:n, :n] == lat.poset.leq).all():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("side", ["O", "P"])
+def test_a_q2_hit_planted_in_pre_mask_is_reported_alike(monkeypatch, side):
+    # clearing the chosen try's pre-fixed row at the top of O (or column at
+    # the top of P) leaves that top outside its component set; the try is
+    # one whose F misses the top of P, so the P side's clearing leaves every
+    # row of O covered and the witness names P
+    s = spec(3, function_class="monotone")
+    index, chosen = next((i, mp) for i in range(200, 600)
+                         if (mp := verifier._instance(s, i, BINARY)).dom_p.top not in mp.f)
+    real = verifier.pre_mask
+
+    def cleared(leq_o, leq_p, f, g):
+        pre = real(leq_o, leq_p, f, g)
+        for b in range(len(f)):
+            if _holds(chosen, leq_o[b], leq_p[b], f[b], g[b]):
+                if side == "O":
+                    pre[b, chosen.dom_o.top, :] = False
+                else:
+                    pre[b, :, chosen.dom_p.top] = False
+        return pre
+    monkeypatch.setattr(verifier, "pre_mask", cleared)
+    got = mine_counterexample("Q2", s, 600, 3)
+    want = reference_mine("Q2", s, 600, 3)
+    assert got == want
+    assert got.tried <= index + 1 and got.finding.witness.startswith(side + "=")
