@@ -2,7 +2,7 @@
 non-distributive lattices, small powersets, and a few products."""
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -60,7 +60,7 @@ def n5() -> FiniteLattice:
     return _from_strict(("bot", "a", "b", "c", "top"), pairs)
 
 
-@lru_cache(maxsize=1)
+@cache
 def corpus() -> tuple[tuple[str, FiniteLattice], ...]:
     'Named fixture lattices; everything is immutable so caching is safe.'
     return (

@@ -34,11 +34,12 @@ readers need, each read-only:
   keeps every edge;
 - down_rows, the transposed order in C order, made on first use; a dual
   reads it as its own order, so both sides read contiguous rows;
-- the draw and search lists, tuples derived from the tables on first
-  use, so they can neither change nor drift from the tables.
+- the generation lists, tuples derived from the order and tables on
+  first use, so they can neither change nor drift from them.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
@@ -230,23 +231,20 @@ def poset_violation(p: FinitePoset):
     return None if gap is None else ("transitivity", gap)
 
 
-class DrawLists(NamedTuple):
-    """A lattice's order and join as plain tuples, for drawing monotone
-    tables element by element. extension is a linear extension: ids by
-    strict down-set size ascending, ties by id."""
+class GenLists(NamedTuple):
+    """A lattice's order and bound tables as plain tuples, for generating
+    tables element by element: drawing monotone ones and searching those
+    that keep bounds. extension is a linear extension: ids by strict
+    down-set size ascending, ties by id. Every pair that joins and meets
+    name is of incomparable elements, and every element that meets[i]
+    names comes before i in the extension."""
     extension: tuple[int, ...]
     below: tuple[tuple[int, ...], ...]    # below[i]: the strict down-set of i
     up_sets: tuple[tuple[int, ...], ...]  # up_sets[i]: the up-set of i, i included
     join: tuple[tuple[int, ...], ...]     # join[i][j]: the join of i and j
-
-
-class SearchLists(NamedTuple):
-    """What a search for bound-preserving tables reads besides the draw
-    lists, per element i. Every pair named is of incomparable elements,
-    and every element named comes before i in the draw lists' extension."""
+    meet: tuple[tuple[int, ...], ...]     # meet[i][j]: the meet of i and j
     joins: tuple[tuple[tuple[int, int], ...], ...]  # joins[i]: pairs (a, b) whose join is i
     meets: tuple[tuple[tuple[int, int], ...], ...]  # meets[i]: (j, meet of i and j) per earlier j
-    meet: tuple[tuple[int, ...], ...]     # meet[i][j]: the meet of i and j
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -308,8 +306,10 @@ class FiniteLattice:
                 raise ValueError("edges must name elements of the carrier")
             object.__setattr__(self, "edges", (src, dst))
         for name in ("bottom", "top"):
-            self._check_id(getattr(self, name))
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, self._check_id(getattr(self, name)))
+        if not (self.poset.leq[self.bottom].all() and self.poset.leq[:, self.top].all()):
+            raise ValueError(f"bottom {self.bottom} and top {self.top} must be the least"
+                             " and greatest elements")
 
     def __getattr__(self, name: str):
         # reached only when name is not set: a table given as None is
@@ -332,8 +332,7 @@ class FiniteLattice:
         return self.poset.labels
 
     def label(self, i: int) -> str:
-        self._check_id(i)
-        return self.poset.labels[i]
+        return self.poset.labels[self._check_id(i)]
 
     def index(self, label: str) -> int:
         return self.poset.index(label)
@@ -349,41 +348,37 @@ class FiniteLattice:
         return rows
 
     @cached_property
-    def draw_lists(self) -> DrawLists:
-        """The draw lists, built on first use and kept with the lattice.
-        Only instance generation reads them, on carriers of at most 64
-        elements, so they stay a few thousand ints."""
+    def gen_lists(self) -> GenLists:
+        """The generation lists, built in one pass on first use and kept
+        with the lattice. Only instance generation reads them, on carriers
+        of at most 64 elements, so they stay a few thousand ints. They read
+        both bound tables. Generation walks only lattices that are built
+        once and kept and that hold both, but for three corpus lattices,
+        whose waiting meet table is then searched once."""
         ids = range(self.size)
-        strict = self.poset.leq.T.tolist()    # column i of the order: the down-set of i
-        for i, col in enumerate(strict):
-            col[i] = False
-        below = tuple([tuple(compress(ids, col)) for col in strict])
-        return DrawLists(tuple(sorted(ids, key=lambda i: len(below[i]))), below,
-                         tuple([tuple(compress(ids, row)) for row in self.poset.leq.tolist()]),
-                         tuple(map(tuple, self.join.tolist())))
-
-    @cached_property
-    def search_lists(self) -> SearchLists:
-        'The search lists, built on first use and kept with the lattice like the draw lists.'
-        n = self.size
-        leq, join = self.poset.leq.tolist(), self.draw_lists.join
-        meet = tuple(map(tuple, self.meet.tolist()))
-        place = [0] * n
-        for k, i in enumerate(self.draw_lists.extension):
-            place[i] = k
-        joins = [[] for _ in range(n)]
-        meets = [[] for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
+        leq = self.poset.leq.tolist()
+        # column i of the order is the down-set of i
+        below = tuple([tuple(j for j in compress(ids, col) if j != i)
+                       for i, col in enumerate(self.poset.leq.T.tolist())])
+        extension = tuple(sorted(ids, key=lambda i: len(below[i])))
+        place = {i: k for k, i in enumerate(extension)}
+        join, meet = (tuple(map(tuple, table.tolist())) for table in (self.join, self.meet))
+        joins, meets = [[] for _ in ids], [[] for _ in ids]
+        for a in ids:
+            for b in ids[a + 1:]:
                 if not (leq[a][b] or leq[b][a]):
                     joins[join[a][b]].append((a, b))
                     early, late = (a, b) if place[a] < place[b] else (b, a)
                     meets[late].append((early, meet[a][b]))
-        return SearchLists(tuple(map(tuple, joins)), tuple(map(tuple, meets)), meet)
+        return GenLists(extension, below, tuple([tuple(compress(ids, row)) for row in leq]),
+                        join, meet, tuple(map(tuple, joins)), tuple(map(tuple, meets)))
 
-    def _check_id(self, a: int):
-        if not 0 <= int(a) < self.size:
+    def _check_id(self, a: int) -> int:
+        'a as an id of the carrier; a non-integer raises TypeError, as a table entry does.'
+        i = operator.index(a)
+        if not 0 <= i < self.size:
             raise ValueError(f"element id {a} out of range 0..{self.size - 1}")
+        return i
 
     def _check_ids(self, ids):
         'Range-check a sequence of ints at once; on failure name the first bad id.'
@@ -393,22 +388,23 @@ class FiniteLattice:
 
     def leq(self, a: int, b: int) -> bool:
         'Order test by table lookup; ids are bounds-checked.'
-        self._check_id(a)
-        self._check_id(b)
-        return bool(self.poset.leq[a, b])
+        return bool(self.poset.leq[self._check_id(a), self._check_id(b)])
 
     def _ids(self, s) -> tuple[int, ...]:
-        ids = tuple(sorted({int(x) for x in s}))
+        ids = tuple(sorted({operator.index(x) for x in s}))
         self._check_ids(ids)
         return ids
 
     def _fold(self, table: np.ndarray, unit: int, s) -> int:
         """The fold of a bound table over the ids s, which may repeat and
         come in any order: each step halves the ids by one table gather
-        of the even against the odd positions, padded with the unit. The
+        of the even against the odd positions, padded with the unit. Ids
+        must be integers, so a boolean mask is refused, not read as ids. The
         range check takes the min and max, and names the smallest bad id."""
+        if isinstance(s, np.ndarray) and s.dtype.kind not in "iu":
+            raise TypeError(f"element ids must be integers, not {s.dtype}")
         ids = (s.astype(np.intp, copy=False) if isinstance(s, np.ndarray)
-               else np.fromiter(map(int, s), np.intp))
+               else np.fromiter(map(operator.index, s), np.intp))
         if not ids.size:
             return unit
         lo, hi = int(ids.min()), int(ids.max())

@@ -39,27 +39,26 @@ class ComponentSets:
     fset: frozenset[int]
 
 
-def _check_point(mp: MutualPair, pt: PairPoint):
-    mp.dom_o._check_id(pt.o)
-    mp.dom_p._check_id(pt.p)
+def _check_point(mp: MutualPair, pt: PairPoint) -> tuple[int, int]:
+    return mp.dom_o._check_id(pt.o), mp.dom_p._check_id(pt.p)
 
 
 def is_sim_prefixed(mp: MutualPair, pt: PairPoint) -> bool:
     'F(o) below p and G(p) below o.'
-    _check_point(mp, pt)
-    return bool(mp.dom_p.poset.leq[mp.f[pt.o], pt.p] and mp.dom_o.poset.leq[mp.g[pt.p], pt.o])
+    o, p = _check_point(mp, pt)
+    return bool(mp.dom_p.poset.leq[mp.f[o], p] and mp.dom_o.poset.leq[mp.g[p], o])
 
 
 def is_sim_postfixed(mp: MutualPair, pt: PairPoint) -> bool:
     'p below F(o) and o below G(p).'
-    _check_point(mp, pt)
-    return bool(mp.dom_p.poset.leq[pt.p, mp.f[pt.o]] and mp.dom_o.poset.leq[pt.o, mp.g[pt.p]])
+    o, p = _check_point(mp, pt)
+    return bool(mp.dom_p.poset.leq[p, mp.f[o]] and mp.dom_o.poset.leq[o, mp.g[p]])
 
 
 def is_sim_fixed(mp: MutualPair, pt: PairPoint) -> bool:
     'F(o) is exactly p and G(p) is exactly o.'
-    _check_point(mp, pt)
-    return mp.f[pt.o] == pt.p and mp.g[pt.p] == pt.o
+    o, p = _check_point(mp, pt)
+    return mp.f[o] == p and mp.g[p] == o
 
 
 def _check_side(side: str):
@@ -102,7 +101,7 @@ def _members(line: np.ndarray) -> frozenset[int]:
 
 def _fiber(mp: MutualPair, anchor: int, side: str, kind: str) -> frozenset[int]:
     _check_side(side)
-    (mp.dom_o if side == "O" else mp.dom_p)._check_id(anchor)
+    anchor = (mp.dom_o if side == "O" else mp.dom_p)._check_id(anchor)
     mask = _mask(mp, kind)
     return _members(mask[anchor] if side == "O" else mask[:, anchor])
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, cached_property
 from itertools import islice
 
 from . import textio
@@ -114,48 +114,48 @@ def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
     return _memo_chain(rng.randint(lo, hi))
 
 
-# Generation draws the same few small lattices over and over, so they are
-# built once. Lattices are immutable, which makes sharing them safe. The
-# public constructors stay uncached. _random_closed's families are many but
-# their orders few: the 731 sublattices of 2^4 have 74 distinct orders in
-# sorted id order, so _SHAPES keeps one lattice per order, and a family
-# takes its tables and lists from it and only its labels are new.
+# Generation draws the same few small lattices over and over, so each is
+# built once, by memos whose keys are sizes of at most INSTANCE_SIZE_CAP.
+# Lattices are immutable, which makes sharing them safe. The public
+# constructors stay uncached. _random_closed's families are many but their
+# orders few: the 731 sublattices of 2^4 have 74 distinct orders in sorted
+# id order, so _SHAPES keeps one lattice per order, and a family shares
+# all it has built and only its labels are new.
 _SHAPES: dict[bytes, FiniteLattice] = {}
 
 
 def _closed_lattice(masks: list[int]) -> FiniteLattice:
-    """mask_lattice(masks, "m" + each mask in 4 bits), with its tables,
-    bounds and lists read off the one lattice of its order in _SHAPES.
-    masks is a closed family, sorted with its least mask first and its
-    greatest last. A lattice's tables and lists depend on its order alone,
-    so a shape's may be shared; they are read-only arrays and tuples."""
+    """mask_lattice(masks, "m" + each mask in 4 bits), sharing all that the
+    one lattice of its order in _SHAPES has built, every view included, so
+    only its poset is its own. masks is a closed family, sorted with its
+    least mask first and its greatest last. A lattice's tables and views
+    depend on its order alone, so a shape's may be shared; they are
+    read-only arrays and tuples."""
     labels = tuple(f"m{m:04b}" for m in masks)
     arr = np.array(masks)
     key = ((arr[:, None] & ~arr) == 0).tobytes()    # the order: n x n bytes, so n is known
     shape = _SHAPES.get(key)
     if shape is None:
         shape = mask_lattice(masks, labels)
-        shape.draw_lists, shape.search_lists, shape.down_rows    # built once, for every family
+        for name in [k for k, v in vars(FiniteLattice).items() if isinstance(v, cached_property)]:
+            getattr(shape, name)    # each view, built once for every family
         shape = _SHAPES.setdefault(key, shape)
     poset = FinitePoset(labels, shape.poset.leq)
-    return _prechecked(FiniteLattice, poset=poset, meet=shape.meet, join=shape.join,
-                       bottom=shape.bottom, top=shape.top, size=shape.size, edges=None,
-                       down_rows=shape.down_rows, draw_lists=shape.draw_lists,
-                       search_lists=shape.search_lists)
+    return _prechecked(FiniteLattice, **vars(shape) | {"poset": poset})
 
 
-@lru_cache(maxsize=16)
+@cache
 def _memo_chain(n: int) -> FiniteLattice:
     return chain(n)
 
 
-@lru_cache(maxsize=16)
+@cache
 def _memo_flat_product(hi: int) -> FiniteLattice:
     'product(chain(1), chain(hi)): a chain of hi elements with pair labels.'
     return product(chain(1), chain(hi))
 
 
-@lru_cache(maxsize=1)
+@cache
 def _pools() -> dict[str, tuple[FiniteLattice, ...]]:
     """The lattices of each pooled family in draw order: the powersets of 0
     to 4 members, the 16 products of two factors from C2, C3, C4 and the
@@ -198,10 +198,10 @@ def _monotone_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice) 
     even when one candidate is left, which the search skips; the monotone
     stream and the miner's randomized tries depend on those draws. It also
     takes about a third less time per table than the search."""
-    below = dom.draw_lists.below
-    up_sets, join = cod.draw_lists.up_sets, cod.draw_lists.join
+    below = dom.gen_lists.below
+    up_sets, join = cod.gen_lists.up_sets, cod.gen_lists.join
     images = [0] * dom.size
-    for i in dom.draw_lists.extension:
+    for i in dom.gen_lists.extension:
         forced = cod.bottom
         for j in below[i]:
             forced = join[forced][images[j]]
@@ -280,11 +280,12 @@ def _maps(dom: FiniteLattice, cod: FiniteLattice, mode: ContinuityMode | None,
     element that joins two incomparable ones takes that join, and each
     choice is checked against every bound of incomparable elements that it
     completes, so every binary bound is checked once."""
-    order, below = dom.draw_lists.extension, dom.draw_lists.below
-    up_sets, cod_join = cod.draw_lists.up_sets, cod.draw_lists.join
-    # without a mode no bound is checked, so no search lists are read
-    joins, meets, _ = dom.search_lists if mode is not None else ([()] * dom.size,) * 3
-    cod_meet = cod.search_lists.meet if mode is not None else None
+    lists, cod_lists = dom.gen_lists, cod.gen_lists
+    order, below = lists.extension, lists.below
+    up_sets, cod_join = cod_lists.up_sets, cod_lists.join
+    # without a mode no bound is checked, so no bound lists are read
+    joins, meets = (lists.joins, lists.meets) if mode is not None else ([()] * dom.size,) * 2
+    cod_meet = cod_lists.meet if mode is not None else None
     pinned = mode == WITH_EMPTY
     images = [0] * dom.size
 

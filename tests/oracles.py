@@ -327,13 +327,24 @@ def closed_subsets_oracle(leq):
 
 
 def draw_lists_oracle(leq):
-    """The order half of a lattice's draw lists, straight from the order
-    matrix: ids sorted by strict down-set size then id, each strict
-    down-set and each up-set, members in id order."""
+    """A lattice's generation lists but its two tables, straight from the
+    order matrix: ids sorted by strict down-set size then id, each strict
+    down-set and each up-set, members in id order; then per element i the
+    incomparable pairs a < b whose join is i, in row-major order, and per
+    incomparable j before i in that order, (j, the meet of i and j), by
+    id. Each bound is found by scan."""
     n = len(leq)
     below = [[j for j in range(n) if j != i and leq[j][i]] for i in range(n)]
     up_sets = [[j for j in range(n) if leq[i][j]] for i in range(n)]
-    return sorted(range(n), key=lambda i: (len(below[i]), i)), below, up_sets
+    extension = sorted(range(n), key=lambda i: (len(below[i]), i))
+    joins = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not leq[a][b] and not leq[b][a]:
+                joins[lub_scan(leq, [a, b])].append((a, b))
+    meets = [[(j, glb_scan(leq, [i, j])) for j in range(n) if not leq[i][j] and not leq[j][i]
+              and extension.index(j) < extension.index(i)] for i in range(n)]
+    return extension, below, up_sets, joins, meets
 
 
 def continuous_table_oracle(dom_leq, cod_leq, with_empty=False):

@@ -83,6 +83,8 @@ cases = [
     lambda: FiniteLattice(c3.poset, c3.meet, c3.join[:, :2], c3.bottom, c3.top),
     lambda: FiniteLattice(c3.poset, negative, c3.join, c3.bottom, c3.top),
     lambda: FiniteLattice(c3.poset, c3.meet, c3.join, 0, 7),
+    lambda: FiniteLattice(c3.poset, c3.meet, c3.join, c3.top, c3.top),
+    lambda: FiniteLattice(c3.poset, c3.meet, c3.join, c3.bottom, 1),
     lambda: FiniteLattice(c3.poset, c3.meet, c3.join, c3.bottom, c3.top,
                           (c3.edges[0], c3.edges[1] + 2)),
     lambda: LatticeFn(c3, mp.dom_p, (0, 2, 1)),
@@ -129,6 +131,10 @@ def test_public_constructors_still_check_values_the_duals_built(flags):
                                         "bound tables must match the carrier",
                                         "bound tables must name elements of the carrier",
                                         "element id 7 out of range 0..2",
+                                        "bottom 0 and top 0 must be the least and greatest"
+                                        " elements",
+                                        "bottom 2 and top 1 must be the least and greatest"
+                                        " elements",
                                         "edges must name elements of the carrier",
                                         "element id 2 out of range 0..1",
                                         "element id 3 out of range 0..2"] + [

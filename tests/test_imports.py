@@ -526,3 +526,28 @@ def test_only_the_shape_helper_builds_a_mask_lattice_in_the_verifier():
     # order, so a mask_lattice per draw would build them all again unseen
     found = callers((SRC / "verifier.py").read_text(), "mask_lattice")
     assert [where.split(" ")[0] for where in found] == ["_closed_lattice"]
+
+
+def lru_caches(source: str) -> list[int]:
+    'The lines that import or use functools.lru_cache, under any spelling.'
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if "lru_cache" in (getattr(node, "id", None), getattr(node, "attr", None))
+                   or isinstance(node, ast.ImportFrom)
+                   and any(alias.name == "lru_cache" for alias in node.names)})
+
+
+def test_the_check_sees_a_memo_of_guessed_size():
+    source = ("import functools\nfrom functools import cache, lru_cache as memo\n"
+              "@functools.lru_cache(maxsize=16)\ndef chain(n):\n    return n\n"
+              "@cache\ndef pools():\n    return {}\n"
+              "# a comment may name lru_cache\nshapes = memo(maxsize=1)(dict)\n")
+    assert lru_caches(source) == [2, 3]
+
+
+def test_every_memo_in_the_package_is_exact():
+    # each memo's keys are bounded by a cap that bounds its inputs (sizes of
+    # at most INSTANCE_SIZE_CAP, or no argument at all), so functools.cache
+    # holds every key; a guessed maxsize of 16 once made a row over 58
+    # chain sizes build 126 chains
+    for path in sorted(SRC.parent.rglob("*.py")):
+        assert lru_caches(path.read_text()) == [], path.name

@@ -550,6 +550,39 @@ def test_leq_and_sets():
         lat.join_set([9, 4, 1])
 
 
+# ids once entered by int(), an intp cast or no check at all, so 2.9 read
+# as 2, "1" as 1, a boolean mask as the ids 0 and 1, and 0.5 as bottom 0,
+# while leq and label raised a bare IndexError or tuple TypeError
+NON_INTEGER_IDS = {
+    "meet_set": lambda: chain(3).meet_set(np.array([2.9])),
+    "meet_set of a string": lambda: chain(3).meet_set(["1"]),
+    "join_set of a mask": lambda: powerset_lattice(2).join_set(np.array([False, True, True, False])),
+    "join_set of mask entries": lambda: powerset_lattice(2).join_set(list(np.array([False, True]))),
+    "sublattice_violation": lambda: chain(3).sublattice_violation([0.2, 2.9]),
+    "is_complete_sublattice": lambda: chain(3).is_complete_sublattice(np.array([0.0, 2.0])),
+    "bottom": lambda: FiniteLattice(chain(3).poset, chain(3).meet, chain(3).join, 0.5, 2),
+    "top": lambda: FiniteLattice(chain(3).poset, chain(3).meet, chain(3).join, 0, "2"),
+    "leq": lambda: chain(3).leq(1.5, 2),
+    "label": lambda: chain(3).label(1.5),
+}
+
+
+@pytest.mark.parametrize("entry", NON_INTEGER_IDS)
+def test_a_non_integer_id_is_refused_where_it_enters(entry):
+    with pytest.raises(TypeError):
+        NON_INTEGER_IDS[entry]()
+
+
+def test_integer_ids_of_any_width_still_enter():
+    lat = powerset_lattice(2)
+    for ids in ([1, 2], (np.int8(1), np.uint64(2)), np.array([1, 2], np.uint8), range(1, 3)):
+        assert (lat.meet_set(ids), lat.join_set(ids)) == (0, 3)
+        assert lat.sublattice_violation(ids) == ("meet", 1, 2, 0)
+    assert lat.leq(np.int16(1), True) and lat.label(np.int64(3)) == "{a,b}"
+    built = FiniteLattice(lat.poset, lat.meet, lat.join, np.uint8(0), np.int64(3))
+    assert (built.bottom, built.top) == (0, 3) and type(built.top) is int
+
+
 def test_sublattice_violation_cases():
     lat = diamond()
     a, b = lat.index("a"), lat.index("b")
@@ -749,6 +782,11 @@ def test_every_table_whatever_its_dtype_and_both_bounds_are_checked():
     for bottom, top, bad in ((0, 7, 7), (-1, 2, -1)):
         with pytest.raises(ValueError, match=rf"^element id {bad} out of range 0\.\.2$"):
             FiniteLattice(lat.poset, lat.meet, lat.join, bottom, top)
+    # bounds in range but not extremes once gave meet_set([]) == 1, and a
+    # greatest pair (1, 1) from gsfp_product where the others found (2, 2)
+    for bottom, top in ((0, 1), (1, 2)):
+        with pytest.raises(ValueError, match=f"^bottom {bottom} and top {top} must be the least"):
+            FiniteLattice(lat.poset, lat.meet, lat.join, bottom, top)
 
 
 def test_tables_and_edges_of_non_integers_are_refused():
@@ -937,14 +975,17 @@ def test_draw_lists_match_the_plain_loop_oracle():
     closed = [verifier._random_closed(random.Random(seed), 2, 8) for seed in range(200)]
     lattices += closed + [dual(lat) for lat in closed]
     for lat in lattices:
-        lists = lat.draw_lists
-        assert lat.draw_lists is lists    # built once per lattice object
+        lists = lat.gen_lists
+        assert lat.gen_lists is lists    # built once per lattice object
         leq = lat.poset.leq.tolist()
-        extension, below, up_sets = draw_lists_oracle(leq)
+        extension, below, up_sets, joins, meets = draw_lists_oracle(leq)
         assert list(lists.extension) == extension
         assert [list(x) for x in lists.below] == below
         assert [list(x) for x in lists.up_sets] == up_sets
         assert [list(row) for row in lists.join] == lat.join.tolist()
+        assert [list(row) for row in lists.meet] == lat.meet.tolist()
+        assert [list(x) for x in lists.joins] == joins
+        assert [list(x) for x in lists.meets] == meets
         # a linear extension lists every strict down-set before its element
         seen = set()
         for i in lists.extension:

@@ -67,6 +67,19 @@ def test_empty_fiber_is_a_value(k1):
     assert prefp_fiber(k1, 1, "O") == frozenset({1})
 
 
+def test_a_non_integer_point_or_anchor_is_refused(k1):
+    # 1.5 once raised a bare IndexError from a fiber and a tuple TypeError
+    # from a point test, and 1.0 was read as 1
+    for check in (lambda: prefp_fiber(k1, 1.5), lambda: postfp_fiber(k1, 1.0, "P"),
+                  lambda: is_sim_prefixed(k1, PairPoint(1.5, 1)),
+                  lambda: is_sim_fixed(k1, PairPoint(1, "1"))):
+        with pytest.raises(TypeError):
+            check()
+    # a bool is the integer it equals, as in a table, not a numpy mask index
+    assert prefp_fiber(k1, True, "P") == prefp_fiber(k1, 1, "P") == frozenset({1})
+    assert is_sim_prefixed(k1, PairPoint(True, True)) and is_sim_fixed(k1, PairPoint(True, 1))
+
+
 def test_fiber_multiplicity(cb2):
     # constant-bottom generators put both partners in the fiber at 0
     assert prefp_fiber(cb2, 0, "O") == frozenset({0, 1})

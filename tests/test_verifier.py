@@ -17,11 +17,12 @@ from mucofix import (BINARY, WITH_EMPTY, CapacityError, FiniteLattice, InstanceG
                      gen_monotone_pair, is_continuous_pair, is_monotone, m3,
                      mine_counterexample, n5, pair_continuity_witness, pair_from_json,
                      point_masks, powerset_lattice, product, split_seed, validate_lattice)
+import mucofix.cli as cli
 import mucofix.genfun as genfun
 import mucofix.textio as textio
 import mucofix.verifier as verifier
 from mucofix.genfun import _first_monotone_failure
-from mucofix.lattice import mask_lattice
+from mucofix.lattice import cover_edges, mask_lattice
 from mucofix.simpoints import pre_mask
 from mucofix.verifier import (GenerationExhausted, LEMMAS, _check_l1, _check_l5,
                               render_finding_report, render_lemma_report)
@@ -127,6 +128,25 @@ def test_random_closed_above_sixteen_draws_no_family():
         assert rng.getstate() == replay.getstate()
 
 
+def test_a_row_over_every_chain_size_builds_each_size_once(monkeypatch, capsys):
+    # a memo of 16 sizes once evicted sizes this row draws again, so it
+    # built 126 chains for its 58 distinct sizes
+    built = Counter()
+
+    def counting(n):
+        built[n] += 1
+        return chain(n)
+    monkeypatch.setattr(verifier, "chain", counting)
+    verifier._memo_chain.cache_clear()
+    try:
+        code = cli.main(["verify", "--family", "chains", "--size-lo", "2", "--size-hi", "64",
+                         "--lemma", "L2", "--count", "40"])
+    finally:
+        verifier._memo_chain.cache_clear()
+    assert code == 0 and capsys.readouterr().out.endswith("verify: PASS\n")
+    assert len(built) == 58 and set(built.values()) == {1}
+
+
 def test_gen_lattice_is_deterministic():
     for family in ("mixed", "random-closed"):
         a = gen_lattice(spec(7, family=family))
@@ -203,7 +223,7 @@ def test_every_closed_family_reads_its_shape_as_a_fresh_lattice(monkeypatch):
                      (got.down_rows, ref.down_rows)):
             assert x.dtype == y.dtype and (x == y).all() and not x.flags.writeable
         assert (got.bottom, got.top, got.size, got.edges) == (ref.bottom, ref.top, ref.size, None)
-        assert got.draw_lists == ref.draw_lists and got.search_lists == ref.search_lists
+        assert got.gen_lists == ref.gen_lists
         orders.add(ref.poset.leq.tobytes())
     assert sum(len(f) >= 2 for f in families) == 715
     # one lattice per distinct order in sorted id order, and nothing else
@@ -229,12 +249,27 @@ def test_families_of_one_order_share_its_tables_and_lists(monkeypatch):
     c = verifier._random_closed(random.Random(seed_a), 2, 8)
     assert c is not a and c.labels == a.labels and c.poset.label_ids is not a.poset.label_ids
     shape = verifier._SHAPES[a.poset.leq.tobytes()]
+    # a family carries every table, bound and view its shape built, the
+    # shape's own objects, and only its poset, with its labels, is its own
+    assert {"meet", "join", "down_rows", "gen_lists"} <= set(vars(shape))
     for lat in (a, b, c):
-        assert lat.poset.leq is shape.poset.leq and lat.down_rows is shape.down_rows
-        assert lat.meet is shape.meet and lat.join is shape.join
-        assert lat.draw_lists is shape.draw_lists and lat.search_lists is shape.search_lists
-        assert (lat.bottom, lat.top, lat.size) == (shape.bottom, shape.top, shape.size)
+        assert vars(lat).keys() == vars(shape).keys()
+        for name, value in vars(shape).items():
+            assert name == "poset" or vars(lat)[name] is value, name
+        assert lat.poset is not shape.poset and lat.poset.leq is shape.poset.leq
     assert len(verifier._SHAPES) == len(seen)
+
+
+def test_a_view_that_lattices_gain_travels_to_every_family(monkeypatch):
+    # a family shares its shape's views by reading what the shape built,
+    # not a list of names, so a view added to the class travels unnamed
+    covers = functools.cached_property(cover_edges)
+    covers.__set_name__(FiniteLattice, "covers")
+    monkeypatch.setattr(FiniteLattice, "covers", covers, raising=False)
+    monkeypatch.setattr(verifier, "_SHAPES", {})
+    a, b = verifier._closed_lattice([0, 1, 2, 3]), verifier._closed_lattice([0, 4, 8, 12])
+    assert a.labels != b.labels and "covers" in vars(a)
+    assert a.covers is b.covers == cover_edges(diamond()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
 def test_gen_lattice_range_fallbacks():
