@@ -400,16 +400,19 @@ class FiniteLattice:
         come in any order: each step halves the ids by one table gather
         of the even against the odd positions, padded with the unit. Ids
         must be integers, so a boolean mask is refused, not read as ids. The
-        range check takes the min and max, and names the smallest bad id."""
+        range check takes the min and max before the ids are narrowed to
+        intp, so an id past it is named as given, and names the smallest
+        bad id."""
         if isinstance(s, np.ndarray) and s.dtype.kind not in "iu":
             raise TypeError(f"element ids must be integers, not {s.dtype}")
-        ids = (s.astype(np.intp, copy=False) if isinstance(s, np.ndarray)
-               else np.fromiter(map(operator.index, s), np.intp))
+        # listed ids stay Python ints, in an object array, until they are checked
+        ids = s if isinstance(s, np.ndarray) else np.array([operator.index(x) for x in s], object)
         if not ids.size:
             return unit
         lo, hi = int(ids.min()), int(ids.max())
         if lo < 0 or hi >= self.size:
             self._check_id(lo if lo < 0 else ids[ids >= self.size].min())
+        ids = ids.astype(np.intp, copy=False)
         while ids.size > 1:
             if ids.size % 2:
                 ids = np.append(ids, unit)

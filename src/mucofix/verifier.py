@@ -56,6 +56,35 @@ def split_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
+def _splitmix(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """split_seed over broadcast uint64 arrays, which wrap mod 2^64 as
+    MASK64 does. Arrays, not numpy scalars: scalar products warn on
+    overflow."""
+    z = seeds + 0x9E3779B97F4A7C15 * (indices + 1)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _slot_seeds(seed: int, indices) -> list[tuple[int, int, int, int]]:
+    """Per index, the seeds of its instance: with child = split_seed(seed,
+    index), split_seed(child, k) for slots k = 1, 2 and 3 and the pair seed
+    split_seed(slot 3, 0xF0), all of a block in one uint64 pass."""
+    if len(indices) > 1:
+        child = _splitmix(np.array([seed & MASK64], np.uint64), np.array(indices, np.uint64))
+        slots = _splitmix(child[:, None], np.array([1, 2, 3], np.uint64))
+        pair = _splitmix(slots[:, 2:], np.array([0xF0], np.uint64))
+        return list(map(tuple, np.hstack((slots, pair)).tolist()))
+    # the pass costs about 20 us whatever the block's length, and a lone
+    # index takes about 3 us by split_seed itself
+    seeds = []
+    for index in indices:
+        child = split_seed(seed, index)
+        slot3 = split_seed(child, 3)
+        seeds.append((split_seed(child, 1), split_seed(child, 2), slot3, split_seed(slot3, 0xF0)))
+    return seeds
+
+
 @dataclass(frozen=True)
 class InstanceGenSpec:
     """What to generate: seed, carrier size range, lattice family, and the
@@ -95,23 +124,53 @@ def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
     # draw subsets of a 4-member ground set and close them under binary
     # intersection/union in one meet pass and then one join pass: the
     # sublattice a family generates is every join of meets of the family;
-    # 16 subsets is the most it can close to, so larger sizes get a chain
+    # 16 subsets is the most it can close to, so larger sizes get a chain.
+    # The family is closed as a 16-bit set, bit m set when mask m is in it,
+    # and each step ORs in its image under s & or m |, read off the nibble
+    # tables of _nibble_images
     if lo > 16:
         return _memo_chain(rng.randint(lo, hi))
+    meet_images, join_images = _nibble_images()
     for _ in range(64):
         want = rng.randint(lo, hi)
-        meets: set[int] = set()
+        meets = 0
         for s in rng.sample(range(16), k=min(want, 16)):
-            meets |= {s & m for m in meets} | {s}
-        closed = set(meets)
-        for m in meets:
-            if len(closed) > hi:    # the family only grows, so it is rejected already
-                break
-            closed |= {m | c for c in closed}
-        if lo <= len(closed) <= hi:
-            masks = sorted(closed, key=lambda m: (m.bit_count(), m))  # bottom first, top last
-            return _closed_lattice(masks)
+            meets |= _image(meet_images[s], meets) | 1 << s
+        closed = rest = meets
+        # the family only grows, so past hi it is rejected already
+        while rest and closed.bit_count() <= hi:
+            m = (rest & -rest).bit_length() - 1
+            rest ^= 1 << m
+            closed |= _image(join_images[m], closed)
+        if lo <= closed.bit_count() <= hi:
+            return _closed_lattice(closed)
     return _memo_chain(rng.randint(lo, hi))
+
+
+@cache
+def _nibble_images() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per operation, & then |, and per mask s, a table of 64 16-bit sets:
+    entry 16 p + v is the set of s & m (or s | m) over the masks m = 4 p + j
+    for each bit j of v. Built on first use, in under 1 ms."""
+    tables = []
+    for op in (int.__and__, int.__or__):
+        per_mask = []
+        for s in range(16):
+            row = [0] * 64
+            for e in range(64):
+                # e = 16 p + v: the lowest bit of v, whose entry is v's without it
+                low = e & -e & 15
+                if low:
+                    row[e] = row[e ^ low] | 1 << op(s, e >> 4 << 2 | low.bit_length() - 1)
+            per_mask.append(tuple(row))
+        tables.append(tuple(per_mask))
+    return tuple(tables)
+
+
+def _image(table: tuple[int, ...], family: int) -> int:
+    'The image of the 16-bit set family under the operation of table, a nibble at a time.'
+    return (table[family & 15] | table[16 | family >> 4 & 15]
+            | table[32 | family >> 8 & 15] | table[48 | family >> 12])
 
 
 # Generation draws the same few small lattices over and over, so each is
@@ -120,20 +179,30 @@ def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
 # constructors stay uncached. _random_closed's families are many but their
 # orders few: the 731 sublattices of 2^4 have 74 distinct orders in sorted
 # id order, so _SHAPES keeps one lattice per order, and a family shares
-# all it has built and only its labels are new.
+# all it has built and only its labels are new. _family keeps a family's
+# own values by its 16-bit set; only closed families reach it, so it holds
+# at most the 731, and no lattice, so each draw gets a poset of its own.
 _SHAPES: dict[bytes, FiniteLattice] = {}
 
 
-def _closed_lattice(masks: list[int]) -> FiniteLattice:
-    """mask_lattice(masks, "m" + each mask in 4 bits), sharing all that the
-    one lattice of its order in _SHAPES has built, every view included, so
-    only its poset is its own. masks is a closed family, sorted with its
-    least mask first and its greatest last. A lattice's tables and views
-    depend on its order alone, so a shape's may be shared; they are
-    read-only arrays and tuples."""
-    labels = tuple(f"m{m:04b}" for m in masks)
+@cache
+def _family(members: int) -> tuple[tuple[int, ...], tuple[str, ...], bytes]:
+    """The closed family whose bit m is set for each mask m in it: its masks,
+    least first and greatest last, their labels "m" + each mask in 4 bits,
+    and its order in sorted id order as n x n bytes, so n is known."""
+    masks = sorted((m for m in range(16) if members >> m & 1), key=lambda m: (m.bit_count(), m))
     arr = np.array(masks)
-    key = ((arr[:, None] & ~arr) == 0).tobytes()    # the order: n x n bytes, so n is known
+    return tuple(masks), tuple(f"m{m:04b}" for m in masks), ((arr[:, None] & ~arr) == 0).tobytes()
+
+
+def _closed_lattice(family) -> FiniteLattice:
+    """mask_lattice(masks, labels) of a closed family, given as its 16-bit
+    set or as its masks, sharing all that the one lattice of its order in
+    _SHAPES has built, every view included, so only its poset is its own.
+    A lattice's tables and views depend on its order alone, so a shape's
+    may be shared; they are read-only arrays and tuples."""
+    masks, labels, key = _family(family if isinstance(family, int)
+                                 else sum(1 << m for m in set(family)))
     shape = _SHAPES.get(key)
     if shape is None:
         shape = mask_lattice(masks, labels)
@@ -166,29 +235,37 @@ def _pools() -> dict[str, tuple[FiniteLattice, ...]]:
             "corpus": tuple(lat for _, lat in corpus())}
 
 
+@cache
+def _in_range(family: str, lo: int, hi: int) -> tuple[FiniteLattice, ...]:
+    'The lattices of a pooled family whose size is in [lo, hi], in draw order.'
+    return tuple(lat for lat in _pools()[family] if lo <= lat.size <= hi)
+
+
 def gen_lattice(spec: InstanceGenSpec) -> FiniteLattice:
     """One lattice, deterministic in spec.seed, size within the range where
     the family allows. A pooled family draws from its pool lattices whose
     size is in range. When none is, powersets returns the largest powerset
     not above hi, and products returns product(chain(1), chain(hi)), which
     is a chain of hi elements with pair labels "(0,0)" to "(0,hi-1)"."""
-    rng = random.Random(spec.seed)
-    fam = spec.family
-    if fam == "mixed":
-        fam = rng.choice(("chains", "powersets", "products", "random-closed", "corpus"))
-    lo, hi = spec.size_lo, spec.size_hi
-    if fam == "chains":
+    return _lattice(spec.seed, spec.family, spec.size_lo, spec.size_hi)
+
+
+def _lattice(seed: int, family: str, lo: int, hi: int) -> FiniteLattice:
+    'gen_lattice of the spec with these fields, drawn without making the spec.'
+    rng = random.Random(seed)
+    if family == "mixed":
+        family = rng.choice(("chains", "powersets", "products", "random-closed", "corpus"))
+    if family == "chains":
         return _memo_chain(rng.randint(lo, hi))
-    if fam == "random-closed":
+    if family == "random-closed":
         return _random_closed(rng, lo, hi)
-    pool = _pools()[fam]
-    in_range = [lat for lat in pool if lo <= lat.size <= hi]
+    in_range = _in_range(family, lo, hi)
     if in_range:
         return rng.choice(in_range)
-    if fam == "products":
+    if family == "products":
         return _memo_flat_product(max(1, hi))
     # the spec refuses a corpus range that no corpus lattice meets
-    return [lat for lat in pool if lat.size <= hi][-1]
+    return [lat for lat in _pools()[family] if lat.size <= hi][-1]
 
 
 def _monotone_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice) -> tuple[int, ...]:
@@ -212,7 +289,12 @@ def _monotone_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice) 
 def _draw_monotone(spec: InstanceGenSpec, lat_o: FiniteLattice,
                    lat_p: FiniteLattice) -> MutualPair:
     'A pair monotone by construction in both directions, not yet checked.'
-    rng = random.Random(split_seed(spec.seed, 0xF0))
+    return _monotone_pair(split_seed(spec.seed, 0xF0), lat_o, lat_p)
+
+
+def _monotone_pair(seed: int, lat_o: FiniteLattice, lat_p: FiniteLattice) -> MutualPair:
+    '_draw_monotone of a spec whose pair seed, split_seed(spec.seed, 0xF0), is seed.'
+    rng = random.Random(seed)
     return MutualPair(lat_o, lat_p,
                       _monotone_table(rng, lat_o, lat_p),
                       _monotone_table(rng, lat_p, lat_o))
@@ -341,19 +423,20 @@ def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: Fini
     return mp
 
 
-def _draw(spec: InstanceGenSpec, index: int, mode: ContinuityMode) -> MutualPair:
-    """Instance index of spec: carriers from slots 1 and 2 of its seed, the
-    pair from slot 3. A continuous pair is self-checked here, a monotone one
+def _draw(spec: InstanceGenSpec, seeds: tuple[int, int, int, int],
+          mode: ContinuityMode) -> MutualPair:
+    """The instance of spec with the seeds _slot_seeds gives its index:
+    carriers from slots 1 and 2, the pair from slot 3, a monotone pair from
+    the pair seed. A continuous pair is self-checked here, a monotone one
     by its block."""
-    child = split_seed(spec.seed, index)
-    lat_o = gen_lattice(spec._reseeded(split_seed(child, 1)))
-    lat_p = gen_lattice(spec._reseeded(split_seed(child, 2)))
-    spec = spec._reseeded(split_seed(child, 3))
+    slot1, slot2, slot3, pair_seed = seeds
+    lat_o = _lattice(slot1, spec.family, spec.size_lo, spec.size_hi)
+    lat_p = _lattice(slot2, spec.family, spec.size_lo, spec.size_hi)
     if spec.function_class == "monotone":
-        return _draw_monotone(spec, lat_o, lat_p)
+        return _monotone_pair(pair_seed, lat_o, lat_p)
     if spec.function_class == "continuous":
-        return gen_continuous_pair(spec, lat_o, lat_p, mode)
-    rng = random.Random(split_seed(spec.seed, 0xA7))
+        return gen_continuous_pair(spec._reseeded(slot3), lat_o, lat_p, mode)
+    rng = random.Random(split_seed(slot3, 0xA7))
     return MutualPair(lat_o, lat_p,
                       tuple(rng.randrange(lat_p.size) for _ in range(lat_o.size)),
                       tuple(rng.randrange(lat_o.size) for _ in range(lat_p.size)))
@@ -363,7 +446,7 @@ def _instances(spec: InstanceGenSpec, indices, mode: ContinuityMode, swept=()):
     """The pairs swept (monotone by construction), then the instances of
     spec at indices, and, for the monotone class, their stack, once one
     stacked scan has self-checked every pair; else None for the stack."""
-    pairs = [*swept, *(_draw(spec, i, mode) for i in indices)]
+    pairs = [*swept, *(_draw(spec, seeds, mode) for seeds in _slot_seeds(spec.seed, indices))]
     return pairs, _self_checked(pairs) if spec.function_class == "monotone" else None
 
 

@@ -583,6 +583,17 @@ def test_integer_ids_of_any_width_still_enter():
     assert (built.bottom, built.top) == (0, 3) and type(built.top) is int
 
 
+@pytest.mark.parametrize("bad", [2 ** 63 + 1, 2 ** 64 - 1])
+def test_an_id_past_intp_is_named_as_given(bad):
+    # narrowing to intp before the range check once wrapped a uint64 id
+    # past 2^63 to a negative one, and a listed one raised OverflowError
+    lat = chain(3)
+    for fold in (lat.meet_set, lat.join_set):
+        for ids in ([bad], [1, bad], np.array([bad], np.uint64), np.array([0, bad], np.uint64)):
+            with pytest.raises(ValueError, match=rf"^element id {bad} out of range 0\.\.2$"):
+                fold(ids)
+
+
 def test_sublattice_violation_cases():
     lat = diamond()
     a, b = lat.index("a"), lat.index("b")

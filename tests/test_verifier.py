@@ -2,6 +2,7 @@
 import functools
 import json
 import random
+import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import product as iproduct
@@ -44,6 +45,26 @@ def test_split_seed_is_deterministic_and_disperses():
     seen = {split_seed(s, i) for s in range(4) for i in range(64)}
     assert len(seen) == 4 * 64
     assert all(0 <= v < 1 << 64 for v in seen)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_the_block_splitmix_is_split_seed(seed):
+    # numpy scalars warn when a product wraps and arrays do not, so any
+    # scalar left in the pass fails here
+    indices = [0, 1, 63, 0xF0, 2 ** 32]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = verifier._splitmix(np.array([seed], np.uint64), np.array(indices, np.uint64))
+        blocks = [verifier._slot_seeds(s, ix) for s in (seed, seed - 2 ** 64, seed + 2 ** 64)
+                  for ix in (indices, indices[:1], indices[1:2], [])]
+    assert got.dtype == np.uint64 and got.tolist() == [split_seed(seed, i) for i in indices]
+    for block, ix in zip(blocks, [indices, indices[:1], indices[1:2], []] * 3):
+        want = []
+        for i in ix:
+            child = split_seed(seed, i)
+            slots = [split_seed(child, k) for k in (1, 2, 3)]
+            want.append((*slots, split_seed(slots[2], 0xF0)))
+        assert block == want and all(type(v) is int for t in block for v in t)
 
 
 def test_spec_validation():
@@ -270,6 +291,100 @@ def test_a_view_that_lattices_gain_travels_to_every_family(monkeypatch):
     a, b = verifier._closed_lattice([0, 1, 2, 3]), verifier._closed_lattice([0, 4, 8, 12])
     assert a.labels != b.labels and "covers" in vars(a)
     assert a.covers is b.covers == cover_edges(diamond()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("op", [int.__and__, int.__or__], ids=["meet", "join"])
+def test_each_nibble_table_is_the_set_image(op):
+    tables = verifier._nibble_images()[op is int.__or__]
+    assert len(tables) == 16 and all(len(t) == 64 for t in tables)
+    for s, table in enumerate(tables):
+        for p in range(4):
+            for v in range(16):
+                image = {op(s, 4 * p + j) for j in range(4) if v >> j & 1}
+                assert table[16 * p + v] == sum(1 << m for m in image), (s, p, v)
+    # and a family's image is the OR of its nibbles' entries
+    rng = random.Random(5)
+    for family in [0, 1, 0xFFFF, 0x8000] + [rng.getrandbits(16) for _ in range(300)]:
+        masks = [m for m in range(16) if family >> m & 1]
+        for s, table in enumerate(tables):
+            image = verifier._image(table, family)
+            assert image == sum(1 << m for m in {op(s, m) for m in masks}), (family, s)
+
+
+def reference_lattice(spec):
+    'gen_lattice as a spec-keyed loop that filters the pool on every draw, kept as the reference.'
+    rng = random.Random(spec.seed)
+    family, lo, hi = spec.family, spec.size_lo, spec.size_hi
+    if family == "mixed":
+        family = rng.choice(("chains", "powersets", "products", "random-closed", "corpus"))
+    if family == "chains":
+        return chain(rng.randint(lo, hi))
+    if family == "random-closed":
+        return verifier._random_closed(rng, lo, hi)
+    pool = verifier._pools()[family]
+    in_range = [lat for lat in pool if lo <= lat.size <= hi]
+    if in_range:
+        return rng.choice(in_range)
+    if family == "products":
+        return product(chain(1), chain(hi))
+    return [lat for lat in pool if lat.size <= hi][-1]
+
+
+@pytest.mark.parametrize("family", verifier.FAMILIES)
+def test_the_seed_keyed_core_draws_what_gen_lattice_draws(family):
+    for lo, hi in ((2, 8), (1, 16), (6, 6), (17, 24)):
+        try:
+            specs = [InstanceGenSpec(seed=seed, family=family, size_lo=lo, size_hi=hi)
+                     for seed in range(200)]
+        except ValueError:      # no corpus lattice has a size in range
+            continue
+        for s in specs:
+            want = reference_lattice(s)
+            for got in (verifier._lattice(s.seed, family, lo, hi), gen_lattice(s)):
+                assert got.labels == want.labels, s
+                for x, y in ((got.poset.leq, want.poset.leq), (got.meet, want.meet),
+                             (got.join, want.join)):
+                    assert (x == y).all(), s
+
+
+@pytest.mark.parametrize("function_class", verifier.FUNCTION_CLASSES)
+def test_a_draw_copies_the_spec_only_for_a_continuous_pair(monkeypatch, function_class):
+    # the carriers and a monotone pair are drawn from their seeds alone;
+    # gen_continuous_pair takes a spec, so it gets the one copy
+    copies, real = [], InstanceGenSpec._reseeded
+    monkeypatch.setattr(InstanceGenSpec, "_reseeded",
+                        lambda self, seed: copies.append(seed) or real(self, seed))
+    s = spec(6, function_class=function_class, count=20)
+    for i in range(s.count):
+        try:
+            verifier._instance(s, i, BINARY)
+        except GenerationExhausted:
+            pass
+    assert len(copies) == (s.count if function_class == "continuous" else 0)
+
+
+def test_the_family_memo_holds_only_closed_families(monkeypatch):
+    # every sublattice of 2^4 drawn, by its masks and by its 16-bit set,
+    # and random-closed draws whose rejected families outnumber them
+    keys = []
+
+    def recorded(members):
+        keys.append(members)
+        return real(members)
+    real = verifier._family.__wrapped__
+    monkeypatch.setattr(verifier, "_family", functools.cache(recorded))
+    monkeypatch.setattr(verifier, "_SHAPES", {})
+    families = every_sublattice_of_the_4_cube()
+    for family in families:
+        masks = sorted(family, key=lambda m: (bin(m).count("1"), m))
+        lat = verifier._closed_lattice(masks)
+        assert verifier._closed_lattice(sum(1 << m for m in family)).labels == lat.labels
+    for seed in range(3000):
+        lo = 1 + seed % 8
+        verifier._random_closed(random.Random(seed), lo, lo + seed // 8 % 9)
+    members = {sum(1 << m for m in family) for family in families}
+    assert len(keys) == len(set(keys)) == verifier._family.cache_info().currsize == 731
+    assert set(keys) == members
 
 
 def test_gen_lattice_range_fallbacks():
