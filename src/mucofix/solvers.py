@@ -81,7 +81,7 @@ def ensure_monotone(mp: MutualPair):
 
 def _meet_components(mp: MutualPair) -> tuple[int, int]:
     """Meets of the pre-fixed component sets of a monotone pair. That they
-    pair up under f and g is a theorem, so a mismatch is an internal error."""
+    pair up under f and g is Bekic's lemma, so a mismatch is an internal error."""
     pre = pre_mask(mp.dom_o.poset.leq, mp.dom_p.poset.leq, np.asarray(mp.f), np.asarray(mp.g))
     # C is the set of rows with a pre-fixed pair, D the set of columns
     mf = mp.dom_o.meet_set(np.flatnonzero(pre.any(axis=1)))

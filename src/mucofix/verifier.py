@@ -38,10 +38,11 @@ EXHAUST_COMBO_CAP = 200_000
 INSTANCE_SIZE_CAP = 64
 # L4 enumerates every nonempty subset of a carrier, 2^16 - 1 at this size
 L4_SIZE_CAP = 16
-# the miner generates, self-checks and asks its tries this many at a time,
-# one stacked array kernel per block instead of several small ones per try;
-# lemmas requests ran as fast at blocks of 32 to 256
-MINER_BLOCK = 64
+# verify and the miner both draw and self-check their instances this many
+# at a time, and the miner asks its tries so, one stacked array kernel per
+# block instead of several small ones per instance; lemmas requests ran as
+# fast at blocks of 32 to 256, and a block bounds memory at any count
+BLOCK = 64
 
 
 class GenerationExhausted(Exception):
@@ -67,22 +68,14 @@ def _splitmix(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 
 def _slot_seeds(seed: int, indices) -> list[tuple[int, int, int, int]]:
-    """Per index, the seeds of its instance: with child = split_seed(seed,
-    index), split_seed(child, k) for slots k = 1, 2 and 3 and the pair seed
-    split_seed(slot 3, 0xF0), all of a block in one uint64 pass."""
-    if len(indices) > 1:
-        child = _splitmix(np.array([seed & MASK64], np.uint64), np.array(indices, np.uint64))
-        slots = _splitmix(child[:, None], np.array([1, 2, 3], np.uint64))
-        pair = _splitmix(slots[:, 2:], np.array([0xF0], np.uint64))
-        return list(map(tuple, np.hstack((slots, pair)).tolist()))
-    # the pass costs about 20 us whatever the block's length, and a lone
-    # index takes about 3 us by split_seed itself
-    seeds = []
-    for index in indices:
-        child = split_seed(seed, index)
-        slot3 = split_seed(child, 3)
-        seeds.append((split_seed(child, 1), split_seed(child, 2), slot3, split_seed(slot3, 0xF0)))
-    return seeds
+    """Per index of a block, the seeds of its instance: with child =
+    split_seed(seed, index), split_seed(child, k) for slots k = 1, 2 and 3
+    and the pair seed split_seed(slot 3, 0xF0), all in one uint64 pass,
+    which costs about 20 us whatever the block's length."""
+    child = _splitmix(np.array([seed & MASK64], np.uint64), np.array(indices, np.uint64))
+    slots = _splitmix(child[:, None], np.array([1, 2, 3], np.uint64))
+    pair = _splitmix(slots[:, 2:], np.array([0xF0], np.uint64))
+    return list(map(tuple, np.hstack((slots, pair)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -111,13 +104,6 @@ class InstanceGenSpec:
         if self.family in ("corpus", "mixed") and not any(
                 self.size_lo <= lat.size <= self.size_hi for _, lat in corpus()):
             raise ValueError(f"no corpus lattice has size in [{self.size_lo}, {self.size_hi}]")
-
-    def _reseeded(self, seed: int) -> InstanceGenSpec:
-        """replace(self, seed=seed) without rerunning the checks: every
-        checked field is copied as it is, and the seed has no check."""
-        child = object.__new__(type(self))
-        vars(child).update(vars(self), seed=seed)
-        return child
 
 
 def _random_closed(rng: random.Random, lo: int, hi: int) -> FiniteLattice:
@@ -195,14 +181,13 @@ def _family(members: int) -> tuple[tuple[int, ...], tuple[str, ...], bytes]:
     return tuple(masks), tuple(f"m{m:04b}" for m in masks), ((arr[:, None] & ~arr) == 0).tobytes()
 
 
-def _closed_lattice(family) -> FiniteLattice:
-    """mask_lattice(masks, labels) of a closed family, given as its 16-bit
-    set or as its masks, sharing all that the one lattice of its order in
+def _closed_lattice(members: int) -> FiniteLattice:
+    """mask_lattice(masks, labels) of the closed family whose bit m is set
+    for each mask m in it, sharing all that the one lattice of its order in
     _SHAPES has built, every view included, so only its poset is its own.
     A lattice's tables and views depend on its order alone, so a shape's
     may be shared; they are read-only arrays and tuples."""
-    masks, labels, key = _family(family if isinstance(family, int)
-                                 else sum(1 << m for m in set(family)))
+    masks, labels, key = _family(members)
     shape = _SHAPES.get(key)
     if shape is None:
         shape = mask_lattice(masks, labels)
@@ -286,14 +271,9 @@ def _monotone_table(rng: random.Random, dom: FiniteLattice, cod: FiniteLattice) 
     return tuple(images)
 
 
-def _draw_monotone(spec: InstanceGenSpec, lat_o: FiniteLattice,
-                   lat_p: FiniteLattice) -> MutualPair:
-    'A pair monotone by construction in both directions, not yet checked.'
-    return _monotone_pair(split_seed(spec.seed, 0xF0), lat_o, lat_p)
-
-
 def _monotone_pair(seed: int, lat_o: FiniteLattice, lat_p: FiniteLattice) -> MutualPair:
-    '_draw_monotone of a spec whose pair seed, split_seed(spec.seed, 0xF0), is seed.'
+    """A pair monotone by construction in both directions, drawn from its
+    pair seed, split_seed(spec.seed, 0xF0) of its spec, and not yet checked."""
     rng = random.Random(seed)
     return MutualPair(lat_o, lat_p,
                       _monotone_table(rng, lat_o, lat_p),
@@ -303,7 +283,7 @@ def _monotone_pair(seed: int, lat_o: FiniteLattice, lat_p: FiniteLattice) -> Mut
 def gen_monotone_pair(spec: InstanceGenSpec, lat_o: FiniteLattice,
                       lat_p: FiniteLattice) -> MutualPair:
     'Monotone by construction in both directions; self-checked.'
-    mp = _draw_monotone(spec, lat_o, lat_p)
+    mp = _monotone_pair(split_seed(spec.seed, 0xF0), lat_o, lat_p)
     _self_checked([mp])
     return mp
 
@@ -406,12 +386,12 @@ def _maps(dom: FiniteLattice, cod: FiniteLattice, mode: ContinuityMode | None,
             stack.pop()
 
 
-def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: FiniteLattice,
+def gen_continuous_pair(seed: int, lat_o: FiniteLattice, lat_p: FiniteLattice,
                         mode: ContinuityMode = BINARY) -> MutualPair:
     """The first continuous table for F and then for G in a search seeded
-    from spec.seed; GenerationExhausted when no continuous map exists on
-    one side. Self-checked for monotonicity and continuity."""
-    rng = random.Random(split_seed(spec.seed, 0xC0))
+    from seed; GenerationExhausted when no continuous map exists on one
+    side. Self-checked for monotonicity and continuity."""
+    rng = random.Random(split_seed(seed, 0xC0))
     f = next(_maps(lat_o, lat_p, mode, rng), None)
     g = None if f is None else next(_maps(lat_p, lat_o, mode, rng), None)
     if g is None:
@@ -424,18 +404,22 @@ def gen_continuous_pair(spec: InstanceGenSpec, lat_o: FiniteLattice, lat_p: Fini
 
 
 def _draw(spec: InstanceGenSpec, seeds: tuple[int, int, int, int],
-          mode: ContinuityMode) -> MutualPair:
+          mode: ContinuityMode) -> MutualPair | GenerationExhausted:
     """The instance of spec with the seeds _slot_seeds gives its index:
     carriers from slots 1 and 2, the pair from slot 3, a monotone pair from
     the pair seed. A continuous pair is self-checked here, a monotone one
-    by its block."""
+    by its block. When one side has no continuous map, the
+    GenerationExhausted is returned, not raised, so its block draws on."""
     slot1, slot2, slot3, pair_seed = seeds
     lat_o = _lattice(slot1, spec.family, spec.size_lo, spec.size_hi)
     lat_p = _lattice(slot2, spec.family, spec.size_lo, spec.size_hi)
     if spec.function_class == "monotone":
         return _monotone_pair(pair_seed, lat_o, lat_p)
     if spec.function_class == "continuous":
-        return gen_continuous_pair(spec._reseeded(slot3), lat_o, lat_p, mode)
+        try:
+            return gen_continuous_pair(slot3, lat_o, lat_p, mode)
+        except GenerationExhausted as exc:
+            return exc
     rng = random.Random(split_seed(slot3, 0xA7))
     return MutualPair(lat_o, lat_p,
                       tuple(rng.randrange(lat_p.size) for _ in range(lat_o.size)),
@@ -444,15 +428,11 @@ def _draw(spec: InstanceGenSpec, seeds: tuple[int, int, int, int],
 
 def _instances(spec: InstanceGenSpec, indices, mode: ContinuityMode, swept=()):
     """The pairs swept (monotone by construction), then the instances of
-    spec at indices, and, for the monotone class, their stack, once one
-    stacked scan has self-checked every pair; else None for the stack."""
+    spec at the block of indices as _draw gives them, and, for the monotone
+    class, their stack, once one stacked scan has self-checked every pair;
+    else None for the stack."""
     pairs = [*swept, *(_draw(spec, seeds, mode) for seeds in _slot_seeds(spec.seed, indices))]
     return pairs, _self_checked(pairs) if spec.function_class == "monotone" else None
-
-
-def _instance(spec: InstanceGenSpec, index: int, mode: ContinuityMode) -> MutualPair:
-    'Instance index of spec: the one-pair block of _instances.'
-    return _instances(spec, (index,), mode)[0][0]
 
 
 # ---------------------------------------------------------------- lemmas
@@ -682,7 +662,8 @@ def _premise_holds(premise: str, mp: MutualPair, mode: ContinuityMode) -> bool:
 
 def check_lemma(lemma_id: str, spec: InstanceGenSpec,
                 mode: ContinuityMode = BINARY) -> LemmaReport:
-    """Run one lemma's executable form over spec.count generated instances.
+    """Run one lemma's executable form over spec.count generated instances,
+    drawn BLOCK at a time.
 
     The run never aborts early: failures are collected as data, instances
     that violate the lemma's premise are recorded as skipped."""
@@ -690,20 +671,20 @@ def check_lemma(lemma_id: str, spec: InstanceGenSpec,
         raise ValueError(f"unknown lemma {lemma_id!r}; choose from {', '.join(LEMMAS)}")
     title, premise, runner = LEMMAS[lemma_id]
     report = LemmaReport(lemma_id, title, mode.kind, spec.function_class)
-    for i in range(spec.count):
-        try:
-            mp = _instance(spec, i, mode)
-        except GenerationExhausted:
-            report.generation_failures += 1
-            continue
-        report.instances_tried += 1
-        # a pair of the premise's own class was checked when it was generated
-        if premise != spec.function_class and not _premise_holds(premise, mp, mode):
-            report.premise_skipped += 1
-            continue
-        witness = runner(mp, mode)
-        if witness is not None:
-            report.failures.append(Finding(textio.pair_to_json(mp), witness))
+    for start in range(0, spec.count, BLOCK):
+        pairs, _ = _instances(spec, range(start, min(start + BLOCK, spec.count)), mode)
+        for mp in pairs:
+            if isinstance(mp, GenerationExhausted):
+                report.generation_failures += 1
+                continue
+            report.instances_tried += 1
+            # a pair of the premise's own class was checked when it was generated
+            if premise != spec.function_class and not _premise_holds(premise, mp, mode):
+                report.premise_skipped += 1
+                continue
+            witness = runner(mp, mode)
+            if witness is not None:
+                report.failures.append(Finding(textio.pair_to_json(mp), witness))
     return report
 
 
@@ -820,7 +801,7 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
                         max_size: int = 3, mode: ContinuityMode = BINARY) -> FindingReport:
     """Search for a counterexample: exhaustively over every monotone pair
     on small corpus shapes, then randomized within the remaining budget.
-    Tries go MINER_BLOCK at a time, and the report is the one that asking
+    Tries go BLOCK at a time, and the report is the one that asking
     them one by one gives. Any finding is re-validated from scratch before
     being reported.
 
@@ -839,7 +820,7 @@ def mine_counterexample(question: str, spec: InstanceGenSpec, budget: int,
     while finding is None and tried < budget:
         # the next tries in order: what is left of the sweep, then instance
         # number tried onwards, as many as the budget allows
-        n = min(MINER_BLOCK, budget - tried)
+        n = min(BLOCK, budget - tried)
         swept = list(islice(sweep, n))
         pairs, stack = _instances(spec, range(tried + len(swept), tried + n), mode, swept)
         hit = _ask(question, pairs, stack, mode)

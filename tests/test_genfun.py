@@ -20,7 +20,7 @@ from mucofix import (BINARY, WITH_EMPTY, ContinuityMode, FiniteLattice, FinitePo
                      product, split_seed)
 from mucofix.lattice import DEFAULT_CAP
 from mucofix.textio import parse_lattice_doc
-from mucofix.verifier import FAMILIES, MINER_BLOCK, GenerationExhausted, _instance, _sweep
+from mucofix.verifier import BLOCK, FAMILIES, GenerationExhausted, _instances, _sweep
 
 from oracles import (continuity_witness_oracle, monotone_witness_oracle, nonempty_subsets,
                      preserves_joins_oracle, preserves_meets_oracle)
@@ -102,7 +102,7 @@ for build in cases:
 from mucofix import BINARY, InstanceGenSpec
 from mucofix import verifier
 real = verifier._monotone_table
-for position in (0, verifier.MINER_BLOCK // 2, verifier.MINER_BLOCK - 1):
+for position in (0, verifier.BLOCK // 2, verifier.BLOCK - 1):
     calls = []
 
     def planted(rng, dom, cod):
@@ -113,8 +113,7 @@ for position in (0, verifier.MINER_BLOCK // 2, verifier.MINER_BLOCK - 1):
         return tuple(table)
     verifier._monotone_table = planted
     try:
-        verifier._instances(InstanceGenSpec(seed=4, size_hi=6), range(verifier.MINER_BLOCK),
-                            BINARY)
+        verifier._instances(InstanceGenSpec(seed=4, size_hi=6), range(verifier.BLOCK), BINARY)
         print("accepted")
     except AssertionError:
         print("block refused at", position)
@@ -138,7 +137,7 @@ def test_public_constructors_still_check_values_the_duals_built(flags):
                                         "edges must name elements of the carrier",
                                         "element id 2 out of range 0..1",
                                         "element id 3 out of range 0..2"] + [
-        f"block refused at {k}" for k in (0, MINER_BLOCK // 2, MINER_BLOCK - 1)]
+        f"block refused at {k}" for k in (0, BLOCK // 2, BLOCK - 1)]
 
 
 SWAP = {"meet": "join", "join": "meet"}
@@ -295,8 +294,7 @@ def test_edge_verdict_is_the_scans_on_the_sweep_and_seeded_pairs():
                                    function_class=cls)
         except ValueError:          # no corpus lattice has this size
             continue
-        for index in range(3):
-            mp = _instance(spec, index, BINARY)
+        for mp in _instances(spec, range(3), BINARY)[0]:
             families.add(family)
             for fn in (mp.f_fn, mp.g_fn):
                 assert_edge_verdict_is_the_scans(fn, verdicts)
@@ -421,12 +419,9 @@ def _generated_fns(mode):
     fns = []
     for k, function_class in enumerate(("monotone", "continuous", "arbitrary")):
         spec = InstanceGenSpec(seed=split_seed(31, k), function_class=function_class)
-        for i in range(25):
-            try:
-                mp = _instance(spec, i, mode)
-            except GenerationExhausted:
-                continue
-            fns += [mp.f_fn, mp.g_fn]
+        for mp in _instances(spec, range(25), mode)[0]:
+            if not isinstance(mp, GenerationExhausted):
+                fns += [mp.f_fn, mp.g_fn]
     return fns
 
 

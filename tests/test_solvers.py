@@ -31,7 +31,7 @@ from mucofix import (FinitePoset, InstanceGenSpec, MutualPair, NotMonotoneError,
 from mucofix.genfun import BINARY
 from mucofix.lattice import DEFAULT_CAP
 from mucofix.solvers import _tarski_meet
-from mucofix.verifier import FAMILIES, _check_l1, _instance, _sweep
+from mucofix.verifier import FAMILIES, _check_l1, _instances, _sweep
 
 from oracles import (gfp_scan, lfp_scan, longest_chain_edges, lub_scan,
                      monotone_witness_oracle, sim_kleene_oracle, tarski_meet_oracle)
@@ -235,8 +235,7 @@ def test_tarski_fold_matches_the_pair_by_pair_oracle_on_the_sweep_and_seeded_pai
             spec = InstanceGenSpec(seed=size, size_lo=size, size_hi=size, family=family)
         except ValueError:          # no corpus lattice has this size
             continue
-        for index in range(4):
-            mp = _instance(spec, index, BINARY)
+        for mp in _instances(spec, range(4), BINARY)[0]:
             made.add(family)
             assert_folds_match_oracle(mp)
     assert made == set(FAMILIES)

@@ -18,7 +18,7 @@ from pathlib import Path
 from mucofix import (BINARY, WITH_EMPTY, InstanceGenSpec, pair_continuity_witness,
                      pair_to_json, split_seed)
 from mucofix.cli import main
-from mucofix.verifier import FAMILIES, FUNCTION_CLASSES, GenerationExhausted, _instance
+from mucofix.verifier import BLOCK, FAMILIES, FUNCTION_CLASSES, GenerationExhausted, _instances
 
 PINS = json.loads((Path(__file__).parent / "data" / "stream_pins.json").read_text())
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -41,15 +41,15 @@ def _combinations():
 
 
 def _stream_digest(spec, mode) -> str:
-    'Hash each instance check_lemma would generate for spec, with its continuity witness.'
+    """Hash each instance check_lemma would generate for spec, drawn in its
+    blocks as check_lemma draws them, with its continuity witness."""
     h = hashlib.sha256()
-    for i in range(spec.count):
-        try:
-            mp = _instance(spec, i, mode)
-        except GenerationExhausted as exc:
-            h.update(f"exhausted: {exc}\n".encode())
-            continue
-        h.update(f"{pair_to_json(mp)}\n{pair_continuity_witness(mp, mode)!r}\n".encode())
+    for start in range(0, spec.count, BLOCK):
+        for mp in _instances(spec, range(start, min(start + BLOCK, spec.count)), mode)[0]:
+            if isinstance(mp, GenerationExhausted):
+                h.update(f"exhausted: {mp}\n".encode())
+                continue
+            h.update(f"{pair_to_json(mp)}\n{pair_continuity_witness(mp, mode)!r}\n".encode())
     return h.hexdigest()
 
 

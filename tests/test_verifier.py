@@ -92,17 +92,6 @@ def test_spec_validation():
     assert InstanceGenSpec(seed=0, family="chains", size_lo=1, size_hi=1).size_lo == 1
 
 
-def test_reseeded_spec_is_the_replaced_spec():
-    for base in (InstanceGenSpec(seed=3), spec(9, family="chains", function_class="arbitrary"),
-                 spec(1, family="corpus", size_lo=16, size_hi=16, count=0)):
-        before = repr(base)
-        for seed in (0, 5, split_seed(base.seed, 3)):
-            got = base._reseeded(seed)
-            want = replace(base, seed=seed)
-            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
-        assert repr(base) == before
-
-
 @pytest.mark.parametrize("family", ["chains", "powersets", "products",
                                     "random-closed", "corpus", "mixed"])
 def test_gen_lattice_families(family):
@@ -237,7 +226,7 @@ def test_every_closed_family_reads_its_shape_as_a_fresh_lattice(monkeypatch):
         if len(family) < 2:
             continue
         masks = sorted(family, key=lambda m: (bin(m).count("1"), m))
-        got = verifier._closed_lattice(masks)
+        got = verifier._closed_lattice(sum(1 << m for m in masks))
         ref = mask_lattice(masks, ["m" + format(m, "04b") for m in masks])
         assert got.labels == ref.labels and got.poset.label_ids == ref.poset.label_ids
         for x, y in ((got.poset.leq, ref.poset.leq), (got.meet, ref.meet), (got.join, ref.join),
@@ -288,7 +277,8 @@ def test_a_view_that_lattices_gain_travels_to_every_family(monkeypatch):
     covers.__set_name__(FiniteLattice, "covers")
     monkeypatch.setattr(FiniteLattice, "covers", covers, raising=False)
     monkeypatch.setattr(verifier, "_SHAPES", {})
-    a, b = verifier._closed_lattice([0, 1, 2, 3]), verifier._closed_lattice([0, 4, 8, 12])
+    a, b = (verifier._closed_lattice(sum(1 << m for m in masks))
+            for masks in ([0, 1, 2, 3], [0, 4, 8, 12]))
     assert a.labels != b.labels and "covers" in vars(a)
     assert a.covers is b.covers == cover_edges(diamond()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
@@ -348,23 +338,27 @@ def test_the_seed_keyed_core_draws_what_gen_lattice_draws(family):
 
 
 @pytest.mark.parametrize("function_class", verifier.FUNCTION_CLASSES)
-def test_a_draw_copies_the_spec_only_for_a_continuous_pair(monkeypatch, function_class):
-    # the carriers and a monotone pair are drawn from their seeds alone;
-    # gen_continuous_pair takes a spec, so it gets the one copy
-    copies, real = [], InstanceGenSpec._reseeded
-    monkeypatch.setattr(InstanceGenSpec, "_reseeded",
-                        lambda self, seed: copies.append(seed) or real(self, seed))
-    s = spec(6, function_class=function_class, count=20)
-    for i in range(s.count):
-        try:
-            verifier._instance(s, i, BINARY)
-        except GenerationExhausted:
-            pass
-    assert len(copies) == (s.count if function_class == "continuous" else 0)
+def test_no_draw_builds_a_spec(monkeypatch, function_class):
+    # carriers and pairs of every class are drawn from their seeds alone;
+    # a constructor call and replace both run __init__
+    built, real = [], InstanceGenSpec.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs)
+        real(self, *args, **kwargs)
+    s = spec(6, function_class=function_class, count=70)
+    monkeypatch.setattr(InstanceGenSpec, "__init__", counted)
+    assert replace(s, seed=7) == spec(7, function_class=function_class, count=70)
+    assert len(built) == 2
+    built.clear()
+    pairs, _ = verifier._instances(s, range(s.count), BINARY)
+    for mode in (BINARY, WITH_EMPTY):
+        check_lemma("L2", s, mode)
+    assert len(pairs) == s.count and built == []
 
 
 def test_the_family_memo_holds_only_closed_families(monkeypatch):
-    # every sublattice of 2^4 drawn, by its masks and by its 16-bit set,
+    # every sublattice of 2^4 drawn by its 16-bit set,
     # and random-closed draws whose rejected families outnumber them
     keys = []
 
@@ -377,8 +371,8 @@ def test_the_family_memo_holds_only_closed_families(monkeypatch):
     families = every_sublattice_of_the_4_cube()
     for family in families:
         masks = sorted(family, key=lambda m: (bin(m).count("1"), m))
-        lat = verifier._closed_lattice(masks)
-        assert verifier._closed_lattice(sum(1 << m for m in family)).labels == lat.labels
+        lat = verifier._closed_lattice(sum(1 << m for m in family))
+        assert lat.labels == tuple("m" + format(m, "04b") for m in masks)
     for seed in range(3000):
         lo = 1 + seed % 8
         verifier._random_closed(random.Random(seed), lo, lo + seed // 8 % 9)
@@ -412,14 +406,14 @@ def test_gen_continuous_pair_is_seeded_and_continuous():
     for mode in (BINARY, WITH_EMPTY):
         tables = set()
         for seed in range(20):
-            mp = gen_continuous_pair(spec(seed), chain(3), diamond(), mode)
-            again = gen_continuous_pair(spec(seed), chain(3), diamond(), mode)
+            mp = gen_continuous_pair(seed, chain(3), diamond(), mode)
+            again = gen_continuous_pair(seed, chain(3), diamond(), mode)
             assert (mp.f, mp.g) == (again.f, again.g)
             assert is_continuous_pair(mp, mode) and mp.monotone_failure is None
             tables.add((mp.f, mp.g))
         assert len(tables) > 5
     # with-empty sends bottom to bottom and top to top on both sides
-    mp = gen_continuous_pair(spec(3), diamond(), diamond(), WITH_EMPTY)
+    mp = gen_continuous_pair(3, diamond(), diamond(), WITH_EMPTY)
     assert (mp.f[0], mp.f[3], mp.g[0], mp.g[3]) == (0, 3, 0, 3)
 
 
@@ -428,7 +422,7 @@ def test_the_continuous_search_holds_a_tall_carrier(mode):
     # one stack level per element: 1100 levels, past the default recursion
     # limit of 1000, at which a recursive search raised RecursionError
     tall = chain(1100)
-    mp = gen_continuous_pair(spec(0), tall, tall, mode)
+    mp = gen_continuous_pair(0, tall, tall, mode)
     assert mp.monotone_failure is None and is_continuous_pair(mp, mode)
 
 
@@ -453,9 +447,9 @@ def test_continuous_search_finds_a_table_exactly_when_one_exists(mode):
         back = continuous_table_oracle(cod.poset.leq.tolist(), dom.poset.leq.tolist(), pinned)
         if want is None or back is None:
             with pytest.raises(GenerationExhausted, match="^no continuous pair exists on "):
-                gen_continuous_pair(spec(k), dom, cod, mode)
+                gen_continuous_pair(k, dom, cod, mode)
         else:
-            mp = gen_continuous_pair(spec(k), dom, cod, mode)
+            mp = gen_continuous_pair(k, dom, cod, mode)
             assert pair_continuity_witness(mp, mode) is None
     # binary mode always has the constant maps; with-empty meets both outcomes
     assert missing == 0 if mode is BINARY else 0 < missing < found
@@ -484,7 +478,7 @@ def test_generation_exhausted_when_no_pair_exists():
     # no with-empty continuous map sends the three atoms of M3 into a
     # two-chain: two atoms must share an image, breaking a bound law
     with pytest.raises(GenerationExhausted):
-        gen_continuous_pair(spec(0), chain(2), m3(), WITH_EMPTY)
+        gen_continuous_pair(0, chain(2), m3(), WITH_EMPTY)
 
 
 @pytest.mark.parametrize("lemma_id", list(LEMMAS))
@@ -670,8 +664,7 @@ def test_l4_scan_matches_the_plain_loop_oracle():
     found = 0
     for function_class in ("monotone", "arbitrary"):
         s = spec(17, function_class=function_class, size_hi=8)
-        for i in range(30):
-            mp = verifier._instance(s, i, BINARY)
+        for mp in verifier._instances(s, range(30), BINARY)[0]:
             want = _l4_oracle(mp)
             got = verifier._check_l4(mp, BINARY)
             if want is None:
@@ -774,7 +767,7 @@ def _closure_pairs():
     for k in range(len(lats)):
         for lat_o, lat_p in ((lats[k], lats[k]), (lats[k], lats[(k + 1) % len(lats)])):
             for seed in range(3):
-                yield gen_continuous_pair(spec(seed), lat_o, lat_p, BINARY)
+                yield gen_continuous_pair(seed, lat_o, lat_p, BINARY)
                 yield gen_monotone_pair(spec(seed), lat_o, lat_p)
                 rng = random.Random(seed)
                 yield MutualPair(lat_o, lat_p,
@@ -863,6 +856,88 @@ def test_the_extreme_pairs_hold_for_any_tables_so_l6_never_misses_a_bound():
         assert found is None or "misses" not in found
 
 
+# ------------------------------------------------------------ verify blocks
+
+def reference_instance(spec, index, mode):
+    """Instance index of spec drawn alone, as the per-index path that the
+    blocks replaced drew it, kept as the reference: its seeds by split_seed,
+    and a monotone pair self-checked by itself."""
+    child = split_seed(spec.seed, index)
+    slot3 = split_seed(child, 3)
+    mp = verifier._draw(spec, (split_seed(child, 1), split_seed(child, 2), slot3,
+                               split_seed(slot3, 0xF0)), mode)
+    if spec.function_class == "monotone":
+        verifier._self_checked([mp])
+    return mp
+
+
+def reference_check_lemma(lemma_id, spec, mode):
+    'check_lemma as the per-index loop that the blocks replaced, kept as the reference.'
+    title, premise, runner = LEMMAS[lemma_id]
+    report = verifier.LemmaReport(lemma_id, title, mode.kind, spec.function_class)
+    for i in range(spec.count):
+        mp = reference_instance(spec, i, mode)
+        if isinstance(mp, GenerationExhausted):
+            report.generation_failures += 1
+            continue
+        report.instances_tried += 1
+        if premise != spec.function_class and not verifier._premise_holds(premise, mp, mode):
+            report.premise_skipped += 1
+            continue
+        witness = runner(mp, mode)
+        if witness is not None:
+            report.failures.append(verifier.Finding(textio.pair_to_json(mp), witness))
+    return report
+
+
+@pytest.mark.parametrize("family", ["corpus", "mixed"])
+@pytest.mark.parametrize("mode", [BINARY, WITH_EMPTY], ids=lambda m: m.kind)
+def test_check_lemma_reports_what_the_per_index_loop_reports(family, mode):
+    # 130 instances are two whole blocks and a partial third
+    exhausted = 0
+    for row, (lemma_id, function_class) in enumerate(cli.VERIFY_PLAN):
+        s = spec(split_seed(9, row), family=family, function_class=function_class,
+                 size_hi=8, count=130)
+        got = check_lemma(lemma_id, s, mode)
+        assert got == reference_check_lemma(lemma_id, s, mode), (lemma_id, function_class)
+        exhausted += got.generation_failures
+    assert exhausted > 0 or mode == BINARY
+
+
+@pytest.mark.parametrize("count", [0, 1, verifier.BLOCK, verifier.BLOCK + 1, 130])
+def test_a_row_derives_its_seeds_once_per_block(monkeypatch, count):
+    calls, real = [], verifier._slot_seeds
+    monkeypatch.setattr(verifier, "_slot_seeds",
+                        lambda seed, indices: calls.append(indices) or real(seed, indices))
+    for function_class in verifier.FUNCTION_CLASSES:
+        calls.clear()
+        report = check_lemma("L1", spec(3, function_class=function_class, count=count))
+        assert len(calls) == -(-count // verifier.BLOCK)
+        assert [i for block in calls for i in block] == list(range(count))
+        assert report.instances_tried + report.generation_failures == count
+
+
+def test_a_traced_continuous_row_calls_the_generator_once_per_instance(monkeypatch):
+    # the benchmark's tracer wraps gen_continuous_pair in the module
+    # namespace and counts its GenerationExhausted raises as failed draws
+    calls, raised, real = [], [], verifier.gen_continuous_pair
+
+    def traced(*args, **kwargs):
+        calls.append(args)
+        try:
+            return real(*args, **kwargs)
+        except GenerationExhausted:
+            raised.append(args)
+            raise
+    monkeypatch.setattr(verifier, "gen_continuous_pair", traced)
+    s = spec(9, family="corpus", function_class="continuous", size_hi=8, count=130)
+    for lemma_id in ("L1", "L5"):
+        calls.clear()
+        raised.clear()
+        report = check_lemma(lemma_id, s, WITH_EMPTY)
+        assert len(calls) == s.count and report.generation_failures == len(raised) > 0
+
+
 # ------------------------------------------------------------ miner blocks
 
 def reference_mine(question, spec, budget, max_size=3, mode=BINARY):
@@ -876,7 +951,7 @@ def reference_mine(question, spec, budget, max_size=3, mode=BINARY):
     while finding is None and tried < budget:
         mp = next(sweep, None)
         if mp is None:
-            mp = verifier._instance(spec, tried, mode)
+            mp = reference_instance(spec, tried, mode)
             randomized += 1
         tried += 1
         witness = pred(mp, mode)
@@ -916,7 +991,7 @@ def shared_tries(monkeypatch):
         monkeypatch.setitem(verifier.QUESTIONS, question, once)
 
 
-B = verifier.MINER_BLOCK
+B = verifier.BLOCK
 
 
 @pytest.mark.parametrize("question", ["Q1", "Q2", "Q3"])
@@ -959,7 +1034,7 @@ def _mixed_block_pairs():
     pairs = []
     for i in range(150):
         lat_o, lat_p = rng.choice(lats), rng.choice(lats)
-        mono = verifier._draw_monotone(spec(i), lat_o, lat_p)
+        mono = verifier._monotone_pair(split_seed(i, 0xF0), lat_o, lat_p)
         f = [rng.randrange(lat_p.size) for _ in range(lat_o.size)]
         g = [rng.randrange(lat_o.size) for _ in range(lat_p.size)]
         pairs.append([mono, MutualPair(lat_o, lat_p, f, mono.g),
@@ -1039,7 +1114,7 @@ def test_a_q2_hit_planted_in_pre_mask_is_reported_alike(monkeypatch, side):
     # row of O covered and the witness names P
     s = spec(3, function_class="monotone")
     index, chosen = next((i, mp) for i in range(200, 600)
-                         if (mp := verifier._instance(s, i, BINARY)).dom_p.top not in mp.f)
+                         if (mp := reference_instance(s, i, BINARY)).dom_p.top not in mp.f)
     real = verifier.pre_mask
 
     def cleared(leq_o, leq_p, f, g):
