@@ -453,8 +453,11 @@ def test_no_two_exported_dataclasses_share_a_field_list():
 
 
 # a fiber record that repeated its call's arguments, a lemma failure record
-# that repeated Finding, and a mode parser that only called ContinuityMode
-REMOVED = ("FiberSet", "LemmaFailure", "parse_mode")
+# that repeated Finding, a mode parser that only called ContinuityMode, a
+# second memo per closed family beside its lattice's, a fallback memo
+# beside the pool's, and per-pair witnesses that the block check never read
+REMOVED = ("FiberSet", "LemmaFailure", "parse_mode", "_family", "_memo_flat_product",
+           "_monotone_failures")
 
 
 def test_the_removed_duplicates_are_neither_defined_nor_exported():

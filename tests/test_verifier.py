@@ -217,8 +217,16 @@ def every_sublattice_of_the_4_cube():
     return found
 
 
-def test_every_closed_family_reads_its_shape_as_a_fresh_lattice(monkeypatch):
+@pytest.fixture
+def fresh_shapes(monkeypatch):
+    'No shape and no family lattice built yet, and no family lattice kept after the test.'
     monkeypatch.setattr(verifier, "_SHAPES", {})
+    verifier._closed_lattice.cache_clear()
+    yield
+    verifier._closed_lattice.cache_clear()
+
+
+def test_every_closed_family_reads_its_shape_as_a_fresh_lattice(fresh_shapes):
     families = every_sublattice_of_the_4_cube()
     assert len(families) == 731
     orders = set()
@@ -240,8 +248,7 @@ def test_every_closed_family_reads_its_shape_as_a_fresh_lattice(monkeypatch):
     assert len(orders) == 73 and set(verifier._SHAPES) == orders
 
 
-def test_families_of_one_order_share_its_tables_and_lists(monkeypatch):
-    monkeypatch.setattr(verifier, "_SHAPES", {})
+def test_families_of_one_order_share_its_tables_and_lists(fresh_shapes):
     # the first two draws of one order with different masks, and their seeds
     seen = {}
     for seed in range(1000):
@@ -255,14 +262,13 @@ def test_families_of_one_order_share_its_tables_and_lists(monkeypatch):
     assert a is not b and a.poset is not b.poset and a.labels != b.labels
     assert a.poset.label_ids == {x: i for i, x in enumerate(a.labels)}
     assert b.poset.label_ids == {x: i for i, x in enumerate(b.labels)}
-    # a third draw, of the first family again, is a new lattice too
-    c = verifier._random_closed(random.Random(seed_a), 2, 8)
-    assert c is not a and c.labels == a.labels and c.poset.label_ids is not a.poset.label_ids
+    # a third draw, of the first family again, is the first family's lattice
+    assert verifier._random_closed(random.Random(seed_a), 2, 8) is a
     shape = verifier._SHAPES[a.poset.leq.tobytes()]
     # a family carries every table, bound and view its shape built, the
     # shape's own objects, and only its poset, with its labels, is its own
     assert {"meet", "join", "down_rows", "gen_lists"} <= set(vars(shape))
-    for lat in (a, b, c):
+    for lat in (a, b):
         assert vars(lat).keys() == vars(shape).keys()
         for name, value in vars(shape).items():
             assert name == "poset" or vars(lat)[name] is value, name
@@ -270,13 +276,12 @@ def test_families_of_one_order_share_its_tables_and_lists(monkeypatch):
     assert len(verifier._SHAPES) == len(seen)
 
 
-def test_a_view_that_lattices_gain_travels_to_every_family(monkeypatch):
+def test_a_view_that_lattices_gain_travels_to_every_family(monkeypatch, fresh_shapes):
     # a family shares its shape's views by reading what the shape built,
     # not a list of names, so a view added to the class travels unnamed
     covers = functools.cached_property(cover_edges)
     covers.__set_name__(FiniteLattice, "covers")
     monkeypatch.setattr(FiniteLattice, "covers", covers, raising=False)
-    monkeypatch.setattr(verifier, "_SHAPES", {})
     a, b = (verifier._closed_lattice(sum(1 << m for m in masks))
             for masks in ([0, 1, 2, 3], [0, 4, 8, 12]))
     assert a.labels != b.labels and "covers" in vars(a)
@@ -322,7 +327,7 @@ def reference_lattice(spec):
 
 @pytest.mark.parametrize("family", verifier.FAMILIES)
 def test_the_seed_keyed_core_draws_what_gen_lattice_draws(family):
-    for lo, hi in ((2, 8), (1, 16), (6, 6), (17, 24)):
+    for lo, hi in ((2, 8), (1, 16), (2, 3), (6, 6), (17, 24)):
         try:
             specs = [InstanceGenSpec(seed=seed, family=family, size_lo=lo, size_hi=hi)
                      for seed in range(200)]
@@ -357,28 +362,19 @@ def test_no_draw_builds_a_spec(monkeypatch, function_class):
     assert len(pairs) == s.count and built == []
 
 
-def test_the_family_memo_holds_only_closed_families(monkeypatch):
-    # every sublattice of 2^4 drawn by its 16-bit set,
-    # and random-closed draws whose rejected families outnumber them
-    keys = []
-
-    def recorded(members):
-        keys.append(members)
-        return real(members)
-    real = verifier._family.__wrapped__
-    monkeypatch.setattr(verifier, "_family", functools.cache(recorded))
-    monkeypatch.setattr(verifier, "_SHAPES", {})
-    families = every_sublattice_of_the_4_cube()
-    for family in families:
+def test_the_family_memo_holds_only_closed_families(fresh_shapes):
+    # every sublattice of 2^4 drawn by its 16-bit set, and then random-closed
+    # draws whose rejected families outnumber them: none of those is kept
+    for family in every_sublattice_of_the_4_cube():
         masks = sorted(family, key=lambda m: (bin(m).count("1"), m))
         lat = verifier._closed_lattice(sum(1 << m for m in family))
         assert lat.labels == tuple("m" + format(m, "04b") for m in masks)
+    assert verifier._closed_lattice.cache_info().currsize == 731
     for seed in range(3000):
         lo = 1 + seed % 8
         verifier._random_closed(random.Random(seed), lo, lo + seed // 8 % 9)
-    members = {sum(1 << m for m in family) for family in families}
-    assert len(keys) == len(set(keys)) == verifier._family.cache_info().currsize == 731
-    assert set(keys) == members
+    assert verifier._closed_lattice.cache_info().currsize == 731
+    assert len(verifier._SHAPES) == 74
 
 
 def test_gen_lattice_range_fallbacks():
@@ -516,6 +512,20 @@ def test_l1_fails_when_the_continuity_check_is_wrong(monkeypatch):
     report = check_lemma("L1", InstanceGenSpec(seed=1, function_class="arbitrary", count=20))
     assert report.failures and not report.passed
     assert report.premise_skipped == 0
+
+
+def test_l1_fails_when_the_monotone_check_is_wrong(monkeypatch, capsys):
+    # generation self-checks continuity alone: were it to check L1's claim
+    # too, a wrong monotone verdict would stop the run before L1 saw a pair
+    monkeypatch.setattr(genfun, "monotone_witness", lambda fn: (fn.dom.bottom, fn.dom.top))
+    report = check_lemma("L1", InstanceGenSpec(seed=1, function_class="continuous", count=20))
+    assert report.instances_tried == 20 and len(report.failures) == 20
+    for failure in report.failures:
+        lat_o = pair_from_json(failure.instance).dom_o
+        assert failure.witness == f"F breaks the order at ({lat_o.bottom}, {lat_o.top})"
+    assert cli.main(["verify", "--lemma", "L1", "--seed", "1", "--count", "20"]) == 1
+    out = capsys.readouterr().out
+    assert "failure[0].witness: F breaks the order at (" in out and out.endswith("verify: FAIL\n")
 
 
 def test_runners_catch_real_violations(c2, d4):
@@ -1043,10 +1053,13 @@ def _mixed_block_pairs():
 
 
 def test_stacked_kernels_match_the_one_pair_kernels_on_mixed_blocks():
+    # the stacked pre_mask is each pair's, and the block check refuses a
+    # block exactly when one pair's own scan fails; alone, some pairs pass
+    # and others fail at F or at G
     pairs = _mixed_block_pairs()
-    verdicts = Counter()
-    for start, stop in ((0, 1), (1, 2), (2, 9), (9, 9 + B), (9 + B, len(pairs))):
-        block = pairs[start:stop]
+    sides, verdicts = Counter(), Counter()
+    blocks = [pairs[0:1], pairs[1:2], pairs[2:9], pairs[9:9 + B], pairs[9 + B:]]
+    for block in blocks + [[mp] for mp in pairs]:
         stack = verifier._stack(block)
         k = max(max(mp.dom_o.size, mp.dom_p.size) for mp in block)
         assert [a.shape for a in stack] == [(len(block), k, k)] * 2 + [(len(block), k)] * 2
@@ -1056,11 +1069,17 @@ def test_stacked_kernels_match_the_one_pair_kernels_on_mixed_blocks():
                             np.asarray(mp.g))
             assert (pre[:n, :m] == want).all()
             assert not pre[n:].any() and not pre[:, m:].any()
-        got = verifier._monotone_failures(stack)
-        assert got == [_first_monotone_failure((("F", mp.f_fn), ("G", mp.g_fn)))
-                       for mp in block]
-        verdicts.update("none" if v is None else v[0] for v in got)
-    assert verdicts["none"] and verdicts["F"] and verdicts["G"], verdicts
+        failures = [_first_monotone_failure((("F", mp.f_fn), ("G", mp.g_fn))) for mp in block]
+        if len(block) == 1:
+            sides["none" if failures[0] is None else failures[0][0]] += 1
+        if any(failures):
+            with pytest.raises(AssertionError):
+                verifier._self_checked(block)
+        else:
+            verifier._self_checked(block)
+        verdicts[any(failures)] += 1
+    assert sides["none"] and sides["F"] and sides["G"], sides
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 def _plant(monkeypatch, position, side):
