@@ -30,8 +30,8 @@ from .verifier import (Finding, FindingReport, InstanceGenSpec, LemmaReport,
                        gen_monotone_pair, mine_counterexample, split_seed)
 from .demos import (ClassDef, ClassTable, GroundType, IntervalType,
                     RelationPairState, StepBudgetExceeded, build_universe,
-                    fixture_tables, is_contained, is_subtype, parse_class_table_doc,
-                    paulson_trio, solve_subtyping, subtype_generators)
+                    fixture_tables, parse_class_table_doc, paulson_trio, solve_subtyping,
+                    subtype_generators)
 
 __version__ = "0.1.0"
 

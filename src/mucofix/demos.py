@@ -256,21 +256,6 @@ def solve_subtyping(ct: ClassTable, k: int = 1, direction: str = "least") -> Rel
     return RelationPairState(types, intervals, sub, cont)
 
 
-def _related(m: np.ndarray, members, a, b) -> bool:
-    for x in (a, b):
-        if x not in members:
-            raise ValueError(f"{x} is outside the solved universe")
-    return bool(m[members.index(a), members.index(b)])
-
-
-def is_subtype(state: RelationPairState, t1: GroundType, t2: GroundType) -> bool:
-    return _related(state.sub, state.types, t1, t2)
-
-
-def is_contained(state: RelationPairState, i1: IntervalType, i2: IntervalType) -> bool:
-    return _related(state.cont, state.intervals, i1, i2)
-
-
 def paulson_trio(x: int, y: int, z: int, entry: str = "F",
                  budget: int = 1_000_000) -> tuple[int, int, int]:
     """Three mutually recursive integer functions, run as the equivalent

@@ -18,8 +18,8 @@ from .fixtures import chain, corpus, diamond
 from .genfun import (BINARY, WITH_EMPTY, ContinuityMode, MutualPair, _first_continuity_failure,
                      _first_monotone_failure, _order_breaks, compose_fg, compose_gf,
                      is_continuous_pair)
-from .lattice import (CapacityError, FiniteLattice, FinitePoset, _prechecked, compose,
-                      mask_lattice, powerset_lattice, product)
+from .lattice import (FiniteLattice, FinitePoset, _prechecked, mask_lattice, powerset_lattice,
+                      product)
 from .simpoints import is_sim_fixed, point_masks, pre_mask
 from .solvers import (gsfp_direct, gsfp_product, gsfp_tarski_oracle, lsfp_direct,
                       lsfp_product, lsfp_tarski_oracle)
@@ -36,8 +36,6 @@ EXHAUST_COMBO_CAP = 200_000
 # pair with every other), so generated carriers stay small: an L7
 # instance on two chains takes about 0.3 s at 64 elements, 68 s at 256
 INSTANCE_SIZE_CAP = 64
-# L4 enumerates every nonempty subset of a carrier, 2^16 - 1 at this size
-L4_SIZE_CAP = 16
 # verify and the miner both draw and self-check their instances this many
 # at a time, and the miner asks its tries so, one stacked array kernel per
 # block instead of several small ones per instance; lemmas requests ran as
@@ -476,13 +474,24 @@ def _check_l3(mp, mode):
     return f"{kind} ({o},{p}) has a non-{kind} component"
 
 
+@cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids a < b of every pair of n ids, row-major, read-only. Kept per
+    n, a carrier size of at most INSTANCE_SIZE_CAP: np.triu_indices takes
+    about 20 us a call, and the lemma rows ask for these pairs several
+    times per instance."""
+    a, b = np.triu_indices(n, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def _unclosed_rows(members: np.ndarray, meet: np.ndarray, join: np.ndarray) -> np.ndarray:
     """Per row of a boolean membership matrix: whether two members have a meet
-    or join outside it. meet and join are tables over the first len(meet)
-    columns, and each entry names a column, which may be one past them. In
-    a finite lattice, a nonempty closed row is a complete sublattice."""
-    rows, n = len(members), len(meet)
-    a, b = np.nonzero(np.arange(n)[:, None] < np.arange(n))    # the pairs above the diagonal
+    or join outside it. meet and join are tables over the columns, and each
+    entry names a column. In a finite lattice, a nonempty closed row is a
+    complete sublattice."""
+    rows = len(members)
+    a, b = _upper_pairs(len(meet))
     low, high = meet[a, b], join[a, b]
     unclosed = np.empty(rows, dtype=bool)
     # a block of rows per step keeps each step's temporaries near 1 MiB
@@ -495,24 +504,22 @@ def _unclosed_rows(members: np.ndarray, meet: np.ndarray, join: np.ndarray) -> n
 
 
 def _check_l4(mp, mode):
+    """The first side and sublattice, in bitmask order, whose image is not
+    closed, as its message; or None. If the image of a sublattice S is not
+    closed at f(x), f(y), neither is the image of {x, y, x∧y, x∨y}, the
+    sublattice x and y generate, whose bitmask is at most S's. So the first
+    failing sublattice is one of these, and only they are read."""
     for side, dom, cod, table in (("F", mp.dom_o, mp.dom_p, mp.f),
                                   ("G", mp.dom_p, mp.dom_o, mp.g)):
-        n = dom.size
-        if n > L4_SIZE_CAP:
-            raise CapacityError(f"subset enumeration needs carriers of size <= {L4_SIZE_CAP}")
-        # row r holds the subset with bitmask r + 1, so rows run in mask order
-        subsets = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
-        # the image of each subset, over columns of the image elements and
-        # one empty column, to which a bound outside the image maps
-        image = np.array(sorted(set(table)))
-        in_image = compose(subsets, np.asarray(table)[:, None] == np.append(image, -1))
-        column = np.full(cod.size, len(image))
-        column[image] = np.arange(len(image))
-        bad = ~_unclosed_rows(subsets, dom.meet, dom.join) & _unclosed_rows(
-            in_image, column[cod.meet[image][:, image]], column[cod.join[image][:, image]])
-        r = int(bad.argmax())
-        if bad[r]:
-            s = np.flatnonzero(subsets[r]).tolist()
+        x, y = _upper_pairs(dom.size)
+        generated = np.stack([x, y, dom.meet[x, y], dom.join[x, y]], axis=1)
+        # row r marks, over the codomain, the image of the sublattice pair r generates
+        images = np.zeros((len(x), cod.size), dtype=bool)
+        images[np.arange(len(x))[:, None], np.asarray(table)[generated]] = True
+        bad = np.flatnonzero(_unclosed_rows(images, cod.meet, cod.join))
+        if len(bad):
+            s = min((sorted(set(generated[r].tolist())) for r in bad),
+                    key=lambda s: sum(1 << i for i in s))
             v = cod.sublattice_violation(sorted({table[i] for i in s}))
             return f"{side} image of sublattice {s} is not closed: {v}"
     return None

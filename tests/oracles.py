@@ -326,6 +326,17 @@ def closed_subsets_oracle(leq):
             if all(glb[a][b] in s and lub[a][b] in s for a in s for b in s)]
 
 
+def sublattice_violation_oracle(leq, s):
+    """The first pair a, b of members, b at or after a in s, whose glb or
+    lub (glb first) is not a member, as (kind, a, b, bound); or None."""
+    for i, a in enumerate(s):
+        for b in s[i:]:
+            for kind, bound in (("meet", glb_scan(leq, [a, b])), ("join", lub_scan(leq, [a, b]))):
+                if bound not in s:
+                    return kind, a, b, bound
+    return None
+
+
 def draw_lists_oracle(leq):
     """A lattice's generation lists but its two tables, straight from the
     order matrix: ids sorted by strict down-set size then id, each strict

@@ -12,7 +12,7 @@ import pytest
 
 import mucofix.cli
 from mucofix import PairPoint, pair_from_json
-from mucofix.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
+from mucofix.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, VERIFY_PLAN, main
 
 from oracles import sim_kleene_oracle
 
@@ -306,11 +306,16 @@ def test_verify_counts_exhausted_generation_apart_from_failures(capsys):
 def test_verify_size_bound(capsys):
     rc, out = run(capsys, "verify", "--size-hi", "65")
     assert (rc, out) == (EXIT_INPUT, "input error: size_hi 65 exceeds the cap 64\n")
-    # the largest admitted instance runs the heaviest lemma scan
-    rc, out = run(capsys, "verify", "--lemma", "L7", "--family", "chains",
-                  "--size-lo", "64", "--size-hi", "64", "--count", "1")
-    assert rc == EXIT_OK
-    assert "instances: 1" in out and out.endswith("verify: PASS\n")
+
+
+def test_verify_runs_every_row_at_the_instance_cap(capsys):
+    # an admitted size never makes a row raise mid-run; L7 is the heaviest scan
+    rc, out = run(capsys, "verify", "--family", "chains", "--size-lo", "64", "--size-hi", "64",
+                  "--count", "1")
+    assert rc == EXIT_OK and out.endswith("verify: PASS\n")
+    assert [line for line in out.splitlines() if line.startswith("lemma: ")] == [
+        f"lemma: {lemma_id}" for lemma_id, _ in VERIFY_PLAN]
+    assert out.count("instances: 1\n") == out.count("result: PASS\n") == len(VERIFY_PLAN)
 
 
 def test_verify_refuses_a_range_without_corpus_lattices_before_any_report(capsys):
@@ -325,14 +330,16 @@ def test_verify_refuses_a_range_without_corpus_lattices_before_any_report(capsys
     assert rc == EXIT_OK and out.endswith("verify: PASS\n")
 
 
-def test_verify_refuses_l4_above_its_subset_limit_before_any_report(capsys):
+def test_verify_runs_l4_above_sixteen_elements(capsys):
+    # L4 reads the n(n-1)/2 sublattices two elements generate, so it runs wherever the rest do
     argv = ("verify", "--family", "chains", "--size-lo", "17", "--size-hi", "17", "--count", "1")
     rc, out = run(capsys, *argv)
-    assert (rc, out) == (EXIT_INPUT,
-                         "input error: L4 enumerates subsets, so --size-hi must be at most 16\n")
-    assert run(capsys, *argv, "--lemma", "L4")[0] == EXIT_INPUT
-    rc, out = run(capsys, *argv, "--lemma", "L7")
-    assert rc == EXIT_OK and out.endswith("verify: PASS\n")
+    assert rc == EXIT_OK and out.count("result: PASS\n") == len(VERIFY_PLAN)
+    assert out.endswith("verify: PASS\n")
+    rc, out = run(capsys, *argv, "--lemma", "L4")
+    assert rc == EXIT_OK and out.startswith("lemma: L4\n")
+    assert out.endswith("instances: 1\npremise-skipped: 0\ngeneration-exhausted: 0\n"
+                        "genuine-failures: 0\nresult: PASS\nverify: PASS\n")
 
 
 def test_verify_rejects_unknown_lemma(capsys):

@@ -12,7 +12,7 @@ import numpy as np
 
 import pytest
 
-from mucofix import (BINARY, WITH_EMPTY, CapacityError, FiniteLattice, InstanceGenSpec,
+from mucofix import (BINARY, WITH_EMPTY, FiniteLattice, InstanceGenSpec,
                      MutualPair, NotMonotoneError, SolveResult, chain, check_lemma,
                      component_sets, corpus, diamond, gen_continuous_pair, gen_lattice,
                      gen_monotone_pair, is_continuous_pair, is_monotone, m3,
@@ -30,7 +30,7 @@ from mucofix.verifier import (GenerationExhausted, LEMMAS, _check_l1, _check_l5,
 
 from oracles import (closed_family_oracle, closed_subsets_oracle, continuity_witness_oracle,
                      continuous_table_oracle, glb_scan, is_lattice_oracle, lub_scan,
-                     monotone_witness_oracle, point_classes_oracle)
+                     monotone_witness_oracle, point_classes_oracle, sublattice_violation_oracle)
 
 
 def spec(seed=0, **kw):
@@ -658,32 +658,61 @@ def test_subset_closure_matches_the_plain_loop_oracle():
         assert got == closed_subsets_oracle(lat.poset.leq.tolist()), name
 
 
+@functools.cache
+def _closed_subsets(leq):
+    return closed_subsets_oracle(leq)
+
+
 def _l4_oracle(mp):
     'The first side and closed subset, in mask order, whose image is not closed, or None.'
     for side, dom, cod, table in (("F", mp.dom_o, mp.dom_p, mp.f),
                                   ("G", mp.dom_p, mp.dom_o, mp.g)):
-        closed_images = {tuple(s) for s in closed_subsets_oracle(cod.poset.leq.tolist())}
-        for s in closed_subsets_oracle(dom.poset.leq.tolist()):
+        leq = tuple(map(tuple, cod.poset.leq.tolist()))
+        closed_images = set(map(tuple, _closed_subsets(leq)))
+        for s in _closed_subsets(tuple(map(tuple, dom.poset.leq.tolist()))):
             image = sorted({table[i] for i in s})
             if tuple(image) not in closed_images:
-                return side, s, cod.sublattice_violation(image)
+                return side, s, sublattice_violation_oracle(leq, image)
     return None
 
 
 def test_l4_scan_matches_the_plain_loop_oracle():
-    found = 0
-    for function_class in ("monotone", "arbitrary"):
-        s = spec(17, function_class=function_class, size_hi=8)
-        for mp in verifier._instances(s, range(30), BINARY)[0]:
+    found = Counter()
+    for family, function_class, mode in iproduct(verifier.FAMILIES, verifier.FUNCTION_CLASSES,
+                                                 (BINARY, WITH_EMPTY)):
+        s = spec(17, family=family, function_class=function_class, size_hi=10)
+        for mp in verifier._instances(s, range(40), mode)[0]:
+            if isinstance(mp, GenerationExhausted):
+                continue
             want = _l4_oracle(mp)
-            got = verifier._check_l4(mp, BINARY)
+            got = verifier._check_l4(mp, mode)
             if want is None:
                 assert got is None
             else:
-                found += 1
+                found[function_class] += 1
                 side, s_ids, violation = want
                 assert got == f"{side} image of sublattice {s_ids} is not closed: {violation}"
-    assert found >= 10
+    assert found["continuous"] == 0 and found["monotone"] >= 5 and found["arbitrary"] >= 100
+
+
+def test_the_first_failing_sublattice_is_generated_by_two_of_its_members():
+    # the reduction _check_l4 rests on, checked on the all-subsets oracle:
+    # two comparable members generate themselves, two incomparable ones four
+    small = [lat for _, lat in corpus() if lat.size <= 8]
+    sizes = Counter()
+    for k, (dom, cod) in enumerate(iproduct(small, small)):
+        rng = random.Random(k)
+        leq = dom.poset.leq.tolist()
+        for _ in range(8):
+            f = tuple(rng.randrange(cod.size) for _ in range(dom.size))
+            want = _l4_oracle(MutualPair(dom, cod, f, (0,) * cod.size))
+            if want is None:
+                continue
+            s = want[1]
+            sizes[len(s)] += 1
+            assert any(set(s) == {x, y, glb_scan(leq, [x, y]), lub_scan(leq, [x, y])}
+                       for x in s for y in s), s
+    assert sizes.keys() <= {2, 4} and sizes[2] >= 200 and sizes[4] >= 5
 
 
 def test_continuous_rows_decide_continuity_once_per_pair(monkeypatch):
@@ -703,15 +732,34 @@ def test_continuous_rows_decide_continuity_once_per_pair(monkeypatch):
         assert max(Counter(map(id, decided)).values()) == 1, lemma_id
 
 
-def test_l4_refuses_carriers_above_sixteen():
-    mp = MutualPair(chain(17), chain(2), (0,) * 17, (0, 0))
-    with pytest.raises(CapacityError, match="subset enumeration"):
-        verifier._check_l4(mp, BINARY)
-    # only a domain is enumerated: an F witness into a 20-element lattice
-    # is reported before the G side would refuse
+def test_l4_runs_at_every_admitted_size():
+    # every size InstanceGenSpec admits, past the 16 elements a subset scan reaches
+    for family, size_lo in (("mixed", 2), ("chains", 17)):
+        for mode in (BINARY, WITH_EMPTY):
+            for size_hi in (17, 20, 64):
+                s = spec(0, family=family, size_lo=size_lo, size_hi=size_hi,
+                         function_class="continuous", count=24)
+                report = check_lemma("L4", s, mode)
+                assert report.passed and report.instances_tried > 0, (family, mode, size_hi)
+
+
+def test_l4_names_a_generated_sublattice_past_sixteen_elements():
+    # an F witness into a 20-element lattice
     big = product(diamond(), chain(5))
     mp = MutualPair(diamond(), big, (5, 10, 5, 10), (0,) * big.size)
-    assert verifier._check_l4(mp, BINARY).startswith("F image of sublattice [0, 1] ")
+    assert verifier._check_l4(mp, BINARY) == (
+        "F image of sublattice [0, 1] is not closed: ('meet', 5, 10, 0)")
+    # on a 64-element domain, with (i, j) at id 16 i + j: F sends (1, 14) and
+    # (1, 15) to atom 1 of M3, (2, 14) and (2, 15) to atom 2, and the rest to
+    # the bottom, so a sublattice fails exactly when it holds one of each
+    # pair; the first by mask is the one (1, 14) and (2, 14) generate
+    dom = product(diamond(), chain(16))
+    f = [0] * dom.size
+    f[30] = f[31] = 1
+    f[46] = f[47] = 2
+    mp = MutualPair(dom, m3(), tuple(f), (0,) * 5)
+    assert verifier._check_l4(mp, BINARY) == (
+        "F image of sublattice [14, 30, 46, 62] is not closed: ('join', 1, 2, 4)")
 
 
 # products past the witness pins' sizes: 16 to 25 elements, non-modular
