@@ -47,21 +47,13 @@ class GenerationExhausted(Exception):
     """No continuous map exists on one side of a pair; reported, not fatal."""
 
 
-def split_seed(seed: int, index: int) -> int:
-    'Deterministic per-instance seed derivation (a splitmix64 step).'
+def split_seed(seed, index):
+    """Deterministic per-instance seed derivation (a splitmix64 step), on
+    ints or on broadcast uint64 arrays, which wrap mod 2^64 as MASK64 does.
+    Arrays, not numpy scalars: scalar products warn on overflow."""
     z = (seed + 0x9E3779B97F4A7C15 * (index + 1)) & MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return (z ^ (z >> 31)) & MASK64
-
-
-def _splitmix(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """split_seed over broadcast uint64 arrays, which wrap mod 2^64 as
-    MASK64 does. Arrays, not numpy scalars: scalar products warn on
-    overflow."""
-    z = seeds + 0x9E3779B97F4A7C15 * (indices + 1)
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
 
 
@@ -69,10 +61,10 @@ def _slot_seeds(seed: int, indices) -> list[tuple[int, int, int, int]]:
     """Per index of a block, the seeds of its instance: with child =
     split_seed(seed, index), split_seed(child, k) for slots k = 1, 2 and 3
     and the pair seed split_seed(slot 3, 0xF0), all in one uint64 pass,
-    which costs about 20 us whatever the block's length."""
-    child = _splitmix(np.array([seed & MASK64], np.uint64), np.array(indices, np.uint64))
-    slots = _splitmix(child[:, None], np.array([1, 2, 3], np.uint64))
-    pair = _splitmix(slots[:, 2:], np.array([0xF0], np.uint64))
+    which costs 30-50 us on a 2-vCPU VM whatever the block's length."""
+    child = split_seed(np.array([seed & MASK64], np.uint64), np.array(indices, np.uint64))
+    slots = split_seed(child[:, None], np.array([1, 2, 3], np.uint64))
+    pair = split_seed(slots[:, 2:], np.array([0xF0], np.uint64))
     return list(map(tuple, np.hstack((slots, pair)).tolist()))
 
 
@@ -489,18 +481,10 @@ def _unclosed_rows(members: np.ndarray, meet: np.ndarray, join: np.ndarray) -> n
     """Per row of a boolean membership matrix: whether two members have a meet
     or join outside it. meet and join are tables over the columns, and each
     entry names a column. In a finite lattice, a nonempty closed row is a
-    complete sublattice."""
-    rows = len(members)
+    complete sublattice. L5, L6, Q1 and Q3 ask it of at most 2 x 64 rows."""
     a, b = _upper_pairs(len(meet))
-    low, high = meet[a, b], join[a, b]
-    unclosed = np.empty(rows, dtype=bool)
-    # a block of rows per step keeps each step's temporaries near 1 MiB
-    step = max(1, (1 << 20) // max(1, len(a)))
-    for r in range(0, rows, step):
-        block = members[r:r + step]
-        escaped = block[:, a] & block[:, b] & ~(block[:, low] & block[:, high])
-        unclosed[r:r + step] = escaped.any(axis=1)
-    return unclosed
+    return (members[:, a] & members[:, b]
+            & ~(members[:, meet[a, b]] & members[:, join[a, b]])).any(axis=1)
 
 
 def _check_l4(mp, mode):
@@ -508,15 +492,20 @@ def _check_l4(mp, mode):
     closed, as its message; or None. If the image of a sublattice S is not
     closed at f(x), f(y), neither is the image of {x, y, x∧y, x∨y}, the
     sublattice x and y generate, whose bitmask is at most S's. So the first
-    failing sublattice is one of these, and only they are read."""
+    failing sublattice is one of these, and only they are read: each image
+    is closed when the meets and joins of its 16 ordered pairs lie in it."""
     for side, dom, cod, table in (("F", mp.dom_o, mp.dom_p, mp.f),
                                   ("G", mp.dom_p, mp.dom_o, mp.g)):
         x, y = _upper_pairs(dom.size)
         generated = np.stack([x, y, dom.meet[x, y], dom.join[x, y]], axis=1)
+        im = np.asarray(table)[generated]
         # row r marks, over the codomain, the image of the sublattice pair r generates
+        rows = np.arange(len(x))
         images = np.zeros((len(x), cod.size), dtype=bool)
-        images[np.arange(len(x))[:, None], np.asarray(table)[generated]] = True
-        bad = np.flatnonzero(_unclosed_rows(images, cod.meet, cod.join))
+        images[rows[:, None], im] = True
+        a, b, r = im[:, :, None], im[:, None, :], rows[:, None, None]
+        closed = (images[r, cod.meet[a, b]] & images[r, cod.join[a, b]]).all(axis=(1, 2))
+        bad = np.flatnonzero(~closed)
         if len(bad):
             s = min((sorted(set(generated[r].tolist())) for r in bad),
                     key=lambda s: sum(1 << i for i in s))

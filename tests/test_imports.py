@@ -457,7 +457,8 @@ def test_no_two_exported_dataclasses_share_a_field_list():
 # second memo per closed family beside its lattice's, a fallback memo
 # beside the pool's, and per-pair witnesses that the block check never read
 REMOVED = ("FiberSet", "LemmaFailure", "parse_mode", "_family", "_memo_flat_product",
-           "_monotone_failures", "L4_SIZE_CAP", "is_subtype", "is_contained", "_related")
+           "_monotone_failures", "L4_SIZE_CAP", "is_subtype", "is_contained", "_related",
+           "_splitmix")
 
 
 def test_the_removed_duplicates_are_neither_defined_nor_exported():

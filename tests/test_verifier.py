@@ -54,7 +54,7 @@ def test_the_block_splitmix_is_split_seed(seed):
     indices = [0, 1, 63, 0xF0, 2 ** 32]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = verifier._splitmix(np.array([seed], np.uint64), np.array(indices, np.uint64))
+        got = split_seed(np.array([seed], np.uint64), np.array(indices, np.uint64))
         blocks = [verifier._slot_seeds(s, ix) for s in (seed, seed - 2 ** 64, seed + 2 ** 64)
                   for ix in (indices, indices[:1], indices[1:2], [])]
     assert got.dtype == np.uint64 and got.tolist() == [split_seed(seed, i) for i in indices]
@@ -695,6 +695,44 @@ def test_l4_scan_matches_the_plain_loop_oracle():
     assert found["continuous"] == 0 and found["monotone"] >= 5 and found["arbitrary"] >= 100
 
 
+def _l4_by_membership_rows(mp):
+    """_check_l4 with the image of each generated sublattice marked as a row
+    over the codomain and the rows decided by _unclosed_rows, which the
+    plain-loop tests check, in place of the bounds of its 16 image pairs."""
+    for side, dom, cod, table in (("F", mp.dom_o, mp.dom_p, mp.f),
+                                  ("G", mp.dom_p, mp.dom_o, mp.g)):
+        x, y = np.triu_indices(dom.size, 1)
+        generated = np.stack([x, y, dom.meet[x, y], dom.join[x, y]], axis=1)
+        images = np.zeros((len(x), cod.size), dtype=bool)
+        images[np.arange(len(x))[:, None], np.asarray(table)[generated]] = True
+        bad = np.flatnonzero(verifier._unclosed_rows(images, cod.meet, cod.join))
+        if len(bad):
+            s = min((sorted(set(generated[r].tolist())) for r in bad),
+                    key=lambda s: sum(1 << i for i in s))
+            v = cod.sublattice_violation(sorted({table[i] for i in s}))
+            return f"{side} image of sublattice {s} is not closed: {v}"
+    return None
+
+
+def test_l4_matches_the_membership_rows_past_sixteen_elements():
+    # seeded monotone and arbitrary tables between lattices of 25 to 64
+    # elements, each ordered pair of them, past the oracle's 10 elements
+    lats = [product(diamond(), chain(16)), product(m3(), n5()), powerset_lattice(5),
+            chain(40), product(powerset_lattice(3), chain(8))]
+    rng = random.Random(37)
+    found = Counter()
+    for k, (lat_o, lat_p) in enumerate(iproduct(lats, lats)):
+        mono = verifier._monotone_pair(split_seed(k, 0xF0), lat_o, lat_p)
+        f = [rng.randrange(lat_p.size) for _ in range(lat_o.size)]
+        g = [rng.randrange(lat_o.size) for _ in range(lat_p.size)]
+        for mp in (mono, MutualPair(lat_o, lat_p, f, mono.g), MutualPair(lat_o, lat_p, mono.f, g),
+                   MutualPair(lat_o, lat_p, f, g)):
+            got = verifier._check_l4(mp, BINARY)
+            assert got == _l4_by_membership_rows(mp), (lat_o.labels, lat_p.labels, mp.f, mp.g)
+            found["none" if got is None else got[0]] += 1
+    assert found["F"] + found["G"] >= 50 and found["G"] > 0 and found["none"] > 0, found
+
+
 def test_the_first_failing_sublattice_is_generated_by_two_of_its_members():
     # the reduction _check_l4 rests on, checked on the all-subsets oracle:
     # two comparable members generate themselves, two incomparable ones four
@@ -859,7 +897,6 @@ def test_unclosed_rows_matches_a_plain_pair_loop():
         rows = [[False] * n] + [[j == i for j in range(n)] for i in range(n)]
         # intervals [x, y] are closed, or empty when x is not below y
         rows += [(leq[x] & leq[:, y]).tolist() for x in range(n) for y in range(n)]
-        # enough random rows that the kernel takes two blocks at 25 elements
         rows += [[rng.random() < density for _ in range(n)]
                  for density in (0.05, 0.2, 0.5, 0.9) for _ in range(1000)]
         got = verifier._unclosed_rows(np.array(rows, dtype=bool), lat.meet, lat.join)
